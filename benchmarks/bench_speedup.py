@@ -225,20 +225,21 @@ def test_batched_replay_speedup(workers, batch_lanes):
 
 
 def test_compiled_replay_speedup(batch_lanes, gl_backend):
-    """Compiled gate-level kernels vs the interpreted evaluator.
+    """The native C replay kernel vs the interpreted evaluator.
 
     Times the batched simulator's hot stepping loop on rocket_mini
-    under every backend the host can build — interpreted, generated
-    Python, and (with a C compiler) gcc+ctypes — verifies the value
-    arrays stay bit-identical, computes each backend's amortization
-    point (cycles of stepping needed to pay back its compile time),
-    and writes ``results/BENCH_replay_compiled.json``.  The headline
+    under ``interp`` and, with a C compiler, ``c``; verifies the value
+    arrays stay bit-identical; records the kernel's cold build seconds
+    (one gcc run per host, whatever the netlist) next to the time
+    :meth:`CKernel.install` takes to flatten this netlist's schedule
+    into op arrays, plus the amortization point (cycles of stepping
+    that pay back the cold build); and writes
+    ``results/BENCH_replay_compiled.json``.  The headline
     ``--gl-backend`` mode (default ``auto``) is resolved to whatever
     rung actually built, so the JSON records what this host ran.
     """
     import numpy as np
     from repro.gatelevel import BatchedGateLevelSimulator, build_kernel
-    from repro.gatelevel.glcodegen import GLCodegenUnavailable
 
     lanes = max(2, min(batch_lanes, 64))
     warm_cycles, timed_cycles = 20, 200
@@ -248,20 +249,11 @@ def test_compiled_replay_speedup(batch_lanes, gl_backend):
 
     kernels = {"interp": None}
     compile_s = {"interp": 0.0}
-    try:
-        k = build_kernel(netlist, schedule, "compiled",
-                         use_cache=False)
-        kernels["compiled"] = k
-        compile_s["compiled"] = k.compile_seconds
-    except Exception:
-        pass
-    try:
-        k = build_kernel(netlist, schedule, "c", use_cache=False)
-        if k is not None and k.backend == "c":
-            kernels["c"] = k
-            compile_s["c"] = k.compile_seconds
-    except GLCodegenUnavailable:
-        pass
+    install_s = {"interp": 0.0}
+    k = build_kernel(netlist, "c", use_cache=False)
+    if k is not None:
+        kernels["c"] = k
+        compile_s["c"] = k.compile_seconds
 
     per_cycle = {}
     values = {}
@@ -269,6 +261,10 @@ def test_compiled_replay_speedup(batch_lanes, gl_backend):
         sim = BatchedGateLevelSimulator(netlist, lanes=lanes,
                                         schedule=schedule,
                                         kernel=kernel)
+        if kernel is not None:
+            t0 = time.perf_counter()
+            kernel.install(sim)     # again, timed: the per-netlist cost
+            install_s[name] = time.perf_counter() - t0
         sim.step(warm_cycles)
         t0 = time.perf_counter()
         sim.step(timed_cycles)
@@ -286,20 +282,19 @@ def test_compiled_replay_speedup(batch_lanes, gl_backend):
                           else float("inf"))
 
     headline = gl_backend
-    if headline == "auto":
-        headline = "c" if "c" in kernels else "compiled"
-    if headline not in kernels:
-        headline = "compiled"
+    if headline == "auto" or headline not in kernels:
+        headline = "c" if "c" in kernels else "interp"
 
     rows = [[name, f"{per_cycle[name] * 1000:.3f} ms",
              f"{speedup[name]:.2f}x",
              f"{compile_s[name]:.2f} s",
+             f"{install_s[name] * 1000:.1f} ms",
              ("-" if amortize[name] == float("inf")
               else f"{amortize[name]:,.0f} cycles")]
             for name in per_cycle]
     emit("replay_compiled",
-         fmt_table(["backend", "per cycle", "speedup", "compile",
-                    "amortized after"], rows))
+         fmt_table(["backend", "per cycle", "speedup", "cold build",
+                    "install", "amortized after"], rows))
     save_json("BENCH_replay_compiled", {
         "design": "rocket_mini",
         "lanes": lanes,
@@ -308,6 +303,7 @@ def test_compiled_replay_speedup(batch_lanes, gl_backend):
         "per_cycle_ms": {k: v * 1000 for k, v in per_cycle.items()},
         "speedup": speedup,
         "compile_seconds": compile_s,
+        "install_seconds": install_s,
         "amortization_cycles": {
             k: (None if v == float("inf") else v)
             for k, v in amortize.items()},
@@ -315,12 +311,8 @@ def test_compiled_replay_speedup(batch_lanes, gl_backend):
         "cpu_count": os.cpu_count(),
     })
 
-    # acceptance: the generated-Python kernel must not lose to the
-    # interpreter it replaces (the interpreter is already numpy-
-    # vectorized, so its headroom is small — see EXPERIMENTS.md), and
-    # a C kernel must deliver a real multiple on full-width batches
-    assert "compiled" in kernels
-    assert speedup["compiled"] >= 1.0
+    # acceptance: the C kernel must deliver a real multiple over the
+    # interpreter on full-width batches
     if "c" in kernels and lanes >= 32:
         assert speedup["c"] >= 3.0
 
@@ -340,7 +332,6 @@ def test_native_replay_speedup(batch_lanes):
     """
     import numpy as np
     from repro.gatelevel import BatchedGateLevelSimulator, build_kernel
-    from repro.gatelevel.glcodegen import GLCodegenUnavailable
     from repro.obs import get_registry
 
     lanes = max(2, min(batch_lanes, 64))
@@ -350,17 +341,9 @@ def test_native_replay_speedup(batch_lanes):
     schedule = engine._schedule
 
     kernels = {"interp": None}
-    try:
-        kernels["compiled"] = build_kernel(netlist, schedule,
-                                           "compiled", use_cache=False)
-    except Exception:
-        pass
-    try:
-        k = build_kernel(netlist, schedule, "c", use_cache=False)
-        if k is not None and k.backend == "c":
-            kernels["c"] = k
-    except GLCodegenUnavailable:
-        pass
+    k = build_kernel(netlist, "c", use_cache=False)
+    if k is not None:
+        kernels["c"] = k
 
     def legacy_run(sim, n):
         # the pre-run_cycles replay hot loop: settle with one eval to

@@ -10,7 +10,7 @@ makes the benches that support it record Chrome-trace JSON files
 (see :mod:`repro.obs`) into ``DIR`` alongside their measurements
 (``--trace`` itself is taken by pytest's debugger hook).
 ``--gl-backend NAME`` picks the gate-level evaluation backend the
-compiled-replay bench reports as its headline mode (default ``auto``:
+native-replay bench reports as its headline mode (default ``auto``:
 the best rung the host supports — C where a compiler exists).
 """
 
@@ -32,7 +32,7 @@ def pytest_addoption(parser):
              "into DIR (default: tracing off)")
     parser.addoption(
         "--gl-backend", type=str, default="auto",
-        choices=["interp", "compiled", "c", "auto"],
+        choices=["interp", "c", "auto"],
         help="gate-level backend for the compiled-replay bench "
              "(default: auto)")
 

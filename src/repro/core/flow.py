@@ -161,7 +161,7 @@ def get_replay_engine(design, freq_hz=None, use_cache=True, debug=False,
 
     Keyed by ``(design, freq_hz, gl_backend, gl_overlap)``: the
     frequency feeds straight into power analysis, the gate-level
-    evaluation backend owns a generated kernel, and the thread-overlap
+    evaluation backend owns a native kernel, and the thread-overlap
     setting sizes the engine's batch thread pool, so none may share a
     cache slot.  ``use_cache=False`` skips the on-disk artifact cache
     (the in-memory engine cache still applies); ``debug=True`` runs the
@@ -206,12 +206,12 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
     bit-identical to serial scalar replay for any setting.
 
     ``gl_backend`` selects the gate-level evaluation strategy for
-    batched replays: ``"interp"`` (default), ``"compiled"`` (generated
-    straight-line Python), ``"c"`` (gcc+ctypes), or ``"auto"`` (best
-    available); ``$REPRO_GL_BACKEND`` supplies the default.  Backends
-    are bit-identical, so the choice is recorded in the journal run key
-    as advisory provenance only — a journal written under one backend
-    resumes under another.
+    batched replays: ``"interp"`` (default), ``"c"`` (the native
+    kernel, built once per host), or ``"auto"`` (``c`` where a C
+    compiler exists); ``$REPRO_GL_BACKEND`` supplies the default.
+    Backends are bit-identical, so the choice is recorded in the
+    journal run key as advisory provenance only — a journal written
+    under one backend resumes under another.
 
     ``gl_overlap`` keeps up to that many replay batches in flight on
     threads *within* each process (``$REPRO_GL_OVERLAP`` supplies the
@@ -256,7 +256,7 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
     one per job with an ``on_span`` subscriber so its ``/status``
     endpoint can stream run phases live.  ``serial_gl_backend`` forces
     the supervisor's in-process fallback engine onto that backend
-    (the service passes ``"interp"`` so a poisoned compiled kernel is
+    (the service passes ``"interp"`` so a poisoned C kernel is
     never executed in the daemon process).  ``fault_plan`` is the
     fault-injection harness hook (:class:`repro.robust.FaultPlan`):
     it deliberately sabotages chosen replay dispatches and exists so

@@ -290,16 +290,14 @@ class ReplayEngine:
         self._schedule = load_levelized_schedule(self.flow)
         self.gl = GateLevelSimulator(self.flow.netlist,
                                      schedule=self._schedule)
-        # One generated kernel (compiled-or-cache-loaded here, at
-        # engine init) shared by every batched simulator: kernels are
-        # lane-oblivious, so lane count does not key them.
+        # One native kernel (built-or-cache-loaded here, at engine
+        # init) shared by every batched simulator: the kernel is
+        # netlist- and lane-oblivious.
         from ..gatelevel.glcodegen import (
             build_kernel, resolve_backend, resolve_overlap)
         self.gl_backend = resolve_backend(gl_backend)
         self.gl_overlap = resolve_overlap(overlap)
-        self._gl_kernel = (build_kernel(self.flow.netlist, self._schedule,
-                                        self.gl_backend)
-                           if self.gl_backend != "interp" else None)
+        self._gl_kernel = build_kernel(self.flow.netlist, self.gl_backend)
         # (thread,) lanes -> BatchedGateLevelSimulator; keyed by thread
         # as well when overlap threads each need a private simulator.
         self._batched = {}
@@ -873,8 +871,8 @@ class ReplayEngine:
 
         ``serial_gl_backend`` overrides the gate-level backend of the
         supervisor's last-resort in-process fallback engine.  The job
-        service passes ``"interp"``: when workers keep dying under a
-        compiled kernel, the kernel itself is suspect, and the
+        service passes ``"interp"``: when workers keep dying under the
+        C kernel, the kernel itself is suspect, and the
         supervising process must not execute it in-process (backends
         are bit-identical, so only the speed changes).
         """

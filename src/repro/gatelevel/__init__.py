@@ -20,8 +20,7 @@ from .gl_sim import (
 )
 from .glcodegen import (
     build_kernel, resolve_backend, resolve_overlap, kernel_cache_key,
-    netlist_fingerprint, GLCodegenError, GLCodegenUnavailable,
-    GLCODEGEN_VERSION,
+    GLCodegenError, GLCodegenUnavailable,
 )
 from .formal import (
     match_netlist, verify_equivalence, NameMap, MatchPoint, MatchError,
@@ -40,9 +39,7 @@ __all__ = [
     "LevelizedSchedule", "build_schedule", "pack_lane_words",
     "MAX_LANES", "SCHEDULE_VERSION", "STEP_PHASES",
     "build_kernel", "resolve_backend", "resolve_overlap",
-    "kernel_cache_key",
-    "netlist_fingerprint", "GLCodegenError", "GLCodegenUnavailable",
-    "GLCODEGEN_VERSION",
+    "kernel_cache_key", "GLCodegenError", "GLCodegenUnavailable",
     "match_netlist", "verify_equivalence", "NameMap", "MatchPoint",
     "MatchError", "EquivalenceResult", "FormalMatchPass",
     "analyze_power", "PowerReport", "default_grouping",

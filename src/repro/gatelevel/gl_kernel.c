@@ -1,0 +1,316 @@
+/*
+ * Netlist-agnostic bit-parallel gate-level replay kernel.
+ *
+ * One fixed translation unit, compiled once per host, that interprets a
+ * levelized netlist described by flat op arrays (see gl_prog below and
+ * repro.gatelevel.glcodegen.CKernel.install, which builds them from a
+ * LevelizedSchedule).  Every net value is one uint64 word whose bit
+ * lanes are up to 64 independent simulations of the same netlist, so
+ * every cell is one full-word bitwise op.
+ *
+ * Two entry points:
+ *
+ *   gl_eval       settle combinational logic once;
+ *   gl_run_cycles the whole-replay hot loop: per cycle, packed pokes,
+ *                 forces (re-asserted before the first level and after
+ *                 every level), settle, expected-output checks, the
+ *                 vertical toggle-counter ripple add, SRAM write ports
+ *                 and DFF commit.  Returns the number of committed
+ *                 cycles (< n_cycles only on a strict-mode stop).
+ *
+ * The semantics match BatchedGateLevelSimulator's interpreted path bit
+ * for bit.
+ */
+#include <stdint.h>
+#include <time.h>
+
+/* Cell kinds; must match _CELL_KINDS in glcodegen.py. */
+enum { K_INV, K_BUF, K_AND2, K_OR2, K_XOR2, K_XNOR2, K_NAND2, K_NOR2,
+       K_MUX2 };
+
+/* Read-port descriptor columns (one int64 row per port). */
+enum { RP_MACRO, RP_DEPTH, RP_ADDR_OFF, RP_ADDR_N, RP_DATA_OFF,
+       RP_DATA_N, RP_COLS };
+/* Write-port descriptor columns (one int64 row per port). */
+enum { WP_MACRO, WP_DEPTH, WP_EN, WP_ADDR_OFF, WP_ADDR_N, WP_DATA_OFF,
+       WP_DATA_N, WP_COLS };
+
+typedef struct {
+  int64_t n_nets;
+  int64_t n_levels;
+  /* per level: [group_lo, group_hi, rport_lo, rport_hi) */
+  const int64_t *levels;
+  /* per cell-kind group: [kind, gate_lo, gate_hi) */
+  const int64_t *groups;
+  /* per gate; in1/in2 are 0 where the cell has fewer inputs */
+  const int32_t *out, *in0, *in1, *in2;
+  /* read ports in schedule order; row r also owns memo slot r */
+  const int64_t *rports;
+  const int64_t *rport_nets;
+  /* write ports in (macro, port) order */
+  int64_t n_wports;
+  const int64_t *wports;
+  const int64_t *wport_nets;
+  int64_t n_dff;
+  const int64_t *dff_d, *dff_q;
+} gl_prog;
+
+typedef struct {
+  int64_t n;
+  const int64_t *nets;
+  const uint64_t *masks;
+  const uint64_t *vals;
+} gl_forces;
+
+typedef struct {
+  uint64_t *V;
+  uint64_t *PREV;
+  uint64_t *PLANES;
+  int64_t planes_cap;
+  int64_t *planes_used;
+  uint64_t **stores;
+  int64_t **lasts;
+  int64_t *reads;
+  int64_t *writes;
+  uint64_t *dff_tmp;
+  int64_t lanes;
+  uint64_t active_mask;
+} gl_state;
+
+typedef struct {
+  int64_t n_cycles;
+  const int64_t *poke_counts;
+  const uint64_t *poke_masks;
+  const int64_t *poke_off;
+  const int64_t *poke_cnt;
+  const int64_t *poke_nets;
+  const uint64_t *poke_words;
+  const int64_t *check_counts;
+  const uint64_t *check_masks;
+  const int64_t *check_off;
+  const int64_t *check_cnt;
+  const int64_t *check_nets;
+  const uint64_t *check_words;
+  const int64_t *force_counts;
+  const int64_t *force_off;
+  const int64_t *force_nets;
+  const uint64_t *force_masks;
+  const uint64_t *force_vals;
+  const gl_forces *ambient;  /* the forces when there are no segments */
+  int64_t strict;
+  int64_t *mismatches;
+  int64_t *stop;
+  double *phase_ns;
+} gl_run;
+
+static inline int64_t lowbit(uint64_t x) {
+  return (int64_t)__builtin_ctzll(x);   /* gcc and clang */
+}
+
+static void apply_forces(uint64_t *V, const gl_forces *F) {
+  for (int64_t i = 0; i < F->n; i++) {
+    int64_t net = F->nets[i];
+    V[net] = (V[net] & ~F->masks[i]) | F->vals[i];
+  }
+}
+
+/* One lane's value of a little-endian bit vector of nets. */
+static inline uint64_t lane_bits(const uint64_t *V, const int64_t *nets,
+                                 int64_t n, int64_t lane) {
+  uint64_t x = 0;
+  for (int64_t i = 0; i < n; i++)
+    x |= ((V[nets[i]] >> lane) & 1) << i;
+  return x;
+}
+
+static void eval_gates(uint64_t *V, const gl_prog *P, int64_t g) {
+  const int64_t *grp = P->groups + 3 * g;
+  const int32_t *o = P->out, *a = P->in0, *b = P->in1, *c = P->in2;
+  int64_t lo = grp[1], hi = grp[2];
+  switch (grp[0]) {
+  case K_INV:   for (int64_t i = lo; i < hi; i++) V[o[i]] = ~V[a[i]]; break;
+  case K_BUF:   for (int64_t i = lo; i < hi; i++) V[o[i]] = V[a[i]]; break;
+  case K_AND2:
+    for (int64_t i = lo; i < hi; i++) V[o[i]] = V[a[i]] & V[b[i]];
+    break;
+  case K_OR2:
+    for (int64_t i = lo; i < hi; i++) V[o[i]] = V[a[i]] | V[b[i]];
+    break;
+  case K_XOR2:
+    for (int64_t i = lo; i < hi; i++) V[o[i]] = V[a[i]] ^ V[b[i]];
+    break;
+  case K_XNOR2:
+    for (int64_t i = lo; i < hi; i++) V[o[i]] = ~(V[a[i]] ^ V[b[i]]);
+    break;
+  case K_NAND2:
+    for (int64_t i = lo; i < hi; i++) V[o[i]] = ~(V[a[i]] & V[b[i]]);
+    break;
+  case K_NOR2:
+    for (int64_t i = lo; i < hi; i++) V[o[i]] = ~(V[a[i]] | V[b[i]]);
+    break;
+  case K_MUX2:
+    /* sel ? b : c, as c ^ ((b ^ c) & sel) */
+    for (int64_t i = lo; i < hi; i++) {
+      uint64_t y = V[c[i]];
+      V[o[i]] = y ^ ((V[b[i]] ^ y) & V[a[i]]);
+    }
+    break;
+  }
+}
+
+/* Async read port: per-lane address, store gather, data-bit repack,
+ * and the last-address memo / read counter update. */
+static void read_port(uint64_t *V, const gl_prog *P, int64_t r,
+                      uint64_t **stores, int64_t **lasts, int64_t *reads,
+                      int64_t lanes) {
+  const int64_t *d = P->rports + RP_COLS * r;
+  const int64_t *addr_nets = P->rport_nets + d[RP_ADDR_OFF];
+  const int64_t *data_nets = P->rport_nets + d[RP_DATA_OFF];
+  int64_t depth = d[RP_DEPTH], width = d[RP_DATA_N];
+  const uint64_t *S = stores[d[RP_MACRO]];
+  int64_t *LA = lasts[r];
+  int64_t *RD = reads + d[RP_MACRO] * lanes;
+  uint64_t acc[64] = {0};
+  for (int64_t lane = 0; lane < lanes; lane++) {
+    int64_t addr = (int64_t)lane_bits(V, addr_nets, d[RP_ADDR_N], lane);
+    uint64_t w = addr < depth ? S[(uint64_t)lane * depth + addr] : 0;
+    for (int64_t j = 0; j < width; j++)
+      acc[j] |= ((w >> j) & 1) << lane;
+    if (addr != LA[lane]) { LA[lane] = addr; RD[lane] += 1; }
+  }
+  for (int64_t j = 0; j < width; j++) V[data_nets[j]] = acc[j];
+}
+
+void gl_eval(const gl_prog *P, uint64_t *V, const gl_forces *F,
+             uint64_t **stores, int64_t **lasts, int64_t *reads,
+             int64_t lanes) {
+  if (F->n) apply_forces(V, F);
+  for (int64_t l = 0; l < P->n_levels; l++) {
+    const int64_t *lv = P->levels + 4 * l;
+    for (int64_t g = lv[0]; g < lv[1]; g++) eval_gates(V, P, g);
+    for (int64_t r = lv[2]; r < lv[3]; r++)
+      read_port(V, P, r, stores, lasts, reads, lanes);
+    if (F->n) apply_forces(V, F);
+  }
+}
+
+static void write_ports(const gl_prog *P, gl_state *S) {
+  uint64_t *V = S->V;
+  for (int64_t w = 0; w < P->n_wports; w++) {
+    const int64_t *d = P->wports + WP_COLS * w;
+    const int64_t *addr_nets = P->wport_nets + d[WP_ADDR_OFF];
+    const int64_t *data_nets = P->wport_nets + d[WP_DATA_OFF];
+    int64_t depth = d[WP_DEPTH];
+    uint64_t *store = S->stores[d[WP_MACRO]];
+    int64_t *WR = S->writes + d[WP_MACRO] * S->lanes;
+    uint64_t en = V[d[WP_EN]] & S->active_mask;
+    while (en) {
+      int64_t lane = lowbit(en);
+      en &= en - 1;
+      int64_t addr = (int64_t)lane_bits(V, addr_nets, d[WP_ADDR_N], lane);
+      if (addr >= depth) continue;
+      store[(uint64_t)lane * depth + addr] =
+          lane_bits(V, data_nets, d[WP_DATA_N], lane);
+      WR[lane] += 1;
+    }
+  }
+}
+
+static void commit_dffs(const gl_prog *P, uint64_t *V, uint64_t *T) {
+  /* gather every D before scattering any Q (a Q may feed another D) */
+  for (int64_t i = 0; i < P->n_dff; i++) T[i] = V[P->dff_d[i]];
+  for (int64_t i = 0; i < P->n_dff; i++) V[P->dff_q[i]] = T[i];
+}
+
+/* Fused XOR diff, prev update and vertical ripple-carry add into the
+ * toggle-counter planes.  Walking planes at stride n is fine: the carry
+ * usually dies after one or two planes. */
+static int64_t toggle_tick(uint64_t *V, uint64_t *PREV, uint64_t *PL,
+                           int64_t n, int64_t cap, int64_t used,
+                           uint64_t active) {
+  for (int64_t i = 0; i < n; i++) {
+    uint64_t cur = V[i];
+    uint64_t carry = (cur ^ PREV[i]) & active;
+    PREV[i] = cur;
+    int64_t p = 0;
+    while (carry && p < cap) {
+      uint64_t *pl = PL + (uint64_t)p * n + i;
+      uint64_t nc = *pl & carry;
+      *pl ^= carry;
+      carry = nc;
+      p++;
+    }
+    if (p > used) used = p;
+  }
+  return used;
+}
+
+static double now_ns(void) {
+  struct timespec ts;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return (double)ts.tv_sec * 1e9 + (double)ts.tv_nsec;
+}
+
+#define PHASE(k) t1 = now_ns(); R->phase_ns[k] += t1 - t0; t0 = t1;
+
+int64_t gl_run_cycles(const gl_prog *P, gl_state *S, gl_run *R) {
+  uint64_t *V = S->V;
+  int64_t used = *S->planes_used;
+  int64_t poke_op = 0, check_op = 0;
+  gl_forces F;
+  double t0, t1;
+  R->stop[0] = -1; R->stop[1] = -1; R->stop[2] = -1;
+  for (int64_t t = 0; t < R->n_cycles; t++) {
+    t0 = now_ns();
+    if (R->poke_counts) {
+      for (int64_t k = 0; k < R->poke_counts[t]; k++, poke_op++) {
+        uint64_t mask = R->poke_masks[poke_op];
+        const int64_t *nets = R->poke_nets + R->poke_off[poke_op];
+        const uint64_t *words = R->poke_words + R->poke_off[poke_op];
+        for (int64_t j = 0; j < R->poke_cnt[poke_op]; j++)
+          V[nets[j]] = (V[nets[j]] & ~mask) | (words[j] & mask);
+      }
+    }
+    if (R->force_counts) {
+      F.n = R->force_counts[t];
+      F.nets = R->force_nets + R->force_off[t];
+      F.masks = R->force_masks + R->force_off[t];
+      F.vals = R->force_vals + R->force_off[t];
+    } else {
+      F = *R->ambient;
+    }
+    PHASE(0)
+    gl_eval(P, V, &F, S->stores, S->lasts, S->reads, S->lanes);
+    PHASE(1)
+    if (R->check_counts) {
+      for (int64_t k = 0; k < R->check_counts[t]; k++, check_op++) {
+        const int64_t *nets = R->check_nets + R->check_off[check_op];
+        const uint64_t *words = R->check_words + R->check_off[check_op];
+        uint64_t diff = 0;
+        for (int64_t j = 0; j < R->check_cnt[check_op]; j++)
+          diff |= V[nets[j]] ^ words[j];
+        diff &= R->check_masks[check_op];
+        while (diff) {
+          int64_t lane = lowbit(diff);
+          diff &= diff - 1;
+          R->mismatches[lane] += 1;
+          if (R->strict) {
+            R->stop[0] = t; R->stop[1] = check_op; R->stop[2] = lane;
+            *S->planes_used = used;
+            return t;
+          }
+        }
+      }
+    }
+    PHASE(2)
+    used = toggle_tick(V, S->PREV, S->PLANES, P->n_nets, S->planes_cap,
+                       used, S->active_mask);
+    PHASE(3)
+    write_ports(P, S);
+    PHASE(4)
+    commit_dffs(P, V, S->dff_tmp);
+    PHASE(5)
+  }
+  *S->planes_used = used;
+  return R->n_cycles;
+}

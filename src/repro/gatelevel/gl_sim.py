@@ -258,7 +258,7 @@ class PackedStimulus:
       segment was ever set the stimulus leaves ambient forces alone.
 
     :meth:`flat` lazily flattens everything into contiguous numpy arrays
-    shaped for the generated C kernel's ``gl_run`` ABI, so a batch pays
+    shaped for the C kernel's ``gl_run`` ABI, so a batch pays
     the packing cost once no matter how many times it replays (journal
     resume, adaptive tightening, retries).
     """
@@ -609,14 +609,11 @@ class BatchedGateLevelSimulator:
       the planes.  :meth:`activity` extracts any lane's exact SAIF.
 
     ``backend`` selects the evaluation strategy: ``"interp"`` (this
-    class's numpy loop), ``"compiled"`` / ``"c"`` / ``"auto"`` (a
-    generated straight-line kernel from
+    class's numpy loop) or ``"c"`` / ``"auto"`` (the native kernel from
     :mod:`~repro.gatelevel.glcodegen`, bit-identical by construction).
     A pre-built ``kernel`` can be passed instead so one kernel serves
-    many simulators (kernels are lane-oblivious).  Forced nets are
-    applied between levels, which straight-line code cannot do, so
-    evaluations with active forces transparently use the interpreted
-    path; :attr:`backend` reports the effective backend after fallback.
+    many simulators (the kernel is netlist- and lane-oblivious);
+    :attr:`backend` reports the effective backend after fallback.
     """
 
     def __init__(self, netlist, lanes=MAX_LANES, schedule=None,
@@ -671,7 +668,7 @@ class BatchedGateLevelSimulator:
             for macro in netlist.srams]
         self._lane_rows = np.arange(lanes)
         # per-(macro, port) last-read-address memo, -1 = never read;
-        # preallocated int64 arrays so generated C kernels can update
+        # preallocated int64 arrays so the C kernel can update
         # the memo (and sram_reads) in place through raw pointers
         self._last_addrs = [
             [np.full(lanes, -1, dtype=np.int64) for _ in macro.read_ports]
@@ -694,7 +691,7 @@ class BatchedGateLevelSimulator:
             self._write_ports.append(ports)
         if kernel is None and backend != "interp":
             from .glcodegen import build_kernel
-            kernel = build_kernel(netlist, self.schedule, backend)
+            kernel = build_kernel(netlist, backend)
         self._kernel = kernel
         self.backend = kernel.backend if kernel is not None else "interp"
         if kernel is not None:
@@ -980,7 +977,7 @@ class BatchedGateLevelSimulator:
 
     def eval(self):
         """Settle combinational logic in every lane at once."""
-        if self._kernel is not None and self._force_nets is None:
+        if self._kernel is not None:
             self._kernel.eval(self)
             return
         v = self._values
@@ -1015,23 +1012,12 @@ class BatchedGateLevelSimulator:
                 self._apply_forces(v)
 
     def _eval_read_port(self, macro_idx, port_idx):
-        """Async read port: addresses diverge, so resolve per lane."""
-        addr_arr, _addr_w, data_arr = self._ram_ports[macro_idx][port_idx]
+        """Async read port: addresses diverge, so resolve per lane and
+        maintain the per-port read-address memo / access counters."""
+        addr_arr, addr_w, data_arr = self._ram_ports[macro_idx][port_idx]
         v = self._values
-        v[data_arr] = self._read_port_lanes(macro_idx, port_idx,
-                                            v[addr_arr])
-
-    def _read_port_lanes(self, macro_idx, port_idx, addr_words):
-        """Resolve one read port from packed address words.
-
-        Returns the packed data words and maintains the per-port
-        read-address memo / access counters — the shared core of both
-        the interpreted path and the generated kernels (which compute
-        address words themselves and splice the result back in).
-        """
-        _addr_arr, addr_w, data_arr = self._ram_ports[macro_idx][port_idx]
         macro = self.netlist.srams[macro_idx]
-        bits = ((addr_words[:, None] >> self._lane_ids[None, :])
+        bits = ((v[addr_arr][:, None] >> self._lane_ids[None, :])
                 & _ONE).astype(np.int64)
         addrs = addr_w @ bits          # per-lane integer addresses
         store = self._sram_data[macro_idx]
@@ -1049,7 +1035,7 @@ class BatchedGateLevelSimulator:
         if changed.any():
             self.sram_reads[macro_idx] += changed
             last[:] = addrs
-        return packed
+        v[data_arr] = packed
 
     def _pack_word_array(self, words, nbits):
         """Transpose per-lane uint64 values into per-bit lane words
@@ -1068,7 +1054,7 @@ class BatchedGateLevelSimulator:
         :class:`PackedStimulus` (pokes before eval, checks after eval,
         per-cycle force segments).
 
-        This is the whole-replay hot loop: with a generated C kernel the
+        This is the whole-replay hot loop: with the C kernel the
         entire call — eval, toggle counting, SRAM write ports, DFF
         commit, stimulus, checks — is **one** foreign call that releases
         the GIL; the interpreted path runs the same per-cycle sequence
@@ -1094,16 +1080,15 @@ class BatchedGateLevelSimulator:
         if n <= 0:
             return mismatches
         self._ensure_toggle_capacity(n)
-        kernel = self._kernel
-        if kernel is not None and hasattr(kernel, "run_cycles"):
-            kernel.run_cycles(self, n, stim, strict, mismatches)
+        if self._kernel is not None:
+            self._kernel.run_cycles(self, n, stim, strict, mismatches)
         else:
             self._run_cycles_py(n, stim, strict, mismatches)
         return mismatches
 
     def _run_cycles_py(self, n, stim, strict, mismatches):
-        """The interpreted/compiled-eval per-cycle loop behind
-        :meth:`run_cycles` — semantics identical to the native kernel."""
+        """The interpreted per-cycle loop behind :meth:`run_cycles` —
+        semantics identical to the native kernel."""
         phases = [0.0] * 6
         pokes = stim.pokes if stim is not None else None
         checks = stim.checks if stim is not None else None
@@ -1115,8 +1100,6 @@ class BatchedGateLevelSimulator:
             for t in range(n):
                 t0 = perf()
                 if pokes is not None:
-                    # compiled-backend evals rebind _values, so read the
-                    # attribute afresh every cycle
                     values = self._values
                     for nets, mask, words in pokes[t]:
                         values[nets] = ((values[nets] & ~mask)

@@ -1,94 +1,69 @@
-"""Compiled batched gate-level evaluators (GSIM-style codegen).
+"""Native batched gate-level replay: one netlist-agnostic C kernel.
 
 The interpreted :class:`~repro.gatelevel.gl_sim.BatchedGateLevelSimulator`
-spends its cycle budget on per-group numpy dispatch: every level of the
-levelized schedule costs a Python loop iteration, an if-chain on the
-cell kind, and several small fancy-indexing temporaries.  This module
-removes that dispatch entirely by *compiling* the schedule, once per
-netlist, into a flat branch-free evaluator — the classic GSIM /
-compiled-code logic-simulation move, applied to the bit-parallel lane
-representation (one ``uint64`` word per net, one snapshot per bit lane):
+spends its cycle budget on per-group numpy dispatch and on the Python
+glue around every cycle.  Backend ``c`` moves the whole replay cycle
+into native code without generating any per-design code:
 
-* **compiled** — an ``exec``-generated Python function of straight-line
-  uint64 bitwise statements, one local per net.  Constant nets are
-  folded into the expressions (``CONST0`` -> ``0``, ``CONST1`` -> the
-  all-ones word) and ``MUX2`` lowers to the 3-op XOR form
-  ``c ^ ((b ^ c) & a)`` instead of 4 ops with a mask temporary.
-* **c** — the same lowering emitted as a C translation unit, compiled
-  with the system C compiler and loaded through ctypes, modeled on the
-  FAME-side :mod:`repro.sim.cbackend` (same graceful-fallback contract:
-  :class:`GLCodegenUnavailable` when no compiler is present).  The C
-  kernel evaluates directly on the simulator's numpy value buffer, so
-  there is no per-cycle conversion at all.
+* ``gl_kernel.c`` (package data) is one fixed C translation unit that
+  interprets a levelized netlist from flat op arrays — per level, the
+  cell-kind groups of out/in0/in1/in2 net indices and the SRAM read
+  ports; then write-port descriptors and the DFF d/q arrays.
+  :meth:`CKernel.install` builds those arrays from the simulator's
+  :class:`~repro.gatelevel.gl_sim.LevelizedSchedule` (itself cached on
+  disk as ``glsched``), so a new netlist costs a few numpy
+  concatenations, never a compiler run.
+* The kernel evaluates directly on the simulator's numpy buffers (net
+  values, toggle-counter arena, ``(lanes, depth)`` SRAM stores,
+  read-address memos, access counters), and ``gl_run_cycles`` executes
+  a whole replay batch — pokes, forces re-asserted after every level,
+  checks, toggle planes, SRAM ports, DFF commit — as one foreign call
+  that releases the GIL.  Semantics match the interpreter bit for bit.
 
-SRAM async read ports need per-lane address divergence and the
-read-address memo.  The generated Python kernel calls back into the
-simulator's vectorized port path at the port's exact level position;
-the C kernel goes further and compiles the ports natively — per-lane
-address assembly, store gather, data-bit repacking, and the
-last-address/read-counter update all run inside the shared object,
-against the same numpy buffers the interpreter uses (value array,
-``(lanes, depth)`` stores, per-port last-address memos, the
-``sram_reads`` matrix), so a cycle under the C backend needs zero
-Python per evaluation.  Net forcing mutates values *between* levels,
-so a simulator with active forces falls back
-to the interpreted ``eval`` for those evaluations (forces only occur
-during the brief retimed warm-up); everything else — toggle counting,
-commit, SAIF extraction — is representation-identical, which is what
-makes the compiled backends bit-exact drop-ins.
+The shared object is compiled once per host at a fixed ``-O2`` and
+stored in the content-addressed artifact cache
+(:mod:`repro.parallel.cache`) as a single ``glso`` entry.  Its key
+hashes the C source text with the compiler's ``--version`` line, so
+editing the kernel or changing toolchains rebuilds instead of loading a
+stale object.  A cached object that no longer loads is counted as
+``cache.glso.stale``, warned about once, and rebuilt live.
 
-Generated artifacts are persisted in the content-addressed cache
-(:mod:`repro.parallel.cache`): kind ``glpy`` holds the Python source
-plus a marshalled code object (tagged with the interpreter's
-``cache_tag``), kind ``glso`` the C source plus the compiled shared
-object.  Keys compose the netlist's structural fingerprint with the
-backend, lane word width, and codegen/schedule versions, so replay
-worker processes compile-or-load at init and any structural change
-invalidates automatically.  A cached shared object that no longer
-loads (toolchain/arch change) is counted as ``cache.glso.stale``,
-warned about once, and rebuilt live instead of raised.
+The fallback ladder is ``c -> interp``: no C compiler, or a netlist the
+kernel cannot express (SRAM words wider than 64 bits, addresses wider
+than 62), degrades an explicit ``c`` request to the interpreter with a
+warning; ``auto`` degrades silently.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import marshal
 import os
-import pickle
 import shutil
 import subprocess
-import sys
 import tempfile
 import time
 import warnings
-from array import array
+from functools import lru_cache
+from importlib import resources
 
 import numpy as np
 
-from .netlist import CONST0, CONST1
 from .gl_sim import StimulusMismatch, _note_step_phases
 from ..obs import get_tracer, get_registry
 
-#: Bump when the lowering rules or kernel ABI change (cache invalidation).
-#: 3: whole-cycle ``gl_run_cycles`` entry point (native toggle counting,
-#: DFF commit, SRAM write ports, packed stimulus, forces).
-GLCODEGEN_VERSION = 3
-
-#: Word width of the lane representation the kernels are generated for.
-#: Kernels are lane-oblivious (full-word bitwise ops), so one artifact
-#: serves every simulator lane count up to this width.
-WORD_LANES = 64
-
 _ENV_BACKEND = "REPRO_GL_BACKEND"
 _ENV_CC = "REPRO_GL_CC"
-_ENV_CFLAGS = "REPRO_GL_CFLAGS"
 _ENV_OVERLAP = "REPRO_GL_OVERLAP"
 
-BACKENDS = ("interp", "compiled", "c", "auto")
+BACKENDS = ("interp", "c", "auto")
 
-_M_INT = 0xFFFFFFFFFFFFFFFF
-_CHUNK = 1500       # statements per generated C function (keeps cc fast)
+_CFLAGS = ("-O2", "-fPIC", "-shared")
+
+#: Cell kind -> opcode; must match the enum in ``gl_kernel.c``.
+_CELL_KINDS = {cell: i for i, cell in enumerate(
+    ("INV", "BUF", "AND2", "OR2", "XOR2", "XNOR2", "NAND2", "NOR2",
+     "MUX2"))}
 
 _WARNED = set()
 
@@ -144,620 +119,111 @@ def resolve_overlap(overlap=None):
     return overlap
 
 
-def netlist_fingerprint(netlist):
-    """Structural content hash of a netlist (memoized on the instance).
+@lru_cache(maxsize=None)
+def kernel_source():
+    """Text of the packaged ``gl_kernel.c``."""
+    return (resources.files(__package__)
+            .joinpath("gl_kernel.c").read_text(encoding="utf-8"))
 
-    Hashes the same column serialization the netlist pickles as, so two
-    netlists that replay identically share one fingerprint regardless
-    of which pipeline produced them — the kernel cache dedups across
-    pipelines for free.
-    """
-    cached = getattr(netlist, "_glcodegen_fp", None)
-    if cached is not None:
-        return cached
-    payload = pickle.dumps(netlist.__getstate__(),
-                           protocol=pickle.HIGHEST_PROTOCOL)
-    fp = hashlib.blake2b(payload, digest_size=20).hexdigest()
+
+def _find_compiler():
+    override = os.environ.get(_ENV_CC)
+    if override:
+        if shutil.which(override) or (os.path.isfile(override)
+                                      and os.access(override, os.X_OK)):
+            return override
+        raise GLCodegenUnavailable(
+            f"$REPRO_GL_CC={override!r} is not an executable compiler")
+    compiler = shutil.which("gcc") or shutil.which("cc")
+    if compiler is None:
+        raise GLCodegenUnavailable("no C compiler on PATH")
+    return compiler
+
+
+@lru_cache(maxsize=None)
+def _cc_version(compiler):
+    """First line of ``compiler --version``."""
     try:
-        netlist._glcodegen_fp = fp
-    except Exception:
-        pass
-    return fp
+        proc = subprocess.run([compiler, "--version"], check=True,
+                              capture_output=True, text=True, timeout=60)
+    except (OSError, subprocess.CalledProcessError,
+            subprocess.TimeoutExpired) as exc:
+        raise GLCodegenUnavailable(
+            f"C compiler {compiler!r} does not run: {exc}") from exc
+    return proc.stdout.splitlines()[0] if proc.stdout else ""
 
 
-def kernel_cache_key(netlist, backend, schedule):
-    """Content-addressed cache key for one generated kernel.
+def kernel_cache_key():
+    """The host-wide ``glso`` cache key: kernel source + cc version.
 
-    For the ``c`` backend the effective compiler flag string is folded
-    in, so changing ``$REPRO_GL_CFLAGS`` rebuilds the shared object
-    instead of silently loading one compiled under different flags.
+    Every netlist shares it.  Raises :class:`GLCodegenUnavailable` when
+    no working C compiler is found.
     """
-    from ..passes import compose_cache_key
-    extra = {}
-    if backend == "c":
-        extra["cflags"] = " ".join(_cc_flags())
-    return compose_cache_key(
-        netlist_fingerprint(netlist), "",
-        lanes=WORD_LANES, backend=backend,
-        codegen=GLCODEGEN_VERSION, schedule=schedule.version, **extra)
+    h = hashlib.blake2b(digest_size=20)
+    for part in (kernel_source(), _cc_version(_find_compiler()),
+                 " ".join(_CFLAGS)):
+        h.update(part.encode())
+        h.update(b"\x1f")
+    return h.hexdigest()
 
 
-# -- lowering ---------------------------------------------------------------
-
-def _py_expr(cell, a, b, c):
-    """Python uint64 expression for one gate; operands are expressions.
-
-    ``M`` is the all-ones word in the generated function's scope.  Every
-    operator keeps values below 2**64 (no shifts), so the Python ints
-    never grow beyond one machine word.
-    """
-    if cell == "INV":
-        return f"{a} ^ M"
-    if cell == "BUF":
-        return a
-    if cell == "AND2":
-        return f"{a} & {b}"
-    if cell == "OR2":
-        return f"{a} | {b}"
-    if cell == "XOR2":
-        return f"{a} ^ {b}"
-    if cell == "XNOR2":
-        return f"({a} ^ {b}) ^ M"
-    if cell == "NAND2":
-        return f"({a} & {b}) ^ M"
-    if cell == "NOR2":
-        return f"({a} | {b}) ^ M"
-    if cell == "MUX2":
-        # sel ? b : c as c ^ ((b ^ c) & sel): 3 ops, no mask temporary
-        return f"{c} ^ (({b} ^ {c}) & {a})"
-    raise GLCodegenError(f"cannot lower cell {cell!r}")
-
-
-def _c_expr(cell, a, b, c):
-    """C uint64_t expression for one gate (native ~ for inversions)."""
-    if cell == "INV":
-        return f"~{a}"
-    if cell == "BUF":
-        return a
-    if cell == "AND2":
-        return f"{a} & {b}"
-    if cell == "OR2":
-        return f"{a} | {b}"
-    if cell == "XOR2":
-        return f"{a} ^ {b}"
-    if cell == "XNOR2":
-        return f"~({a} ^ {b})"
-    if cell == "NAND2":
-        return f"~({a} & {b})"
-    if cell == "NOR2":
-        return f"~({a} | {b})"
-    if cell == "MUX2":
-        return f"{c} ^ (({b} ^ {c}) & {a})"
-    raise GLCodegenError(f"cannot lower cell {cell!r}")
-
-
-def _iter_gates(groups):
-    """Yield (cell, out, in0, in1, in2) per gate from a level's groups."""
-    for cell, outs, in0, in1, in2 in groups:
-        outs_l = outs.tolist()
-        in0_l = in0.tolist()
-        in1_l = in1.tolist() if in1 is not None else None
-        in2_l = in2.tolist() if in2 is not None else None
-        for j, out in enumerate(outs_l):
-            yield (cell, out, in0_l[j],
-                   in1_l[j] if in1_l is not None else None,
-                   in2_l[j] if in2_l is not None else None)
-
-
-def generate_python_source(netlist, schedule):
-    """Emit the straight-line Python evaluator for one netlist.
-
-    The generated function has signature ``_gl_eval(L, M, RAMS)`` where
-    ``L`` is the current value list (one Python int per net), ``M`` the
-    all-ones word, and ``RAMS`` the read-port callbacks in schedule
-    order; it returns the fully settled value list.  Net values live in
-    locals (``v<net>``), the cheapest storage CPython has; nets that
-    are only read (inputs, DFF outputs, untouched state) are preloaded
-    from ``L`` once.
-    """
-    defined = set()
-    preloads = []
-    preloaded = set()
-
-    def ref(net):
-        if net == CONST0:
-            return "0"
-        if net == CONST1:
-            return "M"
-        if net not in defined and net not in preloaded:
-            preloaded.add(net)
-            preloads.append(f"    v{net} = L[{net}]")
-        return f"v{net}"
-
-    body = []
-    ram_ordinal = 0
-    for groups, rams in schedule.levels:
-        for cell, out, i0, i1, i2 in _iter_gates(groups):
-            expr = _py_expr(cell, ref(i0),
-                            ref(i1) if i1 is not None else None,
-                            ref(i2) if i2 is not None else None)
-            body.append(f"    v{out} = {expr}")
-            defined.add(out)
-        for macro_idx, port_idx in rams:
-            addr_arr, _w, data_arr = schedule.ram_ports[macro_idx][port_idx]
-            addrs = [ref(n) for n in addr_arr.tolist()]
-            addr_tuple = (f"({addrs[0]},)" if len(addrs) == 1
-                          else f"({', '.join(addrs)})")
-            data_nets = data_arr.tolist()
-            targets = ", ".join(f"v{n}" for n in data_nets)
-            if len(data_nets) == 1:
-                targets += ","
-            body.append(f"    {targets} = "
-                        f"RAMS[{ram_ordinal}]({addr_tuple})")
-            defined.update(data_nets)
-            ram_ordinal += 1
-
-    known = defined | preloaded
-    entries = []
-    for net in range(netlist.n_nets):
-        if net == CONST0:
-            entries.append("0")
-        elif net == CONST1:
-            entries.append("M")
-        elif net in known:
-            entries.append(f"v{net}")
-        else:
-            entries.append(f"L[{net}]")
-    lines = ["def _gl_eval(L, M, RAMS):"]
-    lines.extend(preloads)
-    lines.extend(body)
-    lines.append(f"    return [{', '.join(entries)}]")
-    return "\n".join(lines)
-
-
-def _c_const_array(name, values, ctype="int64_t"):
-    """Emit a static const C array (at least one element)."""
-    vals = list(values) or [0]
-    lines = [f"static const {ctype} {name}[] = {{"]
-    for i in range(0, len(vals), 16):
-        lines.append("  " + ", ".join(str(v) for v in vals[i:i + 16])
-                     + ",")
-    lines.append("};")
-    return lines
-
-
-def generate_c_source(netlist, schedule):
-    """Emit the whole-cycle C translation unit for one netlist.
-
-    Two exported entry points share one generated eval core
-    (``eval_once``: chunked straight-line gate statements, native SRAM
-    read ports, force application at the interpreter's exact points —
-    before the first level and after every level):
-
-    * ``gl_eval(V, stores, lasts, reads, lanes)`` — settle combinational
-      logic once, forces off (the PR-6 ABI, kept for single evals);
-    * ``gl_run_cycles(gl_state *S, gl_run *R)`` — the whole-replay hot
-      loop.  For each of ``R->n_cycles`` cycles it applies packed pokes,
-      installs that cycle's force segment (or the ambient forces),
-      settles logic, evaluates expected-output checks (counting
-      mismatching lanes, or stopping at the first one in strict mode),
-      ripple-carry adds the XOR diff into the vertical toggle-counter
-      arena, runs every SRAM write port, and gather/scatter-commits the
-      DFFs — all natively, so a replay batch is **one** GIL-releasing
-      foreign call.  Returns the number of fully committed cycles
-      (``< n_cycles`` only on a strict stop, recorded in ``R->stop`` as
-      ``{cycle, flat check index, lane}``).
-
-    ``gl_state`` points at the simulator's live numpy buffers (values,
-    prev-values, toggle arena + in-use plane count, SRAM stores,
-    read-port memos, access counters, DFF scratch); ``gl_run`` at the
-    :class:`~repro.gatelevel.gl_sim.PackedStimulus` flat arrays.  Gate
-    chunks compile at the translation unit's base optimization level
-    (codegen keeps ``-O0`` compile times tolerable on big netlists)
-    while the fixed-size runtime helpers — toggle tick, write ports,
-    DFF commit, the run driver — are annotated ``HOT`` (``-O2`` under
-    gcc) since they dominate the per-cycle work and never grow with
-    netlist size.  Raises :class:`GLCodegenUnavailable` for netlists
-    the C lowering cannot express (SRAM words or addresses wider than
-    64/62 bits — those stay on the arbitrary-precision Python paths).
-    """
+def check_supported(netlist):
+    """Raise :class:`GLCodegenUnavailable` for netlists the kernel
+    cannot express: it packs one uint64 word per SRAM entry and
+    assembles addresses in an int64."""
     for macro in netlist.srams:
         if macro.width > 64:
             raise GLCodegenUnavailable(
                 f"SRAM macro {macro.name!r} is {macro.width} bits wide; "
-                f"the C lowering packs one uint64 word per entry")
-        for _en, addr_nets, _data_nets in macro.write_ports:
-            if len(addr_nets) > 62:
+                f"the C kernel packs one uint64 word per entry")
+        ports = ([(a, d) for _en, a, d in macro.write_ports]
+                 + list(macro.read_ports))
+        for addr_nets, data_nets in ports:
+            if len(addr_nets) > 62 or len(data_nets) > 64:
                 raise GLCodegenUnavailable(
-                    f"SRAM macro {macro.name!r} has a "
-                    f"{len(addr_nets)}-bit write address; the C "
-                    f"lowering assembles addresses in an int64")
-    n_dff = len(netlist.dffs)
-    parts = [
-        "#include <stdint.h>",
-        "#include <time.h>",
-        "#define M 0xFFFFFFFFFFFFFFFFULL",
-        f"#define N_NETS {netlist.n_nets}",
-        f"#define N_DFF {n_dff}",
-        "#if defined(__GNUC__) && !defined(__clang__)",
-        '#define HOT __attribute__((optimize("O2")))',
-        "#else",
-        "#define HOT",
-        "#endif",
-        "typedef struct {",
-        "  int64_t n;",
-        "  const int64_t *nets;",
-        "  const uint64_t *masks;",
-        "  const uint64_t *vals;",
-        "} gl_forces;",
-        "static HOT void apply_forces(uint64_t *V, "
-        "const gl_forces *F) {",
-        "  for (int64_t i = 0; i < F->n; i++) {",
-        "    int64_t net = F->nets[i];",
-        "    V[net] = (V[net] & ~F->masks[i]) | F->vals[i];",
-        "  }",
-        "}",
-        "static HOT int64_t lowbit(uint64_t x) {",
-        "#if defined(__GNUC__)",
-        "  return (int64_t)__builtin_ctzll(x);",
-        "#else",
-        "  int64_t i = 0;",
-        "  while (!((x >> i) & 1)) i++;",
-        "  return i;",
-        "#endif",
-        "}",
+                    f"SRAM macro {macro.name!r} has a port with "
+                    f"{len(addr_nets)} address and {len(data_nets)} "
+                    f"data bits; the C kernel handles at most 62 and 64")
+
+
+# -- the kernel ABI -----------------------------------------------------------
+
+class _GlProg(ctypes.Structure):
+    """Mirror of ``gl_prog``: one netlist's flat op arrays."""
+
+    _fields_ = [
+        ("n_nets", ctypes.c_int64),
+        ("n_levels", ctypes.c_int64),
+        ("levels", ctypes.c_void_p),
+        ("groups", ctypes.c_void_p),
+        ("out", ctypes.c_void_p),
+        ("in0", ctypes.c_void_p),
+        ("in1", ctypes.c_void_p),
+        ("in2", ctypes.c_void_p),
+        ("rports", ctypes.c_void_p),
+        ("rport_nets", ctypes.c_void_p),
+        ("n_wports", ctypes.c_int64),
+        ("wports", ctypes.c_void_p),
+        ("wport_nets", ctypes.c_void_p),
+        ("n_dff", ctypes.c_int64),
+        ("dff_d", ctypes.c_void_p),
+        ("dff_q", ctypes.c_void_p),
     ]
 
-    def ref(net):
-        if net == CONST0:
-            return "0ULL"
-        if net == CONST1:
-            return "M"
-        return f"V[{net}]"
 
-    driver = []
-    stmts = []
-    chunk_id = 0
-    ram_id = 0
+class _GlForces(ctypes.Structure):
+    """Mirror of ``gl_forces`` (lane-masked net forces)."""
 
-    def flush_chunks():
-        nonlocal stmts, chunk_id
-        for start in range(0, len(stmts), _CHUNK):
-            fn = f"chunk_{chunk_id}"
-            chunk_id += 1
-            parts.append(f"static void {fn}(uint64_t *V, "
-                         f"const gl_forces *F) {{")
-            parts.append("  (void)F;")
-            parts.extend(stmts[start:start + _CHUNK])
-            parts.append("}")
-            driver.append(f"  {fn}(V, F);")
-        stmts = []
-
-    for groups, rams in schedule.levels:
-        for cell, out, i0, i1, i2 in _iter_gates(groups):
-            expr = _c_expr(cell, ref(i0),
-                           ref(i1) if i1 is not None else None,
-                           ref(i2) if i2 is not None else None)
-            stmts.append(f"  V[{out}] = {expr};")
-        for macro_idx, port_idx in rams:
-            flush_chunks()
-            macro = netlist.srams[macro_idx]
-            addr_arr, _w, data_arr = (
-                schedule.ram_ports[macro_idx][port_idx])
-            addr_nets = addr_arr.tolist()
-            data_nets = data_arr.tolist()
-            if len(addr_nets) > 62:
-                raise GLCodegenUnavailable(
-                    f"SRAM macro {macro.name!r} has a "
-                    f"{len(addr_nets)}-bit read address; the C "
-                    f"lowering assembles addresses in an int64")
-            width = len(data_nets)
-            terms = []
-            for i, net in enumerate(addr_nets):
-                bit = f"(int64_t)(({ref(net)} >> lane) & 1)"
-                terms.append(f"({bit} << {i})" if i else bit)
-            fn = f"ram_{ram_id}"
-            parts.append(
-                f"static HOT void {fn}(uint64_t *V, const uint64_t *S, "
-                f"int64_t *LA, int64_t *RD, int64_t lanes) {{")
-            parts.append(f"  uint64_t acc[{width}] = {{0}};")
-            parts.append("  for (int64_t lane = 0; lane < lanes; "
-                         "lane++) {")
-            parts.append(f"    int64_t addr = {' | '.join(terms)};")
-            parts.append(
-                f"    uint64_t w = addr < {macro.depth} ? "
-                f"S[(uint64_t)lane * {macro.depth}u + (uint64_t)addr] "
-                f": 0;")
-            parts.append(
-                f"    for (int j = 0; j < {width}; j++) "
-                f"acc[j] |= ((w >> j) & 1) << lane;")
-            parts.append("    if (addr != LA[lane]) "
-                         "{ LA[lane] = addr; RD[lane] += 1; }")
-            parts.append("  }")
-            parts.extend(f"  V[{net}] = acc[{j}];"
-                         for j, net in enumerate(data_nets))
-            parts.append("}")
-            driver.append(
-                f"  ram_{ram_id}(V, stores[{macro_idx}], "
-                f"lasts[{ram_id}], reads + {macro_idx} * lanes, "
-                f"lanes);")
-            ram_id += 1
-        # forces re-assert after every level, matching the interpreter
-        stmts.append("  if (F->n) apply_forces(V, F);")
-    flush_chunks()
-
-    parts.append("static void eval_once(uint64_t *V, "
-                 "const gl_forces *F, uint64_t **stores, "
-                 "int64_t **lasts, int64_t *reads, int64_t lanes) {")
-    parts.append("  (void)stores; (void)lasts; (void)reads; "
-                 "(void)lanes;")
-    parts.append("  if (F->n) apply_forces(V, F);")
-    parts.extend(driver)
-    parts.append("}")
-
-    parts.append("void gl_eval(uint64_t *V, uint64_t **stores, "
-                 "int64_t **lasts, int64_t *reads, int64_t lanes) {")
-    parts.append("  gl_forces F = {0, 0, 0, 0};")
-    parts.append("  eval_once(V, &F, stores, lasts, reads, lanes);")
-    parts.append("}")
-
-    # -- whole-cycle runtime --------------------------------------------
-    parts.extend(_c_const_array(
-        "DFF_D", schedule.dff_d[:n_dff].tolist() if n_dff else []))
-    parts.extend(_c_const_array(
-        "DFF_Q", schedule.dff_q[:n_dff].tolist() if n_dff else []))
-    parts.extend([
-        "static HOT void commit_dffs(uint64_t *V, uint64_t *T) {",
-        "  for (int64_t i = 0; i < N_DFF; i++) T[i] = V[DFF_D[i]];",
-        "  for (int64_t i = 0; i < N_DFF; i++) V[DFF_Q[i]] = T[i];",
-        "}",
-        # Fused XOR-diff + prev update + vertical ripple-carry add.
-        # Walking planes at stride N_NETS is fine: the carry usually
-        # dies after one or two planes.
-        "static HOT int64_t toggle_tick(uint64_t *V, uint64_t *P, "
-        "uint64_t *PL, int64_t cap, int64_t used, uint64_t active) {",
-        "  for (int64_t i = 0; i < N_NETS; i++) {",
-        "    uint64_t cur = V[i];",
-        "    uint64_t carry = (cur ^ P[i]) & active;",
-        "    P[i] = cur;",
-        "    int64_t p = 0;",
-        "    while (carry && p < cap) {",
-        "      uint64_t *pl = PL + (uint64_t)p * N_NETS + i;",
-        "      uint64_t nc = *pl & carry;",
-        "      *pl ^= carry;",
-        "      carry = nc;",
-        "      p++;",
-        "    }",
-        "    if (p > used) used = p;",
-        "  }",
-        "  return used;",
-        "}",
-        "static double now_ns(void) {",
-        "  struct timespec ts;",
-        "  clock_gettime(CLOCK_MONOTONIC, &ts);",
-        "  return (double)ts.tv_sec * 1e9 + (double)ts.tv_nsec;",
-        "}",
-    ])
-
-    wport_driver = []
-    wport_id = 0
-    for macro_idx, macro in enumerate(netlist.srams):
-        for en, addr_nets, data_nets in macro.write_ports:
-            terms = []
-            for i, net in enumerate(addr_nets):
-                bit = f"(int64_t)(({ref(net)} >> lane) & 1)"
-                terms.append(f"({bit} << {i})" if i else bit)
-            dterms = []
-            for i, net in enumerate(data_nets):
-                bit = f"(({ref(net)} >> lane) & 1)"
-                dterms.append(f"({bit} << {i})" if i else bit)
-            fn = f"wport_{wport_id}"
-            parts.append(
-                f"static HOT void {fn}(uint64_t *V, uint64_t *S, "
-                f"int64_t *WR, uint64_t active) {{")
-            parts.append(f"  uint64_t en = {ref(en)} & active;")
-            parts.append("  while (en) {")
-            parts.append("    int64_t lane = lowbit(en);")
-            parts.append("    en &= en - 1;")
-            parts.append(
-                f"    int64_t addr = "
-                f"{' | '.join(terms) if terms else '0'};")
-            parts.append(f"    if (addr >= {macro.depth}) continue;")
-            parts.append(
-                f"    uint64_t w = "
-                f"{' | '.join(dterms) if dterms else '0ULL'};")
-            parts.append(
-                f"    S[(uint64_t)lane * {macro.depth}u + "
-                f"(uint64_t)addr] = w;")
-            parts.append("    WR[lane] += 1;")
-            parts.append("  }")
-            parts.append("}")
-            wport_driver.append(
-                f"    wport_{wport_id}(V, S->stores[{macro_idx}], "
-                f"S->writes + {macro_idx} * lanes, S->active_mask);")
-            wport_id += 1
-
-    parts.extend([
-        "typedef struct {",
-        "  uint64_t *V;",
-        "  uint64_t *PREV;",
-        "  uint64_t *PLANES;",
-        "  int64_t planes_cap;",
-        "  int64_t *planes_used;",
-        "  uint64_t **stores;",
-        "  int64_t **lasts;",
-        "  int64_t *reads;",
-        "  int64_t *writes;",
-        "  uint64_t *dff_tmp;",
-        "  int64_t lanes;",
-        "  uint64_t active_mask;",
-        "} gl_state;",
-        "typedef struct {",
-        "  int64_t n_cycles;",
-        "  const int64_t *poke_counts;",
-        "  const uint64_t *poke_masks;",
-        "  const int64_t *poke_off;",
-        "  const int64_t *poke_cnt;",
-        "  const int64_t *poke_nets;",
-        "  const uint64_t *poke_words;",
-        "  const int64_t *check_counts;",
-        "  const uint64_t *check_masks;",
-        "  const int64_t *check_off;",
-        "  const int64_t *check_cnt;",
-        "  const int64_t *check_nets;",
-        "  const uint64_t *check_words;",
-        "  const int64_t *force_counts;",
-        "  const int64_t *force_off;",
-        "  const int64_t *force_nets;",
-        "  const uint64_t *force_masks;",
-        "  const uint64_t *force_vals;",
-        "  int64_t ambient_n;",
-        "  const int64_t *ambient_nets;",
-        "  const uint64_t *ambient_masks;",
-        "  const uint64_t *ambient_vals;",
-        "  int64_t strict;",
-        "  int64_t *mismatches;",
-        "  int64_t *stop;",
-        "  int64_t profile;",
-        "  double *phase_ns;",
-        "} gl_run;",
-        "HOT int64_t gl_run_cycles(gl_state *S, gl_run *R) {",
-        "  uint64_t *V = S->V;",
-        "  int64_t lanes = S->lanes;",
-        "  int64_t used = *S->planes_used;",
-        "  int64_t poke_op = 0, check_op = 0;",
-        "  gl_forces F;",
-        "  double t0 = 0.0, t1 = 0.0;",
-        "  R->stop[0] = -1; R->stop[1] = -1; R->stop[2] = -1;",
-        "  for (int64_t t = 0; t < R->n_cycles; t++) {",
-        "    if (R->profile) t0 = now_ns();",
-        "    if (R->poke_counts) {",
-        "      int64_t ops = R->poke_counts[t];",
-        "      for (int64_t k = 0; k < ops; k++, poke_op++) {",
-        "        uint64_t mask = R->poke_masks[poke_op];",
-        "        int64_t off = R->poke_off[poke_op];",
-        "        int64_t cnt = R->poke_cnt[poke_op];",
-        "        const int64_t *nets = R->poke_nets + off;",
-        "        const uint64_t *words = R->poke_words + off;",
-        "        for (int64_t j = 0; j < cnt; j++)",
-        "          V[nets[j]] = (V[nets[j]] & ~mask) | "
-        "(words[j] & mask);",
-        "      }",
-        "    }",
-        "    if (R->force_counts) {",
-        "      F.n = R->force_counts[t];",
-        "      F.nets = R->force_nets + R->force_off[t];",
-        "      F.masks = R->force_masks + R->force_off[t];",
-        "      F.vals = R->force_vals + R->force_off[t];",
-        "    } else {",
-        "      F.n = R->ambient_n;",
-        "      F.nets = R->ambient_nets;",
-        "      F.masks = R->ambient_masks;",
-        "      F.vals = R->ambient_vals;",
-        "    }",
-        "    if (R->profile) { t1 = now_ns(); "
-        "R->phase_ns[0] += t1 - t0; t0 = t1; }",
-        "    eval_once(V, &F, S->stores, S->lasts, S->reads, lanes);",
-        "    if (R->profile) { t1 = now_ns(); "
-        "R->phase_ns[1] += t1 - t0; t0 = t1; }",
-        "    if (R->check_counts) {",
-        "      int64_t ops = R->check_counts[t];",
-        "      for (int64_t k = 0; k < ops; k++, check_op++) {",
-        "        int64_t off = R->check_off[check_op];",
-        "        int64_t cnt = R->check_cnt[check_op];",
-        "        const int64_t *nets = R->check_nets + off;",
-        "        const uint64_t *words = R->check_words + off;",
-        "        uint64_t diff = 0;",
-        "        for (int64_t j = 0; j < cnt; j++)",
-        "          diff |= V[nets[j]] ^ words[j];",
-        "        diff &= R->check_masks[check_op];",
-        "        while (diff) {",
-        "          int64_t lane = lowbit(diff);",
-        "          diff &= diff - 1;",
-        "          R->mismatches[lane] += 1;",
-        "          if (R->strict) {",
-        "            R->stop[0] = t; R->stop[1] = check_op; "
-        "R->stop[2] = lane;",
-        "            *S->planes_used = used;",
-        "            return t;",
-        "          }",
-        "        }",
-        "      }",
-        "    }",
-        "    if (R->profile) { t1 = now_ns(); "
-        "R->phase_ns[2] += t1 - t0; t0 = t1; }",
-        "    used = toggle_tick(V, S->PREV, S->PLANES, "
-        "S->planes_cap, used, S->active_mask);",
-        "    if (R->profile) { t1 = now_ns(); "
-        "R->phase_ns[3] += t1 - t0; t0 = t1; }",
-        *wport_driver,
-        "    if (R->profile) { t1 = now_ns(); "
-        "R->phase_ns[4] += t1 - t0; t0 = t1; }",
-        "    commit_dffs(V, S->dff_tmp);",
-        "    if (R->profile) { t1 = now_ns(); "
-        "R->phase_ns[5] += t1 - t0; t0 = t1; }",
-        "  }",
-        "  *S->planes_used = used;",
-        "  return R->n_cycles;",
-        "}",
-    ])
-    return "\n".join(parts)
-
-
-# -- kernels ----------------------------------------------------------------
-
-# np.frombuffer over an array.array gives a zero-copy *writable* view
-# (array.array exports a writable buffer); probe once in case an exotic
-# numpy build disagrees, and fall back to copying into the old array.
-_FROMBUFFER_WRITABLE = np.frombuffer(
-    array("Q", [0]), dtype=np.uint64).flags.writeable
-
-
-def _make_ram_callbacks(sim):
-    """Per-simulator read-port callbacks, in schedule traversal order."""
-    cbs = []
-    for _groups, rams in sim.schedule.levels:
-        for macro_idx, port_idx in rams:
-            def cb(addr_words, _m=macro_idx, _p=port_idx, _sim=sim):
-                words = _sim._read_port_lanes(
-                    _m, _p, np.array(addr_words, dtype=np.uint64))
-                return words.tolist()
-            cbs.append(cb)
-    return cbs
-
-
-class PythonKernel:
-    """exec-generated straight-line evaluator (backend ``compiled``).
-
-    ``eval`` round-trips the value array through a Python list: the
-    kernel consumes ``values.tolist()``, computes every net in locals,
-    and returns the settled list, which becomes the new value array via
-    ``array('Q')`` + zero-copy ``np.frombuffer`` — the cheapest
-    list->uint64-array path CPython offers.  Rebinding ``sim._values``
-    is safe because every consumer reads the attribute afresh.
-    """
-
-    backend = "compiled"
-
-    def __init__(self, fn, source, compile_seconds=0.0, from_cache=False):
-        self._fn = fn
-        self.source = source
-        self.compile_seconds = compile_seconds
-        self.from_cache = from_cache
-
-    def install(self, sim):
-        sim._gl_ram_cbs = _make_ram_callbacks(sim)
-
-    def eval(self, sim):
-        out = self._fn(sim._values.tolist(), _M_INT, sim._gl_ram_cbs)
-        if _FROMBUFFER_WRITABLE:
-            sim._values = np.frombuffer(array("Q", out), dtype=np.uint64)
-        else:
-            sim._values[:] = out
+    _fields_ = [
+        ("n", ctypes.c_int64),
+        ("nets", ctypes.c_void_p),
+        ("masks", ctypes.c_void_p),
+        ("vals", ctypes.c_void_p),
+    ]
 
 
 class _GlState(ctypes.Structure):
-    """Mirror of the generated ``gl_state`` struct (live sim buffers)."""
+    """Mirror of ``gl_state`` (live sim buffers)."""
 
     _fields_ = [
         ("V", ctypes.c_void_p),
@@ -776,7 +242,7 @@ class _GlState(ctypes.Structure):
 
 
 class _GlRun(ctypes.Structure):
-    """Mirror of the generated ``gl_run`` struct (packed stimulus)."""
+    """Mirror of ``gl_run`` (packed stimulus)."""
 
     _fields_ = [
         ("n_cycles", ctypes.c_int64),
@@ -797,14 +263,10 @@ class _GlRun(ctypes.Structure):
         ("force_nets", ctypes.c_void_p),
         ("force_masks", ctypes.c_void_p),
         ("force_vals", ctypes.c_void_p),
-        ("ambient_n", ctypes.c_int64),
-        ("ambient_nets", ctypes.c_void_p),
-        ("ambient_masks", ctypes.c_void_p),
-        ("ambient_vals", ctypes.c_void_p),
+        ("ambient", ctypes.c_void_p),
         ("strict", ctypes.c_int64),
         ("mismatches", ctypes.c_void_p),
         ("stop", ctypes.c_void_p),
-        ("profile", ctypes.c_int64),
         ("phase_ns", ctypes.c_void_p),
     ]
 
@@ -814,45 +276,99 @@ def _data_ptr(arr):
     return arr.ctypes.data if arr is not None else 0
 
 
-class CKernel:
-    """gcc+ctypes whole-cycle evaluator (backend ``c``).
+def _forces(sim):
+    """``gl_forces`` view of the simulator's ambient forces."""
+    if sim._force_nets is None:
+        return _GlForces()
+    return _GlForces(len(sim._force_nets), sim._force_nets.ctypes.data,
+                     sim._force_masks.ctypes.data,
+                     sim._force_vals.ctypes.data)
 
-    Operates in place on the simulator's numpy buffers — value array,
-    SRAM word stores, last-address memos, access counters, the toggle
-    arena — through raw pointers.  The long-lived pointer tables are
-    bound once per simulator in :meth:`install`; buffers the simulator
-    is allowed to *rebind* (``_prev`` on ``clear_activity``, the toggle
+
+def _rows(rows, cols):
+    return np.array(rows, dtype=np.int64).reshape(-1, cols)
+
+
+def _build_program(netlist, schedule):
+    """The ``gl_prog`` op arrays for one netlist; returns the struct
+    and the numpy arrays it points into (keep those alive with it)."""
+    levels, groups, rports, rport_nets = [], [], [], []
+    operands = ([], [], [], [])
+    none = np.zeros(0, dtype=np.int64)
+    n_gates = 0
+    for level_groups, rams in schedule.levels:
+        g_lo, r_lo = len(groups), len(rports)
+        for cell, outs, in0, in1, in2 in level_groups:
+            groups.append((_CELL_KINDS[cell], n_gates, n_gates + len(outs)))
+            n_gates += len(outs)
+            for column, arr in zip(operands, (outs, in0, in1, in2)):
+                column.append(arr if arr is not None
+                              else np.zeros(len(outs), dtype=np.int64))
+        for macro_idx, port_idx in rams:
+            addr, _w, data = schedule.ram_ports[macro_idx][port_idx]
+            off = len(rport_nets)
+            rports.append((macro_idx, netlist.srams[macro_idx].depth,
+                           off, len(addr), off + len(addr), len(data)))
+            rport_nets.extend(addr.tolist() + data.tolist())
+        levels.append((g_lo, len(groups), r_lo, len(rports)))
+    wports, wport_nets = [], []
+    for macro_idx, macro in enumerate(netlist.srams):
+        for en, addr, data in macro.write_ports:
+            off = len(wport_nets)
+            wports.append((macro_idx, macro.depth, en, off, len(addr),
+                           off + len(addr), len(data)))
+            wport_nets.extend(list(addr) + list(data))
+    n_dff = len(netlist.dffs)
+    arrays = {
+        "levels": _rows(levels, 4),
+        "groups": _rows(groups, 3),
+        "rports": _rows(rports, 6),
+        "rport_nets": np.array(rport_nets, dtype=np.int64),
+        "wports": _rows(wports, 7),
+        "wport_nets": np.array(wport_nets, dtype=np.int64),
+        "dff_d": np.ascontiguousarray(schedule.dff_d[:n_dff]),
+        "dff_q": np.ascontiguousarray(schedule.dff_q[:n_dff]),
+    }
+    for name, column in zip(("out", "in0", "in1", "in2"), operands):
+        arrays[name] = np.concatenate(column + [none]).astype(np.int32)
+    prog = _GlProg(n_nets=netlist.n_nets, n_levels=len(levels),
+                   n_wports=len(wports), n_dff=n_dff,
+                   **{name: arr.ctypes.data
+                      for name, arr in arrays.items()})
+    return prog, arrays
+
+
+class CKernel:
+    """The gcc+ctypes whole-cycle evaluator (backend ``c``).
+
+    One loaded ``gl_kernel.so`` serves every simulator of every netlist
+    in the process.  :meth:`install` binds a simulator's per-netlist op
+    arrays and long-lived pointer tables once; buffers the simulator is
+    allowed to *rebind* (``_prev`` on ``clear_activity``, the toggle
     arena on growth) are re-read per call in :meth:`run_cycles`, which
-    executes an entire replay batch — stimulus, eval, checks, toggle
-    counting, SRAM write ports, DFF commit — as one foreign call that
-    releases the GIL (ctypes drops it around every ``CDLL`` call), so
-    threads running independent batches overlap natively.
+    executes an entire replay batch as one foreign call that releases
+    the GIL (ctypes drops it around every ``CDLL`` call), so threads
+    running independent batches overlap natively.
     """
 
     backend = "c"
 
-    def __init__(self, lib, source, workdir,
-                 compile_seconds=0.0, from_cache=False):
+    def __init__(self, lib, compile_seconds=0.0, from_cache=False):
         self._lib = lib                    # keep the CDLL alive
-        self._ptr_t = ctypes.POINTER(ctypes.c_uint64)
-        fn = lib.gl_eval
-        fn.argtypes = [self._ptr_t,
-                       ctypes.POINTER(ctypes.c_void_p),
-                       ctypes.POINTER(ctypes.c_void_p),
-                       ctypes.POINTER(ctypes.c_int64),
-                       ctypes.c_int64]
-        fn.restype = None
-        self._fn = fn
-        run = lib.gl_run_cycles
-        run.argtypes = [ctypes.POINTER(_GlState), ctypes.POINTER(_GlRun)]
-        run.restype = ctypes.c_int64
-        self._run = run
-        self.source = source
-        self.workdir = workdir
+        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+        self._eval = lib.gl_eval
+        self._eval.argtypes = [ptr] * 6 + [i64]
+        self._eval.restype = None
+        self._run = lib.gl_run_cycles
+        self._run.argtypes = [ptr, ctypes.POINTER(_GlState),
+                              ctypes.POINTER(_GlRun)]
+        self._run.restype = i64
         self.compile_seconds = compile_seconds
         self.from_cache = from_cache
 
     def install(self, sim):
+        sim._gl_prog, sim._gl_prog_arrays = _build_program(
+            sim.netlist, sim.schedule)
         n_srams = len(sim.netlist.srams)
         stores = (ctypes.c_void_p * max(n_srams, 1))()
         for i, store in enumerate(sim._sram_data):
@@ -863,10 +379,7 @@ class CKernel:
         lasts = (ctypes.c_void_p * max(len(port_memos), 1))()
         for i, memo in enumerate(port_memos):
             lasts[i] = memo.ctypes.data
-        reads = sim.sram_reads.ctypes.data_as(
-            ctypes.POINTER(ctypes.c_int64))
-        sim._gl_c_args = (stores, lasts, reads,
-                          ctypes.c_int64(sim.lanes))
+        sim._gl_c_args = (stores, lasts)
         # keep the memo arrays reachable while the pointer table lives
         sim._gl_c_memos = port_memos
         # per-simulator DFF gather scratch: commit must read every D
@@ -876,9 +389,12 @@ class CKernel:
             max(len(sim.netlist.dffs), 1), dtype=np.uint64)
 
     def eval(self, sim):
-        stores, lasts, reads, lanes = sim._gl_c_args
-        self._fn(sim._values.ctypes.data_as(self._ptr_t),
-                 stores, lasts, reads, lanes)
+        stores, lasts = sim._gl_c_args
+        forces = _forces(sim)
+        self._eval(ctypes.addressof(sim._gl_prog), sim._values.ctypes.data,
+                   ctypes.addressof(forces), ctypes.addressof(stores),
+                   ctypes.addressof(lasts), sim.sram_reads.ctypes.data,
+                   sim.lanes)
 
     def run_cycles(self, sim, n, stim, strict, mismatches):
         """Run ``n`` cycles natively; returns committed-cycle count.
@@ -890,7 +406,7 @@ class CKernel:
         :class:`~repro.gatelevel.gl_sim.StimulusMismatch` on a strict
         stop.
         """
-        stores, lasts, reads, _lanes = sim._gl_c_args
+        stores, lasts = sim._gl_c_args
         arena = sim._toggle_arena
         buf = sim._plane_count_buf
         buf[0] = sim._plane_count
@@ -915,35 +431,23 @@ class CKernel:
             strict=1 if strict else 0,
             mismatches=mismatches.ctypes.data,
             stop=stop.ctypes.data,
-            profile=1,
             phase_ns=phase_ns.ctypes.data)
         if flat is not None:
-            run.poke_counts = _data_ptr(flat["poke_counts"])
-            run.poke_masks = _data_ptr(flat["poke_masks"])
-            run.poke_off = _data_ptr(flat["poke_off"])
-            run.poke_cnt = _data_ptr(flat["poke_cnt"])
-            run.poke_nets = _data_ptr(flat["poke_nets"])
-            run.poke_words = _data_ptr(flat["poke_words"])
-            run.check_counts = _data_ptr(flat["check_counts"])
-            run.check_masks = _data_ptr(flat["check_masks"])
-            run.check_off = _data_ptr(flat["check_off"])
-            run.check_cnt = _data_ptr(flat["check_cnt"])
-            run.check_nets = _data_ptr(flat["check_nets"])
-            run.check_words = _data_ptr(flat["check_words"])
+            for name in ("poke_counts", "poke_masks", "poke_off",
+                         "poke_cnt", "poke_nets", "poke_words",
+                         "check_counts", "check_masks", "check_off",
+                         "check_cnt", "check_nets", "check_words"):
+                setattr(run, name, _data_ptr(flat[name]))
         if flat is not None and flat["force_counts"] is not None:
-            run.force_counts = _data_ptr(flat["force_counts"])
-            run.force_off = _data_ptr(flat["force_off"])
-            run.force_nets = _data_ptr(flat["force_nets"])
-            run.force_masks = _data_ptr(flat["force_masks"])
-            run.force_vals = _data_ptr(flat["force_vals"])
-        elif sim._force_nets is not None:
-            run.ambient_n = len(sim._force_nets)
-            run.ambient_nets = _data_ptr(sim._force_nets)
-            run.ambient_masks = _data_ptr(sim._force_masks)
-            run.ambient_vals = _data_ptr(sim._force_vals)
-        # the flat dict and ambient arrays stay referenced by locals /
-        # the sim for the duration of the call, keeping pointers valid
-        done = int(self._run(ctypes.byref(state), ctypes.byref(run)))
+            for name in ("force_counts", "force_off", "force_nets",
+                         "force_masks", "force_vals"):
+                setattr(run, name, _data_ptr(flat[name]))
+        ambient = _forces(sim)
+        run.ambient = ctypes.addressof(ambient)
+        # the flat dict, ambient struct and force arrays stay referenced
+        # by locals / the sim for the call, keeping pointers valid
+        done = int(self._run(ctypes.addressof(sim._gl_prog),
+                             ctypes.byref(state), ctypes.byref(run)))
         sim._plane_count = int(buf[0])
         sim.cycles += done
         _note_step_phases(phase_ns / 1e9, done)
@@ -955,203 +459,106 @@ class CKernel:
 
 # -- compilation + artifact cache -------------------------------------------
 
-def _note_build(backend, seconds, from_cache):
+def _note_build(seconds, from_cache):
     registry = get_registry()
     registry.counter("glcodegen.compile_seconds").inc(float(seconds))
     registry.counter("glcodegen.builds").inc()
     if from_cache:
         registry.counter("glcodegen.cache_loads").inc()
-    get_tracer().instant("glcodegen.kernel", cat="flow", backend=backend,
+    get_tracer().instant("glcodegen.kernel", cat="flow", backend="c",
                          seconds=seconds, from_cache=from_cache)
 
 
-def compile_python_kernel(netlist, schedule, use_cache=True):
-    """Build (or load from cache) the generated-Python kernel.
-
-    Cache kind ``glpy`` stores the source plus a marshalled code object
-    tagged with ``sys.implementation.cache_tag``: a hit on the same
-    interpreter skips both codegen *and* the ~0.5 s ``compile()``; a
-    hit from a different interpreter recompiles from the cached source.
-    """
-    from ..parallel.cache import get_cache, cache_enabled
-
-    t0 = time.perf_counter()
-    tag = sys.implementation.cache_tag
-    key = None
-    entry = None
-    if use_cache and cache_enabled():
-        key = kernel_cache_key(netlist, "compiled", schedule)
-        entry = get_cache().get("glpy", key)
-    if entry is not None:
-        source = entry["source"]
-        code = None
-        if entry.get("tag") == tag and entry.get("marshal"):
-            try:
-                code = marshal.loads(entry["marshal"])
-            except Exception:
-                code = None     # foreign/corrupt marshal: use the source
-        if code is None:
-            code = compile(source, "<glcodegen kernel>", "exec")
-    else:
-        source = generate_python_source(netlist, schedule)
-        code = compile(source, "<glcodegen kernel>", "exec")
-        if key is not None:
-            get_cache().put("glpy", key, {
-                "version": GLCODEGEN_VERSION,
-                "source": source,
-                "tag": tag,
-                "marshal": marshal.dumps(code),
-            })
-    namespace = {}
-    exec(code, namespace)  # noqa: S102 - our own generated code
-    seconds = time.perf_counter() - t0
-    _note_build("compiled", seconds, entry is not None)
-    return PythonKernel(namespace["_gl_eval"], source,
-                        compile_seconds=seconds,
-                        from_cache=entry is not None)
+def _load(so_path):
+    """CDLL the kernel and resolve both entry points now, not lazily."""
+    lib = ctypes.CDLL(so_path)
+    lib.gl_eval
+    lib.gl_run_cycles
+    return lib
 
 
-def _find_compiler():
-    override = os.environ.get(_ENV_CC)
-    if override:
-        if shutil.which(override) or (os.path.isfile(override)
-                                      and os.access(override, os.X_OK)):
-            return override
-        raise GLCodegenUnavailable(
-            f"$REPRO_GL_CC={override!r} is not an executable compiler")
-    compiler = shutil.which("gcc") or shutil.which("cc")
-    if compiler is None:
-        raise GLCodegenUnavailable("no C compiler on PATH")
-    return compiler
-
-
-def _cc_flags():
-    # -O1 buys ~10-20% on the whole-cycle run_cycles loop (the toggle
-    # ripple and commit loops vectorize a little) at a still-small
-    # compile cost on these straight-line translation units; override
-    # with $REPRO_GL_CFLAGS for tuning experiments (-O0 for fastest
-    # builds).  The flags are folded into the kernel cache key, so
-    # changing them rebuilds rather than reusing a stale .so.
-    env = os.environ.get(_ENV_CFLAGS)
-    if env:
-        return env.split()
-    return ["-O1"]
-
-
-def _build_so(netlist, schedule, workdir):
-    """Generate + compile the shared object; returns (source, so_path)."""
-    compiler = _find_compiler()
-    source = generate_c_source(netlist, schedule)
+def _compile(workdir, so_path):
     c_path = os.path.join(workdir, "gl_kernel.c")
-    so_path = os.path.join(workdir, "gl_kernel.so")
     with open(c_path, "w") as f:
-        f.write(source)
-    cmd = [compiler, *_cc_flags(), "-fPIC", "-shared",
-           "-o", so_path, c_path]
+        f.write(kernel_source())
+    cmd = [_find_compiler(), *_CFLAGS, "-o", so_path, c_path]
     try:
         subprocess.run(cmd, check=True, capture_output=True, timeout=600)
-    except (subprocess.CalledProcessError,
+    except (OSError, subprocess.CalledProcessError,
             subprocess.TimeoutExpired) as exc:
         raise GLCodegenUnavailable(
             f"C compilation failed: {exc}") from exc
-    return source, so_path
 
 
-def compile_c_kernel(netlist, schedule, use_cache=True):
-    """Build (or load from cache) the gcc+ctypes kernel.
+def compile_c_kernel(use_cache=True):
+    """Build (or load from the ``glso`` cache entry) the C kernel.
 
-    Cache kind ``glso`` stores the C source and the compiled shared
-    object.  A cached object that fails to ``CDLL`` (ABI/arch/toolchain
-    drift) is counted as ``cache.glso.stale``, warned about once, and
-    rebuilt live — never raised.  Raises :class:`GLCodegenUnavailable`
-    only when no working C compiler can be found for a live build.
+    A cached object that fails to ``CDLL`` (ABI/arch/toolchain drift)
+    is counted as ``cache.glso.stale``, warned about once, and rebuilt
+    live — never raised.  Raises :class:`GLCodegenUnavailable` only
+    when no working C compiler can be found.  The shared object's
+    scratch directory is removed as soon as it is loaded: the mapping
+    outlives the file.
     """
     from ..parallel.cache import get_cache, cache_enabled
 
     t0 = time.perf_counter()
-    key = None
-    if use_cache and cache_enabled():
-        key = kernel_cache_key(netlist, "c", schedule)
+    key = kernel_cache_key() if use_cache and cache_enabled() else None
     workdir = tempfile.mkdtemp(prefix="repro_glsim_")
-    so_path = os.path.join(workdir, "gl_kernel.so")
-
-    entry = get_cache().get("glso", key) if key is not None else None
-    from_cache = False
-    if entry is not None:
-        with open(so_path, "wb") as f:
-            f.write(entry["so"])
-        try:
-            lib = ctypes.CDLL(so_path)
-            # resolve both entry points now, not lazily
-            lib.gl_eval
-            lib.gl_run_cycles
-            source = entry["source"]
-            from_cache = True
-        except (OSError, AttributeError) as exc:
-            # Stale artifact (different toolchain/arch/ABI than the
-            # one that built it): fall back to regeneration, visibly.
-            get_registry().counter("cache.glso.stale").inc()
-            _warn_once(
-                "glso-stale",
-                f"cached compiled replay kernel failed to load ({exc}); "
-                f"regenerating it")
-            entry = None
-    if not from_cache:
-        source, so_path = _build_so(netlist, schedule, workdir)
-        lib = ctypes.CDLL(so_path)
-        if key is not None:
-            with open(so_path, "rb") as f:
-                so_bytes = f.read()
-            get_cache().put("glso", key, {
-                "version": GLCODEGEN_VERSION,
-                "source": source,
-                "so": so_bytes,
-            })
+    try:
+        so_path = os.path.join(workdir, "gl_kernel.so")
+        entry = get_cache().get("glso", key) if key is not None else None
+        lib = None
+        if entry is not None:
+            with open(so_path, "wb") as f:
+                f.write(entry["so"])
+            try:
+                lib = _load(so_path)
+            except (OSError, AttributeError) as exc:
+                get_registry().counter("cache.glso.stale").inc()
+                _warn_once(
+                    "glso-stale",
+                    f"cached replay kernel failed to load ({exc}); "
+                    f"rebuilding it")
+        from_cache = lib is not None
+        if lib is None:
+            _compile(workdir, so_path)
+            lib = _load(so_path)
+            if key is not None:
+                with open(so_path, "rb") as f:
+                    get_cache().put("glso", key, {"so": f.read()})
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
     seconds = time.perf_counter() - t0
-    _note_build("c", seconds, from_cache)
-    return CKernel(lib, source, workdir,
-                   compile_seconds=seconds, from_cache=from_cache)
+    _note_build(seconds, from_cache)
+    return CKernel(lib, compile_seconds=seconds, from_cache=from_cache)
 
 
-def build_kernel(netlist, schedule, backend, use_cache=True):
-    """Build the evaluation kernel for ``backend``; None for ``interp``.
+def build_kernel(netlist, backend, use_cache=True):
+    """The evaluation kernel for ``backend``; None means interpret.
 
-    Implements the fallback ladder ``c -> compiled-python -> interp``:
-    an explicit ``c`` request on a host without a compiler degrades to
-    the compiled-Python kernel (one warning + a counter), and ``auto``
-    takes the best available rung silently.  Only ``interp`` — or a
-    codegen failure, which the interpreter is immune to by construction
-    — returns None.
+    Implements the fallback ladder ``c -> interp``: when no C compiler
+    is available or ``netlist`` has SRAM ports the kernel cannot
+    express, an explicit ``c`` request degrades to the interpreter
+    (one warning + a counter) and ``auto`` degrades silently.  The
+    kernel itself is netlist-agnostic.
     """
     backend = resolve_backend(backend)
     if backend == "interp":
         return None
     with get_tracer().span("glcodegen.build", cat="flow",
                            backend=backend) as span:
-        if backend in ("c", "auto"):
-            try:
-                kernel = compile_c_kernel(netlist, schedule,
-                                          use_cache=use_cache)
-                span.set(backend_used="c",
-                         from_cache=kernel.from_cache)
-                return kernel
-            except GLCodegenUnavailable as exc:
-                get_registry().counter("glcodegen.c_fallbacks").inc()
-                if backend == "c":
-                    _warn_once(
-                        "c-fallback",
-                        f"C replay backend unavailable ({exc}); using "
-                        f"the compiled-Python backend instead")
         try:
-            kernel = compile_python_kernel(netlist, schedule,
-                                           use_cache=use_cache)
-        except GLCodegenError as exc:
-            get_registry().counter("glcodegen.interp_fallbacks").inc()
-            _warn_once(
-                "interp-fallback",
-                f"gate-level codegen failed ({exc}); using the "
-                f"interpreted evaluator")
+            check_supported(netlist)
+            kernel = compile_c_kernel(use_cache=use_cache)
+        except GLCodegenUnavailable as exc:
+            get_registry().counter("glcodegen.c_fallbacks").inc()
+            if backend == "c":
+                _warn_once(
+                    "c-fallback",
+                    f"C replay backend unavailable ({exc}); using the "
+                    f"interpreted evaluator instead")
             span.set(backend_used="interp")
             return None
-        span.set(backend_used="compiled", from_cache=kernel.from_cache)
+        span.set(backend_used="c", from_cache=kernel.from_cache)
         return kernel

@@ -13,8 +13,8 @@ Layout::
 
 * ``root`` is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
 * ``kind`` namespaces artifact types (``asicflow``, ``asicflow-soc``,
-  ``pysim``, ``csim``, ``glsched``, and the generated gate-level replay
-  kernels ``glpy`` / ``glso``).
+  ``pysim``, ``csim``, ``glsched``, and the host-wide gate-level replay
+  kernel ``glso``).
 * ``key`` is the circuit fingerprint; invalidation is automatic because
   any structural change to the design changes the key, and format
   changes bump ``CACHE_VERSION``.
@@ -66,7 +66,7 @@ _STAT_KEYS = (
     # levelization time skipped by loading a cached gate-evaluation
     # schedule (kind "glsched") instead of rebuilding it
     "sched_seconds_saved",
-    # cached compiled replay kernels (kind "glso") that no longer load
+    # cached replay kernels (kind "glso") that no longer load
     # on this host (toolchain/arch drift) and were rebuilt live
     "glso.stale",
 )
@@ -242,7 +242,7 @@ class ArtifactCache:
         """Move a live entry to the quarantine directory.
 
         Used by the job service's backend circuit breaker to pull a
-        suspected-poisoned compiled kernel (``glso``) out of
+        suspected-poisoned replay kernel (``glso``) out of
         circulation — workers that repeatedly segfault under a cached
         shared object must not keep loading it.  Returns the
         quarantined file's path, or None when there was no entry (or

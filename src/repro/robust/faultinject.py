@@ -142,7 +142,7 @@ def poison_cache_entry(cache, kind, key, payload):
     check and fails only when its consumer tries to use it (a compiled
     kernel whose ``so`` bytes are not a loadable shared object, say).
     This is the fault class the service's backend circuit breaker and
-    the codegen layer's load-validation exist for.
+    the replay kernel's load-validation exist for.
     """
     if cache.put(kind, key, payload) is None:
         raise RuntimeError(f"could not poison cache entry {kind}/{key}")
@@ -150,12 +150,9 @@ def poison_cache_entry(cache, kind, key, payload):
 
 
 def poisoned_glso_payload():
-    """A glso entry that frames and versions correctly but whose
-    shared object cannot possibly load."""
-    from ..gatelevel.glcodegen import GLCODEGEN_VERSION
-    return {"version": GLCODEGEN_VERSION,
-            "source": "/* poisoned by the fault campaign */",
-            "so": b"\x7fELFnot-actually-a-shared-object" * 8}
+    """A glso entry that frames correctly but whose shared object
+    cannot possibly load."""
+    return {"so": b"\x7fELFnot-actually-a-shared-object" * 8}
 
 
 @contextlib.contextmanager
@@ -318,7 +315,7 @@ def run_service_campaign(design="rocket_mini", workload="towers", *,
     with a typed error.  Never a hang (every wait is bounded), never a
     wedged queue, never a silently wrong number.  The kill-storm leg
     additionally asserts the backend demotion ladder walked all the
-    way down (``c -> compiled -> interp``) and was reported in job
+    way down (``c -> interp``) and was reported in job
     status.  ``include_restart=False`` skips the subprocess
     daemon-kill leg (for hosts where spawning a second interpreter is
     unwelcome).
@@ -369,7 +366,7 @@ def run_service_campaign(design="rocket_mini", workload="towers", *,
         return "recovered" if good(job) else "missed"
 
     def poisoned_glso():
-        # A well-framed glso entry whose .so cannot load: the codegen
+        # A well-framed glso entry whose .so cannot load: the kernel
         # layer must catch the load failure and rebuild, not crash.
         key = compiled_kernel_key(design)
         poison_cache_entry(get_cache(), "glso", key,
@@ -381,8 +378,9 @@ def run_service_campaign(design="rocket_mini", workload="towers", *,
         return "recovered" if good(job) else "missed"
 
     def kill_storm():
-        # Two crash-storm jobs walk the breaker down the full ladder;
-        # the third runs clean on the floor.  All three must still be
+        # The first crash-storm job walks the breaker down the full
+        # ladder, the second crashes on the floor without demoting it
+        # further, and the third runs clean there.  All three must still be
         # bit-identical — backends and the serial fallback agree by
         # construction.
         storm = [{"kind": "kill", "times": 5}]
@@ -397,8 +395,7 @@ def run_service_campaign(design="rocket_mini", workload="towers", *,
                 breakers = client.status()["breakers"]
         floor = breakers.get(design, {}).get("floor")
         demoted = [d["to"] for job in jobs for d in job["demotions"]]
-        ladder_ok = (floor == "interp" and "compiled" in demoted
-                     and "interp" in demoted
+        ladder_ok = (floor == "interp" and demoted == ["interp"]
                      and jobs[2]["backends"] == ["interp"]
                      and jobs[0]["crashes"] >= 2)
         return ("recovered" if ladder_ok and all(map(good, jobs))

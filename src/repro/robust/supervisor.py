@@ -817,8 +817,8 @@ def replay_supervised(flow, snapshots, *, workers, port_names,
     replays; built lazily from ``flow`` when not supplied.
     ``serial_gl_backend`` overrides the gate-level backend of that
     lazily-built engine — the job service passes ``"interp"`` so the
-    in-process fallback never executes a possibly-poisoned compiled
-    kernel inside the supervising process (backends are bit-identical,
+    in-process fallback never executes a possibly-poisoned C kernel
+    inside the supervising process (backends are bit-identical,
     so the results are unchanged).  ``init_grace`` (seconds, default
     :func:`default_init_grace`) is the extra deadline headroom granted
     while a worker is still paying its one-time engine-init cost.

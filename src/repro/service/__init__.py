@@ -15,8 +15,7 @@ Layers (each its own module):
 * :mod:`~repro.service.daemon` — admission control, per-job deadlines
   and full-jitter retries, graceful drain, ``/status``.
 * :mod:`~repro.service.breaker` — per-design backend circuit breakers
-  (the ``c -> compiled -> interp`` demotion ladder) with compiled-
-  kernel quarantine.
+  (the ``c -> interp`` demotion ladder) with C-kernel quarantine.
 * :mod:`~repro.service.state` — the crash-safe jobs journal (same
   CRC-framed record format as the run journal) and resume loader.
 * :mod:`~repro.service.client` / :mod:`~repro.service.harness` — the

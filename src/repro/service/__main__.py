@@ -50,7 +50,7 @@ def build_parser():
                         help="default per-job wall-clock deadline")
     parser.add_argument("--gl-backend", default=None,
                         help="default gate-level backend request "
-                             "(interp|compiled|c|auto)")
+                             "(interp|c|auto)")
     parser.add_argument("--breaker-threshold", type=int, default=2,
                         help="worker crashes on one backend rung "
                              "before demotion (default 2)")

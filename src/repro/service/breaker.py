@@ -1,20 +1,21 @@
 """Per-design backend circuit breakers for the job service.
 
 The gate-level replay backends are bit-identical by construction
-(``interp`` / ``compiled`` / ``c``), which makes backend choice a pure
+(``interp`` / ``c``), which makes backend choice a pure
 reliability/performance trade — exactly the shape a circuit breaker
 wants.  When workers running a design under one backend keep crashing,
 the breaker demotes that design one rung down the ladder::
 
-    c  ->  compiled  ->  interp
+    c  ->  interp
 
 and every later attempt for the same design is capped at the demoted
-rung.  Demoting *from* ``c`` additionally quarantines the design's
-cached compiled kernel (the ``glso`` shared object): a poisoned or
+rung.  Demoting *from* ``c`` additionally quarantines the cached C
+kernel (the host-wide ``glso`` shared object): a poisoned or
 ABI-drifted ``.so`` that segfaults every worker that loads it must be
 pulled out of circulation, not reloaded by the next attempt — and the
 quarantined file is kept (``<cache>/quarantine/``) for post-mortem
-inspection rather than deleted with the evidence.
+inspection rather than deleted with the evidence.  The next ``c``
+request, for any design, rebuilds it.
 
 ``interp`` is the floor: it is pure Python over the levelized netlist,
 shares no generated artifact, and is the backend the supervisor's
@@ -29,7 +30,7 @@ import threading
 import time
 
 # Most-aggressive first; index = rung, higher rung = more conservative.
-LADDER = ("c", "compiled", "interp")
+LADDER = ("c", "interp")
 
 DEFAULT_THRESHOLD = 2       # crashes on one rung before demotion
 DEFAULT_COOLDOWN_S = None   # None = demotions are sticky for the
@@ -159,27 +160,18 @@ class BreakerBoard:
 
 
 def compiled_kernel_key(design):
-    """Artifact-cache key of a design's compiled replay kernel (glso).
-
-    Reconstructed from the design the same way the codegen layer
-    derives it, so the breaker can quarantine the exact entry workers
-    were loading.  Requires the ASIC flow, which a design that has
-    already run a job has cached (in memory and on disk).
-    """
-    from ..core.flow import get_circuits, _soc_asic_flow
-    from ..core.replay import load_levelized_schedule
+    """Artifact-cache key of the C replay kernel (glso) ``design``'s
+    workers load — the one host-wide key every design shares."""
     from ..gatelevel.glcodegen import kernel_cache_key
-    _, target = get_circuits(design)
-    flow = _soc_asic_flow(target)
-    schedule = load_levelized_schedule(flow)
-    return kernel_cache_key(flow.netlist, "c", schedule)
+    return kernel_cache_key()
 
 
 def quarantine_compiled_kernel(design):
-    """Move a design's cached glso entry to the cache's quarantine
-    directory; returns the quarantined path, or None when there was
-    nothing to quarantine (or the design's flow could not be loaded —
-    quarantine is best-effort, demotion already protects the jobs)."""
+    """Move the cached glso entry ``design``'s workers load to the
+    cache's quarantine directory; returns the quarantined path, or None
+    when there was nothing to quarantine (or no compiler to derive the
+    key with — quarantine is best-effort, demotion already protects
+    the jobs)."""
     from ..parallel.cache import get_cache
     try:
         key = compiled_kernel_key(design)

@@ -23,8 +23,8 @@ Robustness model, layer by layer:
   full-jitter exponential backoff; deterministic failures (replay
   mismatch, snapshot corruption, workload exit) never retry.
 * **Circuit breakers** — per-design crash accounting demotes the
-  gate-level backend down the ``c -> compiled -> interp`` ladder and
-  quarantines the suspect compiled kernel (see
+  gate-level backend down the ``c -> interp`` ladder and
+  quarantines the suspect C kernel (see
   :mod:`repro.service.breaker`).  The supervisor's in-process serial
   fallback is always pinned to ``interp`` so a poisoned shared object
   is never loaded into the daemon's own address space by the fallback
@@ -475,7 +475,7 @@ class StroberService:
             # The cached shared object is now a suspect: pull it out
             # of circulation (kept under <cache>/quarantine/ for
             # inspection).  Runs in the default executor because key
-            # derivation may touch the artifact cache.
+            # derivation runs the compiler and touches the cache.
             loop = asyncio.get_running_loop()
             event["quarantined"] = await loop.run_in_executor(
                 None, quarantine_compiled_kernel, design)
@@ -776,7 +776,7 @@ def _crash_count(health):
     """Worker crashes and hangs a run's supervisor absorbed (0 when
     the replay ran serial).  Worker *errors* (clean exceptions) are
     excluded: they indict the snapshot or the fault injector, not the
-    backend's generated kernel, so they never charge the breaker."""
+    backend's native kernel, so they never charge the breaker."""
     if health is None:
         return 0
     return int(getattr(health, "crashes", 0)

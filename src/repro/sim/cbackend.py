@@ -283,17 +283,24 @@ def compile_circuit_c(circuit, keep_dir=None, use_cache=True):
 
     Returns ``(cycle_fn, layout)`` matching the Python backend interface,
     except state lives inside the shared object (proxied by
-    :class:`_CStateProxy` lists).
+    :class:`_CStateProxy` lists).  Every call loads its own copy of the
+    object from a unique path, so each simulator gets private state; the
+    directory is removed once the object is loaded (the mapping outlives
+    the file) unless ``keep_dir`` names it.
     """
     workdir = keep_dir or tempfile.mkdtemp(prefix="repro_csim_")
-    so_path = os.path.join(workdir, "circuit.so")
-    layout = _build_so(circuit, workdir, so_path, use_cache)
     try:
-        lib = ctypes.CDLL(so_path)
-    except OSError:
-        # A cached .so from an incompatible toolchain/arch: rebuild live.
-        layout = _build_so(circuit, workdir, so_path, use_cache=False)
-        lib = ctypes.CDLL(so_path)
+        so_path = os.path.join(workdir, "circuit.so")
+        layout = _build_so(circuit, workdir, so_path, use_cache)
+        try:
+            lib = ctypes.CDLL(so_path)
+        except OSError:
+            # A cached .so from an incompatible toolchain/arch: rebuild.
+            layout = _build_so(circuit, workdir, so_path, use_cache=False)
+            lib = ctypes.CDLL(so_path)
+    finally:
+        if not keep_dir:
+            shutil.rmtree(workdir, ignore_errors=True)
     lib.cycle.argtypes = [ctypes.POINTER(ctypes.c_uint64),
                           ctypes.POINTER(ctypes.c_uint64), ctypes.c_int]
     lib.get_regs.argtypes = [ctypes.POINTER(ctypes.c_uint64)]
@@ -321,7 +328,6 @@ def compile_circuit_c(circuit, keep_dir=None, use_cache=True):
     cycle_fn.lib = lib
     cycle_fn.reg_buf = reg_buf
     cycle_fn.n_regs = len(circuit.regs)
-    cycle_fn.workdir = workdir
     return cycle_fn, layout
 
 

@@ -1,10 +1,12 @@
-"""Compiled batched gate-level replay backends: golden equivalence of
-the exec-generated Python and gcc+ctypes kernels against the
-interpreted evaluator, the artifact cache (kinds glpy/glso), the
-fallback ladder, and backend selection plumbing
-(repro.gatelevel.glcodegen, run_strober(gl_backend=...))."""
+"""The native batched gate-level replay backend: golden equivalence of
+the netlist-agnostic C kernel with the interpreted evaluator, its one
+host-wide artifact-cache entry (kind glso), the c -> interp fallback
+ladder, and backend selection plumbing (repro.gatelevel.glcodegen,
+run_strober(gl_backend=...))."""
 
+import os
 import random
+import tempfile
 
 import numpy as np
 import pytest
@@ -14,14 +16,16 @@ from repro.core.flow import clear_caches, get_replay_engine
 from repro.gatelevel import (
     BatchedGateLevelSimulator, GateLevelSimulator, MAX_LANES,
     PackedStimulus, StimulusMismatch, build_kernel, build_schedule,
-    kernel_cache_key, netlist_fingerprint, pack_lane_words,
-    resolve_backend, resolve_overlap, synthesize, GLCodegenError,
+    kernel_cache_key, pack_lane_words, resolve_backend, resolve_overlap,
+    synthesize, GLCodegenError,
 )
 from repro.gatelevel import glcodegen
 from repro.hdl import Module, elaborate
 from repro.obs import get_registry
 from repro.parallel import cache_stats, reset_cache_stats
 from repro.parallel.cache import get_cache
+from repro.robust import RunJournal, read_journal, TYPE_META
+from repro.sim.cbackend import CBackendUnavailable, compile_circuit_c
 
 # honors $REPRO_GL_CC, so a job pointing it at a nonexistent compiler
 # exercises the fallback tests and skips the C-kernel ones
@@ -32,7 +36,7 @@ except glcodegen.GLCodegenUnavailable:
     HAVE_CC = False
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
 
-COMPILED_BACKENDS = ["compiled"] + (["c"] if HAVE_CC else [])
+BACKENDS = ["interp"] + (["c"] if HAVE_CC else [])
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +70,18 @@ class _KernelDesign(Module):
         self.output("peek", 8, scratch.read(ptr))
 
 
-def _small_netlist():
-    circuit = elaborate(_KernelDesign())
+class _CounterDesign(Module):
+    """A second, memory-free netlist."""
+
+    def build(self):
+        d = self.input("d", 4)
+        count = self.reg("count", 6)
+        count <<= (count + d).trunc(6)
+        self.output("count", 6, count)
+
+
+def _small_netlist(design=_KernelDesign):
+    circuit = elaborate(design())
     netlist, _hints = synthesize(circuit)
     return netlist
 
@@ -96,21 +110,23 @@ def _assert_identical(ref, sim, backend):
 class TestResolveBackend:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_GL_BACKEND", "c")
-        assert resolve_backend("compiled") == "compiled"
+        assert resolve_backend("interp") == "interp"
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GL_BACKEND", "compiled")
-        assert resolve_backend(None) == "compiled"
+        monkeypatch.setenv("REPRO_GL_BACKEND", "c")
+        assert resolve_backend(None) == "c"
         monkeypatch.delenv("REPRO_GL_BACKEND")
         assert resolve_backend(None) == "interp"
 
     def test_unknown_rejected(self):
-        with pytest.raises(GLCodegenError):
-            resolve_backend("verilator")
+        assert glcodegen.BACKENDS == ("interp", "c", "auto")
+        for name in ("verilator", "compiled"):
+            with pytest.raises(GLCodegenError):
+                resolve_backend(name)
 
 
 class TestSmallDesignEquivalence:
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("lanes", [5, MAX_LANES])
     def test_bit_identical_with_interp(self, backend, lanes):
         netlist = _small_netlist()
@@ -130,7 +146,7 @@ class TestSmallDesignEquivalence:
             assert got["sram_reads"] == want["sram_reads"]
             assert got["sram_writes"] == want["sram_writes"]
 
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_scalar_reference(self, backend):
         netlist = _small_netlist()
         rng = random.Random(5)
@@ -153,10 +169,10 @@ class TestSmallDesignEquivalence:
                 assert sim.peek("peek", lane=lane) == \
                     scalar.peek("peek")
 
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_forces_fall_back_bit_identically(self, backend):
-        # active forces route eval through the interpreter; state and
-        # activity must stay identical before, during, and after
+        # forces re-assert after every level; state and activity must
+        # stay identical before, during, and after a forced window
         netlist = _small_netlist()
         netlist.preserved_nets["probe"] = list(netlist.outputs["acc"])
         ref = BatchedGateLevelSimulator(netlist, lanes=4)
@@ -173,7 +189,7 @@ class TestSmallDesignEquivalence:
 
 
 class TestReplayEquivalence:
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_rocket_towers_power_identical(self, towers_run, backend):
         engine = get_replay_engine("rocket_mini", gl_backend=backend)
         assert engine.gl_backend == backend
@@ -184,7 +200,7 @@ class TestReplayEquivalence:
                                         workers=1, batch_lanes=lanes)
             assert [_power_key(r) for r in results] == want
 
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_run_strober_energy_identical(self, towers_run, backend):
         run = run_strober("rocket_mini", "towers", sample_size=8,
                           replay_length=32, backend="auto", seed=3,
@@ -194,21 +210,21 @@ class TestReplayEquivalence:
         assert [_power_key(r) for r in run.replays] == \
             [_power_key(r) for r in towers_run.replays]
 
-    def test_boom_qsort_compiled_identical(self):
+    def test_boom_qsort_c_identical(self):
         runs = [run_strober("boom-1w_mini", "qsort", sample_size=4,
                             replay_length=32, seed=5, batch_lanes=4,
                             gl_backend=be)
-                for be in ("interp", "compiled")]
+                for be in ("interp", "c")]
         assert runs[0].energy.epi_nj == runs[1].energy.epi_nj
         assert [_power_key(r) for r in runs[0].replays] == \
             [_power_key(r) for r in runs[1].replays]
 
     def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GL_BACKEND", "compiled")
+        monkeypatch.setenv("REPRO_GL_BACKEND", "c")
         clear_caches()
         try:
             engine = get_replay_engine("rocket_mini")
-            assert engine.gl_backend == "compiled"
+            assert engine.gl_backend == "c"
         finally:
             clear_caches()
 
@@ -222,37 +238,45 @@ class TestReplayEquivalence:
         resumed = run_strober("rocket_mini", "towers", sample_size=8,
                               replay_length=32, backend="auto", seed=3,
                               batch_lanes=8, journal=journal,
-                              gl_backend="compiled")
+                              gl_backend="c")
         assert resumed.result.resumed
+        assert resumed.energy.epi_nj == first.energy.epi_nj
+
+    def test_compiled_backend_journal_resumes_under_c(self, towers_run,
+                                                      tmp_path):
+        # gl_backend is an advisory journal key, so a journal written
+        # under the since-removed "compiled" backend still resumes
+        journal = str(tmp_path / "run.journal")
+        first = run_strober("rocket_mini", "towers", sample_size=8,
+                            replay_length=32, backend="auto", seed=3,
+                            batch_lanes=8, journal=journal,
+                            gl_backend="interp")
+        legacy = str(tmp_path / "legacy.journal")
+        with RunJournal(legacy) as out:
+            for rtype, obj in read_journal(journal):
+                if rtype == TYPE_META:
+                    obj = {**obj, "gl_backend": "compiled"}
+                out.append(rtype, obj)
+        resumed = run_strober("rocket_mini", "towers", sample_size=8,
+                              replay_length=32, backend="auto", seed=3,
+                              batch_lanes=8, journal=legacy,
+                              gl_backend="c")
+        assert resumed.result.resumed
+        assert resumed.timings["resumed_replays"] == len(first.snapshots)
         assert resumed.energy.epi_nj == first.energy.epi_nj
 
 
 class TestArtifactCache:
-    def test_python_kernel_cache_hit_skips_codegen(self, tmp_path,
-                                                   monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        netlist = _small_netlist()
-        schedule = build_schedule(netlist)
-        cold = build_kernel(netlist, schedule, "compiled")
-        assert not cold.from_cache
-        reset_cache_stats()
-        warm = build_kernel(netlist, schedule, "compiled")
-        assert warm.from_cache
-        assert warm.source == cold.source
-        stats = cache_stats()
-        assert stats["hits"] >= 1
-        assert get_registry().value("cache.glpy.hits") >= 1
-
     @needs_cc
     def test_c_kernel_cache_hit_skips_compile(self, tmp_path,
                                               monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         netlist = _small_netlist()
         schedule = build_schedule(netlist)
-        cold = build_kernel(netlist, schedule, "c")
+        cold = build_kernel(netlist, "c")
         assert cold.backend == "c" and not cold.from_cache
         reset_cache_stats()
-        warm = build_kernel(netlist, schedule, "c")
+        warm = build_kernel(netlist, "c")
         assert warm.backend == "c" and warm.from_cache
         assert warm.compile_seconds < cold.compile_seconds
         assert get_registry().value("cache.glso.hits") >= 1
@@ -265,20 +289,58 @@ class TestArtifactCache:
         _assert_identical(ref, sim, "c-from-cache")
 
     @needs_cc
+    def test_netlists_share_one_glso_entry(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        small, counter = _small_netlist(), _small_netlist(_CounterDesign)
+        first = build_kernel(small, "c")
+        second = build_kernel(counter, "c")
+        assert not first.from_cache and second.from_cache
+        entries = [name for root, _dirs, files in os.walk(tmp_path)
+                   if "glso" in root.split(os.sep) for name in files]
+        assert len(entries) == 1
+        # one loaded kernel serves both netlists side by side
+        for netlist in (small, counter):
+            schedule = build_schedule(netlist)
+            ref = BatchedGateLevelSimulator(netlist, lanes=3,
+                                            schedule=schedule)
+            sim = BatchedGateLevelSimulator(netlist, lanes=3,
+                                            schedule=schedule,
+                                            kernel=second)
+            for s in (ref, sim):
+                s.poke_lanes("d", [1, 2, 3])
+                s.step(5)
+            _assert_identical(ref, sim, "shared")
+
+    @needs_cc
+    def test_kernel_source_change_changes_key(self, tmp_path,
+                                              monkeypatch):
+        # editing gl_kernel.c must land in a different cache slot — a
+        # rebuild, never a stale .so load of the old source
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        netlist = _small_netlist()
+        build_kernel(netlist, "c")
+        key = kernel_cache_key()
+        edited = glcodegen.kernel_source() + "\n/* edited */\n"
+        monkeypatch.setattr(glcodegen, "kernel_source", lambda: edited)
+        assert kernel_cache_key() != key
+        rebuilt = build_kernel(netlist, "c")
+        assert rebuilt.backend == "c" and not rebuilt.from_cache
+        assert build_kernel(netlist, "c").from_cache
+
+    @needs_cc
     def test_stale_so_regenerates_with_counter(self, tmp_path,
                                                monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         netlist = _small_netlist()
         schedule = build_schedule(netlist)
-        build_kernel(netlist, schedule, "c")
-        key = kernel_cache_key(netlist, "c", schedule)
-        entry = get_cache().get("glso", key)
-        entry["so"] = b"\x7fELF not actually a shared object"
-        get_cache().put("glso", key, entry)
+        build_kernel(netlist, "c")
+        key = kernel_cache_key()
+        get_cache().put("glso", key,
+                        {"so": b"\x7fELF not actually a shared object"})
         glcodegen.reset_warnings()
         before = get_registry().value("cache.glso.stale") or 0
         with pytest.warns(RuntimeWarning, match="failed to load"):
-            kernel = build_kernel(netlist, schedule, "c")
+            kernel = build_kernel(netlist, "c")
         assert kernel.backend == "c" and not kernel.from_cache
         assert get_registry().value("cache.glso.stale") == before + 1
         assert cache_stats()["glso.stale"] >= 1
@@ -287,40 +349,77 @@ class TestArtifactCache:
                                         kernel=kernel)
         sim.step(3)     # rebuilt kernel evaluates fine
 
-    def test_fingerprint_stable_across_instances(self):
-        a, b = _small_netlist(), _small_netlist()
-        assert netlist_fingerprint(a) == netlist_fingerprint(b)
+    @needs_cc
+    def test_native_loads_leave_no_temp_dirs(self, tmp_path,
+                                             monkeypatch):
+        # both the GL kernel and the RTL C simulator delete their
+        # scratch directory once the shared object is loaded, on the
+        # compile path and on the cache-load path alike
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        netlist = _small_netlist()
+        circuit = elaborate(_KernelDesign())
+        for _attempt in ("cold", "warm"):
+            build_kernel(netlist, "c")
+            try:
+                compile_circuit_c(circuit)
+            except CBackendUnavailable:
+                pass
+        assert list(scratch.iterdir()) == []
 
 
 class TestFallbackLadder:
-    def test_no_cc_falls_back_to_compiled_python(self, monkeypatch):
+    def test_no_cc_falls_back_to_interp(self, monkeypatch):
         monkeypatch.setenv("REPRO_GL_CC", "/nonexistent/cc")
         netlist = _small_netlist()
         schedule = build_schedule(netlist)
         glcodegen.reset_warnings()
         before = get_registry().value("glcodegen.c_fallbacks") or 0
         with pytest.warns(RuntimeWarning, match="unavailable"):
-            kernel = build_kernel(netlist, schedule, "c",
-                                  use_cache=False)
-        assert kernel is not None and kernel.backend == "compiled"
+            kernel = build_kernel(netlist, "c", use_cache=False)
+        assert kernel is None
         assert get_registry().value("glcodegen.c_fallbacks") == \
             before + 1
+        sim = BatchedGateLevelSimulator(netlist, lanes=2,
+                                        schedule=schedule, backend="c")
+        assert sim.backend == "interp"
 
     def test_auto_degrades_silently(self, monkeypatch, recwarn):
         monkeypatch.setenv("REPRO_GL_CC", "/nonexistent/cc")
         netlist = _small_netlist()
-        schedule = build_schedule(netlist)
         glcodegen.reset_warnings()
-        kernel = build_kernel(netlist, schedule, "auto",
-                              use_cache=False)
-        assert kernel is not None and kernel.backend == "compiled"
+        kernel = build_kernel(netlist, "auto", use_cache=False)
+        assert kernel is None
         assert not [w for w in recwarn
                     if "unavailable" in str(w.message)]
 
     def test_interp_requests_no_kernel(self):
         netlist = _small_netlist()
-        assert build_kernel(netlist, build_schedule(netlist),
-                            "interp") is None
+        assert build_kernel(netlist, "interp") is None
+
+    def test_wide_sram_falls_back_to_interp(self):
+        # the HDL caps words at 64 bits, so widen the synthesized macro:
+        # its stores become per-lane Python int lists
+        netlist = _small_netlist()
+        macro = netlist.srams[0]
+        macro.width = 72
+        schedule = build_schedule(netlist)
+        glcodegen.reset_warnings()
+        with pytest.warns(RuntimeWarning, match="72 bits wide"):
+            sim = BatchedGateLevelSimulator(netlist, lanes=3,
+                                            schedule=schedule,
+                                            backend="c")
+        assert sim.backend == "interp"
+        ref = BatchedGateLevelSimulator(netlist, lanes=3,
+                                        schedule=schedule)
+        contents = [(1 << 71) | i for i in range(macro.depth)]
+        for s in (ref, sim):
+            s.load_sram(macro.name, contents)
+        _drive([ref, sim], cycles=10)
+        _assert_identical(ref, sim, "wide")
 
 
 def _whole_trace_stim(netlist, lanes, cycles=24, seed=11,
@@ -382,7 +481,7 @@ class TestRunCycles:
     the same cycle (the design reads ``scratch`` at the write pointer),
     toggle planes, and the strict-mode stop point."""
 
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("lanes", [1, 5, MAX_LANES])
     def test_bit_identical_with_stepped_reference(self, backend, lanes):
         netlist = _small_netlist()
@@ -409,7 +508,7 @@ class TestRunCycles:
             assert s.cycles == len(per_cycle)
             _assert_identical(ref, s, backend)
 
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_mismatch_counts_identical(self, backend):
         lanes = 5
         netlist = _small_netlist()
@@ -435,7 +534,7 @@ class TestRunCycles:
         assert interp.run_cycles(stim=stim).tolist() == want
         assert sim.run_cycles(stim=stim).tolist() == want
 
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_strict_stop_identical(self, backend):
         # strict mode must stop at the same (cycle, op, lane) on every
         # backend, leaving the failing cycle settled but uncommitted
@@ -464,7 +563,7 @@ class TestRunCycles:
             stops.append((exc.cycle, exc.name, exc.lane, sim.cycles))
         assert stops[0] == stops[1] == (10, "acc", 1, 10)
 
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_step_phase_counters_accumulate(self, backend):
         netlist = _small_netlist()
         schedule = build_schedule(netlist)
@@ -513,7 +612,7 @@ class TestThreadOverlap:
         run = run_strober("rocket_mini", "towers", sample_size=8,
                           replay_length=32, backend="auto", seed=3,
                           batch_lanes=3, gl_overlap=2,
-                          gl_backend="compiled")
+                          gl_backend="c")
         assert run.timings["gl_overlap"] == 2
         assert run.energy.epi_nj == towers_run.energy.epi_nj
         assert [_power_key(r) for r in run.replays] == \
@@ -549,56 +648,30 @@ class TestKernelVersionResume:
     def test_journal_resumes_across_kernel_version(self, towers_run,
                                                    tmp_path,
                                                    monkeypatch):
-        # a journal written under the old kernel version must resume
-        # bit-identically under the new one: the kernel version keys
-        # the artifact cache (forcing a rebuild), never the run key
+        # a journal written under the old kernel source must resume
+        # bit-identically under an edited one: the source keys the
+        # artifact cache (forcing a rebuild), never the run key
         journal = str(tmp_path / "run.journal")
         partial = run_strober("rocket_mini", "towers", sample_size=8,
                               replay_length=32, backend="auto", seed=3,
                               batch_lanes=4, journal=journal,
-                              gl_backend="compiled",
+                              gl_backend="c",
                               target_rel_error=1.0, min_sample=2,
                               max_sample=3)
         assert partial.sampling["replayed"] < 8
-        monkeypatch.setattr(glcodegen, "GLCODEGEN_VERSION",
-                            glcodegen.GLCODEGEN_VERSION + 1)
+        edited = glcodegen.kernel_source() + "\n/* next version */\n"
+        monkeypatch.setattr(glcodegen, "kernel_source", lambda: edited)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         clear_caches()
         try:
             resumed = run_strober("rocket_mini", "towers",
                                   sample_size=8, replay_length=32,
                                   backend="auto", seed=3,
                                   batch_lanes=4, journal=journal,
-                                  gl_backend="compiled")
+                                  gl_backend="c")
         finally:
             clear_caches()
         assert resumed.result.resumed
         assert resumed.energy.epi_nj == towers_run.energy.epi_nj
         assert [_power_key(r) for r in resumed.replays] == \
             [_power_key(r) for r in towers_run.replays]
-
-
-class TestCompilerFlags:
-    @needs_cc
-    def test_cflags_change_rebuilds_not_stale(self, tmp_path,
-                                              monkeypatch):
-        # changing $REPRO_GL_CFLAGS must land in a different cache
-        # slot — a rebuild, never a stale .so load under old flags
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        netlist = _small_netlist()
-        schedule = build_schedule(netlist)
-        build_kernel(netlist, schedule, "c")
-        key_default = kernel_cache_key(netlist, "c", schedule)
-        monkeypatch.setenv("REPRO_GL_CFLAGS", "-O0")
-        key_o0 = kernel_cache_key(netlist, "c", schedule)
-        assert key_o0 != key_default
-        rebuilt = build_kernel(netlist, schedule, "c")
-        assert rebuilt.backend == "c" and not rebuilt.from_cache
-        warm = build_kernel(netlist, schedule, "c")
-        assert warm.from_cache
-        # and the overridden-flags kernel evaluates bit-identically
-        ref = BatchedGateLevelSimulator(netlist, lanes=4,
-                                        schedule=schedule)
-        sim = BatchedGateLevelSimulator(netlist, lanes=4,
-                                        schedule=schedule, kernel=warm)
-        _drive([ref, sim], cycles=8)
-        _assert_identical(ref, sim, "c-O0")

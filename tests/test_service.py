@@ -15,7 +15,7 @@ from repro.core.replay import ReplayError
 from repro.robust import run_service_campaign
 from repro.service import (
     JobSpec, ServiceError, ServiceHarness, ServiceJournal,
-    load_service_state, result_digest, BackendBreaker,
+    load_service_state, result_digest, BackendBreaker, LADDER,
     ERR_INVALID_REQUEST, ERR_QUEUE_FULL, ERR_DRAINING, ERR_DEADLINE,
     ERR_REPLAY_MISMATCH, ERR_CANCELLED, ERR_UNKNOWN_JOB,
 )
@@ -122,6 +122,12 @@ class TestJobSpecValidation:
             JobSpec.from_dict(bad)
         assert err.value.type == ERR_INVALID_REQUEST
 
+    def test_removed_compiled_backend_rejected(self):
+        with pytest.raises(ServiceError) as err:
+            JobSpec.from_dict({**SPEC, "gl_backend": "compiled"})
+        assert err.value.type == ERR_INVALID_REQUEST
+        assert "interp, c, auto" in str(err.value)
+
     def test_faults_compile_to_a_plan(self):
         spec = JobSpec.from_dict(
             {**SPEC, "faults": [{"kind": "kill", "times": 2}]})
@@ -140,19 +146,16 @@ class TestJobSpecValidation:
 
 
 class TestBreakerLadder:
-    def test_walks_c_compiled_interp_and_stops(self):
+    def test_walks_c_interp_and_stops(self):
+        assert LADDER == ("c", "interp")
         breaker = BackendBreaker("d", threshold=2)
         assert breaker.effective("c") == "c"
         assert breaker.record_failure("c") is None          # 1 of 2
         event = breaker.record_failure("c")
-        assert event["from"] == "c" and event["to"] == "compiled"
-        assert breaker.effective("c") == "compiled"
-        assert breaker.effective("auto") == "compiled"
-        assert breaker.effective("interp") == "interp"
-        breaker.record_failure("compiled")
-        event = breaker.record_failure("compiled")
-        assert event["to"] == "interp"
+        assert event["from"] == "c" and event["to"] == "interp"
         assert breaker.effective("c") == "interp"
+        assert breaker.effective("auto") == "interp"
+        assert breaker.effective("interp") == "interp"
         # interp is the floor: crashes there never demote further
         assert breaker.record_failure("interp", count=10) is None
         assert breaker.effective("c") == "interp"
@@ -162,7 +165,7 @@ class TestBreakerLadder:
         assert breaker.effective("auto") == "auto"
         assert breaker.effective(None) is None
         breaker.record_failure("auto")
-        assert breaker.effective(None) == "compiled"
+        assert breaker.effective(None) == "interp"
 
     def test_cooldown_probes_one_rung_back_up(self):
         breaker = BackendBreaker("d", threshold=1, cooldown_s=0.0)
@@ -176,7 +179,7 @@ class TestBreakerLadder:
         breaker = BackendBreaker("d", threshold=1)
         breaker.record_failure("c", reason="storm")
         info = breaker.as_dict()
-        assert info["floor"] == "compiled"
+        assert info["floor"] == "interp"
         assert info["demotions"][0]["reason"] == "storm"
 
 
@@ -402,10 +405,10 @@ class TestAdmissionAndLifecycle:
                 '{design="rocket_mini",floor="none"} 1') in charged
         assert ('repro_service_breaker_failures'
                 '{backend="c",design="rocket_mini"} 2') in charged
-        # The third crash tips the threshold: floor moves to compiled
+        # The third crash tips the threshold: floor moves to interp
         # and the rung's charges reset.
         assert ('repro_service_breaker_floor_info'
-                '{design="rocket_mini",floor="compiled"} 1') in demoted
+                '{design="rocket_mini",floor="interp"} 1') in demoted
         from repro.obs import validate_exposition
         assert validate_exposition(charged) == []
         assert validate_exposition(demoted) == []
@@ -428,10 +431,10 @@ class TestAdmissionAndLifecycle:
         assert stormy["backends"] == ["c"]
         assert stormy["crashes"] == 2
         event = stormy["demotions"][0]
-        assert event["from"] == "c" and event["to"] == "compiled"
+        assert event["from"] == "c" and event["to"] == "interp"
         assert event["quarantined"] == "/quarantine/glso.pkl"
-        assert calm["backends"] == ["compiled"]    # capped by the floor
-        assert breakers["rocket_mini"]["floor"] == "compiled"
+        assert calm["backends"] == ["interp"]      # capped by the floor
+        assert breakers["rocket_mini"]["floor"] == "interp"
 
 
 class TestQueueResume:
@@ -466,7 +469,7 @@ class TestQueueResume:
 
 class TestChaosCampaign:
     def test_every_service_fault_recovered(self):
-        """Acceptance: under client disconnects, a poisoned compiled
+        """Acceptance: under client disconnects, a poisoned C
         kernel, a worker SIGKILL storm (walking the full demotion
         ladder), ENOSPC on the cache, and a daemon SIGKILL+restart,
         every job completes bit-identically to a clean run or fails
