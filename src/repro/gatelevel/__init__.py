@@ -16,7 +16,8 @@ from .placement import place, Placement, ClusterBox, PlacementPass
 from .gl_sim import (
     GateLevelSimulator, BatchedGateLevelSimulator, GateSimError,
     StimulusMismatch, PackedStimulus, LevelizedSchedule, build_schedule,
-    pack_lane_words, MAX_LANES, SCHEDULE_VERSION, STEP_PHASES,
+    pack_lane_words, pack_lane_bits, lane_ops, MAX_LANES, SCHEDULE_VERSION,
+    STEP_PHASES,
 )
 from .glcodegen import (
     build_kernel, resolve_backend, resolve_overlap, kernel_cache_key,
@@ -24,7 +25,7 @@ from .glcodegen import (
 )
 from .formal import (
     match_netlist, verify_equivalence, NameMap, MatchPoint, MatchError,
-    EquivalenceResult, FormalMatchPass,
+    EquivalenceResult, FormalMatchPass, GatherPlan, DffLoad,
 )
 from .power import analyze_power, PowerReport, default_grouping
 
@@ -37,10 +38,12 @@ __all__ = [
     "GateLevelSimulator", "BatchedGateLevelSimulator", "GateSimError",
     "StimulusMismatch", "PackedStimulus",
     "LevelizedSchedule", "build_schedule", "pack_lane_words",
+    "pack_lane_bits", "lane_ops",
     "MAX_LANES", "SCHEDULE_VERSION", "STEP_PHASES",
     "build_kernel", "resolve_backend", "resolve_overlap",
     "kernel_cache_key", "GLCodegenError", "GLCodegenUnavailable",
     "match_netlist", "verify_equivalence", "NameMap", "MatchPoint",
-    "MatchError", "EquivalenceResult", "FormalMatchPass",
+    "MatchError", "EquivalenceResult", "FormalMatchPass", "GatherPlan",
+    "DffLoad",
     "analyze_power", "PowerReport", "default_grouping",
 ]

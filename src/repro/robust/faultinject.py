@@ -37,6 +37,8 @@ import tempfile
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass
 class FaultSpec:
@@ -88,23 +90,24 @@ def apply_worker_fault(spec):
 def flip_snapshot_bit(snapshot, where="state", rng=None):
     """Flip one bit of a snapshot in place; returns a description.
 
-    ``where="state"`` hits a captured register (a sealed snapshot must
-    then fail ``validate()``); ``where="trace"`` hits a recorded output
-    token (an unsealed snapshot must then fail strict replay).
+    ``where="state"`` hits bit 0 of one slot of the register vector (a
+    sealed snapshot must then fail ``validate()``); ``where="trace"``
+    hits bit 0 of one recorded output word (an unsealed snapshot must
+    then fail strict replay).
     """
     rng = rng or random.Random(0)
     if where == "state":
-        paths = sorted(snapshot.state.regs)
-        path = paths[rng.randrange(len(paths))]
-        snapshot.state.regs[path] ^= 1
-        return f"flipped bit 0 of register {path}"
+        regs = snapshot.state.reg_values
+        slot = rng.randrange(len(regs))
+        regs[slot] ^= np.uint64(1)
+        return f"flipped bit 0 of register slot {slot}"
     if where == "trace":
-        cycles = [i for i, d in enumerate(snapshot.output_trace) if d]
-        cyc = cycles[rng.randrange(len(cycles))]
-        names = sorted(snapshot.output_trace[cyc])
-        name = names[rng.randrange(len(names))]
-        snapshot.output_trace[cyc][name] ^= 1
-        return f"flipped bit 0 of output {name} at trace cycle {cyc}"
+        outputs = snapshot.output_trace
+        cyc = rng.randrange(outputs.shape[0])
+        col = rng.randrange(outputs.shape[1])
+        outputs[cyc, col] ^= 1
+        return (f"flipped bit 0 of output column {col} at trace cycle "
+                f"{cyc}")
     raise ValueError(f"unknown flip target {where!r}")
 
 

@@ -7,41 +7,11 @@ the reference model when validating gate-level replays.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..hdl.ir import mask
 from .compiler import compile_circuit_cached
-
-
-class SimStateError(Exception):
-    pass
-
-
-class SimState:
-    """A full architectural state snapshot (registers + memories)."""
-
-    __slots__ = ("regs", "mems", "cycle")
-
-    def __init__(self, regs, mems, cycle=0):
-        self.regs = regs    # dict path -> int
-        self.mems = mems    # dict path -> list[int]
-        self.cycle = cycle
-
-    def copy(self):
-        return SimState(dict(self.regs),
-                        {k: list(v) for k, v in self.mems.items()},
-                        self.cycle)
-
-    # __slots__ classes need explicit state hooks to pickle under every
-    # protocol; snapshots embed a SimState and cross process boundaries.
-    def __getstate__(self):
-        return (self.regs, self.mems, self.cycle)
-
-    def __setstate__(self, state):
-        self.regs, self.mems, self.cycle = state
-
-    def state_bits(self, circuit):
-        reg_bits = sum(r.width for r in circuit.regs)
-        mem_bits = sum(m.depth * m.width for m in circuit.mems)
-        return reg_bits + mem_bits
+from .state import SimState, SimStateError, mem_dtype, name_order
 
 
 class RTLSimulator:
@@ -60,7 +30,7 @@ class RTLSimulator:
             self._cycle, self._layout = compile_circuit_c(circuit)
             lib = self._cycle.lib
             self._regs = CRegProxy(lib, len(circuit.regs))
-            self._mems = [CMemProxy(lib, i, mem.depth)
+            self._mems = [CMemProxy(lib, i, mem.depth, mem.width)
                           for i, mem in enumerate(circuit.mems)]
         else:
             self._cycle, self._layout = compile_circuit_cached(circuit)
@@ -71,58 +41,88 @@ class RTLSimulator:
         self._in_widths = [node.width for node in circuit.inputs]
         self._reg_list = list(circuit.regs)
         self._mem_list = list(circuit.mems)
+        self._reg_inits = np.array([reg.init for reg in self._reg_list],
+                                   dtype=np.uint64)
+        #: the register order of every :class:`SimState` this captures
+        self.reg_order = name_order(reg.path for reg in self._reg_list)
         self.cycle = 0
         self.reset()
 
     # -- state -------------------------------------------------------------
 
     def _set_regs(self, values):
-        if hasattr(self._regs, "bulk_set"):
+        if self.backend == "c":
             self._regs.bulk_set(values)
         else:
-            self._regs[:] = values
+            self._regs[:] = values.tolist()
 
     def _get_regs(self):
-        if hasattr(self._regs, "bulk_get"):
+        if self.backend == "c":
             return self._regs.bulk_get()
-        return list(self._regs)
+        return np.array(self._regs, dtype=np.uint64)
+
+    def _read_mem(self, i):
+        if self.backend == "c":
+            return self._mems[i].read()
+        return np.array(self._mems[i],
+                        dtype=mem_dtype(self._mem_list[i].width))
+
+    def _write_mem(self, i, words, offset=0):
+        if self.backend == "c":
+            self._mems[i].write(words, offset)
+        else:
+            self._mems[i][offset:offset + len(words)] = words.tolist()
 
     def reset(self, clear_mems=False):
         """Apply register reset values; memories are preserved by default."""
-        self._set_regs([reg.init for reg in self._reg_list])
+        self._set_regs(self._reg_inits)
         if clear_mems:
-            for arr in self._mems:
-                for i in range(len(arr)):
-                    arr[i] = 0
+            for i, mem in enumerate(self._mem_list):
+                self._write_mem(i, np.zeros(mem.depth,
+                                            dtype=mem_dtype(mem.width)))
         self.cycle = 0
 
     def snapshot(self):
-        """Capture the complete architectural state."""
-        values = self._get_regs()
-        regs = {reg.path: int(values[i])
-                for i, reg in enumerate(self._reg_list)}
-        mems = {mem.path: [int(v) for v in self._mems[i]]
+        """Capture the complete architectural state (one bulk copy of the
+        register file and one per memory)."""
+        mems = {mem.path: self._read_mem(i)
                 for i, mem in enumerate(self._mem_list)}
-        return SimState(regs, mems, self.cycle)
+        return SimState(self._get_regs(), self.reg_order.fingerprint, mems,
+                        self.cycle)
 
     def load_snapshot(self, state):
         """Restore a state captured by :meth:`snapshot`."""
-        values = []
-        for reg in self._reg_list:
-            if reg.path not in state.regs:
-                raise SimStateError(f"snapshot missing register {reg.path}")
-            values.append(state.regs[reg.path])
+        if state.reg_order == self.reg_order.fingerprint:
+            values = state.reg_values
+        else:
+            # captured on another elaboration: match registers by path
+            index = {path: i for i, path in enumerate(state.reg_paths)}
+            missing = [reg.path for reg in self._reg_list
+                       if reg.path not in index]
+            if missing:
+                raise SimStateError(
+                    f"snapshot missing register {missing[0]}")
+            values = state.reg_values[[index[reg.path]
+                                       for reg in self._reg_list]]
+        for mem in self._mem_list:
+            words = state.mems.get(mem.path)
+            if words is None:
+                raise SimStateError(f"snapshot missing memory {mem.path}")
+            if len(words) != mem.depth:
+                raise SimStateError(f"memory {mem.path} size mismatch")
         self._set_regs(values)
         for i, mem in enumerate(self._mem_list):
-            if mem.path not in state.mems:
-                raise SimStateError(f"snapshot missing memory {mem.path}")
-            mem_values = state.mems[mem.path]
-            if len(mem_values) != mem.depth:
-                raise SimStateError(f"memory {mem.path} size mismatch")
-            arr = self._mems[i]
-            for j, value in enumerate(mem_values):
-                arr[j] = value
+            self._write_mem(i, state.mems[mem.path])
         self.cycle = state.cycle
+
+    def input_values(self):
+        """The live input vector (circuit input order) as last poked."""
+        return self._in
+
+    def output_values(self):
+        """The live output vector (circuit output order) of the last
+        eval/step."""
+        return self._out
 
     # -- I/O -----------------------------------------------------------------
 
@@ -174,10 +174,11 @@ class RTLSimulator:
     def load_mem(self, path, values, offset=0):
         """Bulk-initialize a memory (e.g. a program image)."""
         idx = self._layout["mem_index"][path]
-        arr = self._mems[idx]
         m = mask(self._mem_list[idx].width)
-        for i, value in enumerate(values):
-            arr[offset + i] = value & m
+        self._write_mem(idx, np.array([value & m for value in values],
+                                      dtype=mem_dtype(
+                                          self._mem_list[idx].width)),
+                        offset)
 
     def generated_source(self):
         return self._layout["source"]

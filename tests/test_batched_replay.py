@@ -110,8 +110,7 @@ class TestMismatchBlame:
     def _poisoned(self, towers_run, lane):
         snaps = list(towers_run.snapshots)[:6]
         bad = copy.deepcopy(snaps[lane])
-        bad.output_trace[5] = {k: v ^ 1
-                               for k, v in bad.output_trace[5].items()}
+        bad.output_trace[5] ^= 1     # bit 0 of every output, cycle 5
         # unseal so the corruption reaches the replay comparison itself
         bad.checksum = None
         snaps[lane] = bad

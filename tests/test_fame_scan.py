@@ -11,7 +11,7 @@ from repro.fame import (
 )
 from repro.scan import (
     build_scan_chain_spec, insert_scan_chains, ReplayableSnapshot,
-    SnapshotError,
+    SnapshotError, TraceLayout,
 )
 
 
@@ -241,8 +241,8 @@ class TestFame1Simulator:
         rtl = RTLSimulator(replay_circuit)
         for snap in fame.snapshots:
             rtl.load_snapshot(snap.state)
-            for inputs, expected in zip(snap.input_trace,
-                                        snap.output_trace):
+            for t in range(snap.recorded):
+                inputs, expected = snap.cycle_io(t)
                 rtl.poke_all(inputs)
                 rtl.step()
                 for name, value in expected.items():
@@ -255,18 +255,22 @@ class TestFame1Simulator:
 
 
 class TestSnapshotObject:
+    LAYOUT = TraceLayout([("a", 8)], [("b", 8)])
+
     def test_incomplete_snapshot_fails_validation(self):
-        snap = ReplayableSnapshot(cycle=0, state=None, replay_length=4)
-        snap.record_cycle({"a": 1}, {"b": 2})
+        snap = ReplayableSnapshot(cycle=0, state=None, replay_length=4,
+                                  layout=self.LAYOUT)
+        snap.record_cycle([1], [2])
         with pytest.raises(SnapshotError):
             snap.validate()
 
     def test_window_is_bounded(self):
-        snap = ReplayableSnapshot(cycle=0, state=None, replay_length=2)
+        snap = ReplayableSnapshot(cycle=0, state=None, replay_length=2,
+                                  layout=self.LAYOUT)
         for i in range(5):
-            snap.record_cycle({"a": i}, {"b": i})
+            snap.record_cycle([i], [i])
         assert len(snap.input_trace) == 2
-        assert snap.input_trace[-1] == {"a": 1}
+        assert snap.cycle_io(1)[0] == {"a": 1}
 
 
 def test_constant_endpoint():

@@ -630,20 +630,6 @@ class TestThreadOverlap:
         assert engine.last_health.healthy
 
 
-class TestStimulusCache:
-    def test_repeat_replays_hit_cache(self, towers_run):
-        engine = get_replay_engine("rocket_mini")
-        registry = get_registry()
-        engine.replay_all(towers_run.snapshots, batch_lanes=4)
-        hits0 = registry.value("replay.stim_cache.hits") or 0
-        misses0 = registry.value("replay.stim_cache.misses") or 0
-        engine.replay_all(towers_run.snapshots, batch_lanes=4)
-        assert (registry.value("replay.stim_cache.misses") or 0) \
-            == misses0
-        assert (registry.value("replay.stim_cache.hits") or 0) \
-            >= hits0 + 2
-
-
 class TestKernelVersionResume:
     def test_journal_resumes_across_kernel_version(self, towers_run,
                                                    tmp_path,

@@ -159,11 +159,11 @@ class TestRetimedReplay:
         block = name_map.retimed[0]
         for k in range(block.latency, 0, -1):
             for port_name, _w, label, hist_paths in block.inputs:
-                gl.force_label(label, snap.regs[hist_paths[k - 1]])
+                gl.force_label(label, snap.reg(hist_paths[k - 1]))
             gl.step()
         gl.release_all()
         # Now load the matchable state and replay.
-        gl.load_dffs(name_map.load_commands(snap.regs))
+        gl.load_dffs(name_map.load_commands(snap))
         for mem_path, contents in snap.mems.items():
             gl.load_sram(mem_path, contents)
 
@@ -192,7 +192,7 @@ class TestRetimedReplay:
         snap = rtl.snapshot()
 
         gl = GateLevelSimulator(netlist)
-        gl.load_dffs(name_map.load_commands(snap.regs))
+        gl.load_dffs(name_map.load_commands(snap))
         mismatched = False
         for _ in range(4):
             x, y = rng.getrandbits(8), rng.getrandbits(8)

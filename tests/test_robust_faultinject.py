@@ -71,9 +71,11 @@ class TestSnapshotWireFormat:
 
     def test_v1_pickles_still_load(self, towers_run):
         snapshot = towers_run.snapshots[0]
+        inputs, outputs = zip(*(snapshot.cycle_io(t)
+                                for t in range(snapshot.recorded)))
         v1_state = ("v1", snapshot.cycle, snapshot.state,
-                    snapshot.replay_length, snapshot.input_trace,
-                    snapshot.output_trace, snapshot.perf_counters)
+                    snapshot.replay_length, list(inputs), list(outputs),
+                    snapshot.perf_counters)
         clone = ReplayableSnapshot.__new__(ReplayableSnapshot)
         clone.__setstate__(v1_state)
         assert clone.checksum is None

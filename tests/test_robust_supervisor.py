@@ -5,6 +5,7 @@ structured health report (repro.robust.supervisor)."""
 import copy
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import run_strober
@@ -145,8 +146,7 @@ class TestFatalErrors:
     def test_strict_mismatch_is_not_retried(self, towers_run):
         snaps = list(towers_run.snapshots)
         bad = copy.deepcopy(snaps[1])
-        bad.output_trace[0] = {k: v ^ 1
-                               for k, v in bad.output_trace[0].items()}
+        bad.output_trace[0] ^= 1     # bit 0 of every output, cycle 0
         bad.checksum = None      # reach the replay comparison itself
         with pytest.raises(ReplayError):
             _supervised(towers_run.engine, [snaps[0], bad, snaps[2]])
@@ -154,7 +154,8 @@ class TestFatalErrors:
     def test_corrupted_sealed_snapshot_is_rejected(self, towers_run):
         snaps = list(towers_run.snapshots)
         bad = copy.deepcopy(snaps[0])
-        bad.state.regs[sorted(bad.state.regs)[0]] ^= 1
+        paths = bad.state.reg_paths
+        bad.state.reg_values[paths.index(min(paths))] ^= np.uint64(1)
         with pytest.raises(SnapshotError):
             _supervised(towers_run.engine, [bad] + snaps[1:3])
 
