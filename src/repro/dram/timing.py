@@ -102,6 +102,28 @@ class MemoryEndpoint(Endpoint):
             self._busy = False
         return inputs
 
+    def quiet(self, outputs):
+        """Idle (until a request), absorbing write beats (until a beat)
+        and latency waits are quiet; accepting a request, a response
+        beat and a write ack need a tick."""
+        stall = {"mem_req_ready": 0, "mem_resp_valid": 0,
+                 "mem_resp_data": 0}
+        if not self._busy:
+            if outputs.get("mem_req_valid"):
+                return None
+            return dict(stall, mem_req_ready=1), ("mem_req_valid",), None
+        if self._rw and self._write_beats > 0:
+            if outputs.get("mem_wdata_valid"):
+                return None
+            return stall, ("mem_wdata_valid",), None
+        if self._wait > 0:
+            return stall, (), self._wait
+        return None
+
+    def skip(self, n):
+        if self._busy and not (self._rw and self._write_beats > 0):
+            self._wait -= n
+
 
 def make_memory_endpoint(latency=100, with_counters=True, line_words=8,
                          **counter_kwargs):

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from ..sim import make_simulator
 from ..sampling import ReservoirSampler
 from ..scan.chains import build_scan_chain_spec
@@ -27,11 +29,31 @@ class Endpoint:
 
     Subclasses implement :meth:`tick`, which receives the target's output
     token from the previous target cycle and returns the input token
-    (a dict of port values) for the next one.
+    (a dict of port values) for the next one.  An endpoint that is
+    usually idle also implements :meth:`quiet` and :meth:`skip`, so the
+    simulator can step the target through its idle stretches without a
+    tick per cycle.
     """
 
     def tick(self, outputs):
         raise NotImplementedError
+
+    def quiet(self, outputs):
+        """Promise the ticks of a quiet stretch, or None to be ticked.
+
+        ``outputs`` is what the next :meth:`tick` would receive.  A
+        promise ``(token, wake_outputs, max_cycles)`` says: for up to
+        ``max_cycles`` cycles (``None``: no bound) in which none of the
+        output ports named in ``wake_outputs`` is nonzero, :meth:`tick`
+        would return ``token`` and change no state except what
+        ``skip(n)`` applies.  The default promises nothing, so the
+        endpoint is ticked every cycle.
+        """
+        return None
+
+    def skip(self, n):
+        """Apply the state change of ``n`` cycles of a :meth:`quiet`
+        promise."""
 
     def reset(self):
         """Called when the simulation (re)starts."""
@@ -120,9 +142,21 @@ class Fame1Simulator:
         self._trace_layout = TraceLayout(
             [(name, width) for _, name, width in ports],
             [(name, driver.width) for name, driver in circuit.outputs])
+        self._out_index = {name: i
+                           for i, (name, _) in enumerate(circuit.outputs)}
+        # output rows of one quiet segment, for the pending snapshots
+        # (a segment never crosses a replay window boundary) and the
+        # full I/O trace
+        self._rows = np.zeros((replay_length, len(circuit.outputs)),
+                              dtype=np.uint64)
         self._last_outputs = {}
         self.record_full_io = False
         self.full_io_trace = []     # (inputs, outputs) per target cycle
+        # how run() spent the target cycles: one step_target call each,
+        # or inside quiet segments
+        self.python_cycles = 0
+        self.quiet_segments = 0
+        self.quiet_cycles = 0
         for endpoint in self.endpoints:
             endpoint.reset()
 
@@ -188,22 +222,111 @@ class Fame1Simulator:
             self.sampler.offer(make_item=self._capture_snapshot)
         return outputs
 
+    def _step_quiet(self, limit):
+        """Run the next cycles as one quiet segment of at most ``limit``
+        cycles, if every endpoint promises one (:meth:`Endpoint.quiet`).
+
+        Returns the number of cycles stepped: 0 when some endpoint must
+        be ticked this cycle.  The segment ends early on a wake output,
+        at the end of an endpoint's promise, and at the next replay
+        window boundary, so a capture still follows its cycle.
+        """
+        inputs = {}
+        wake = set()
+        for endpoint in self.endpoints:
+            promise = endpoint.quiet(self._last_outputs)
+            if promise is None:
+                return 0
+            token, wake_outputs, bound = promise
+            inputs.update(token)
+            wake.update(wake_outputs)
+            if bound is not None:
+                limit = min(limit, bound)
+        stats = self.stats
+        if self.sampler is not None:
+            limit = min(limit, self.replay_length
+                        - stats.target_cycles % self.replay_length)
+        rows = None
+        if self._pending or self.record_full_io:
+            rows = self._rows
+            limit = min(limit, len(rows))
+        sim = self.sim
+        sim.poke_all(inputs)
+        k = sim.step(limit, sorted(self._out_index[name] for name in wake
+                                   if name in self._out_index), rows)
+        if k == 0:
+            # a wake output already raised in the live vector (a reused
+            # simulator's last outputs before the first cycle of a run)
+            return 0
+
+        if self._pending:
+            live = sim.input_values()
+            in_row = [live[i] for i in self._in_cols]
+            for snapshot in self._pending:
+                snapshot.record_cycle(in_row, rows[:k])
+            if self._pending[0].complete:
+                self._pending = [s for s in self._pending
+                                 if not s.complete]
+        if self.record_full_io:
+            names = list(self._out_index)
+            self.full_io_trace.extend(
+                (dict(inputs), dict(zip(names, row)))
+                for row in rows[:k].tolist())
+        for endpoint in self.endpoints:
+            endpoint.skip(k)
+        self._last_outputs = sim.peek_all()
+
+        before = stats.target_cycles
+        stats.target_cycles += k
+        stats.host_cycles += k
+        if self.io_stall_period:
+            stalls = (stats.target_cycles // self.io_stall_period
+                      - before // self.io_stall_period)
+            stats.host_cycles += stalls * self.io_stall_cycles
+            stats.io_stall_host_cycles += stalls * self.io_stall_cycles
+        if (self.sampler is not None
+                and stats.target_cycles % self.replay_length == 0):
+            self.sampler.offer(make_item=self._capture_snapshot)
+        self.quiet_segments += 1
+        self.quiet_cycles += k
+        return k
+
     def run(self, max_cycles, stop_fn=None, progress_fn=None,
             progress_interval=None):
         """Run until ``stop_fn(outputs)`` is truthy or ``max_cycles``.
+
+        A cycle in which some endpoint must be ticked runs through
+        :meth:`step_target`; a stretch in which every endpoint is quiet
+        runs as one :meth:`_step_quiet` segment, which also ends at each
+        ``progress_interval`` boundary.  ``stop_fn`` is evaluated after
+        every :meth:`step_target` cycle and at the end of every segment,
+        so it may depend only on endpoint state or on outputs some
+        endpoint wakes on (``htif.halted``, say): what it would see in
+        the middle of a segment it must also see at the segment's end.
 
         Returns the final outputs dict.  Wall-clock time is accumulated
         into ``self.stats``.
         """
         t0 = time.perf_counter()
+        stats = self.stats
+        end = stats.target_cycles + max_cycles
+        if progress_fn is None:
+            progress_interval = None
         outputs = self._last_outputs
-        start = self.stats.target_cycles
-        while self.stats.target_cycles - start < max_cycles:
-            outputs = self.step_target()
+        while stats.target_cycles < end:
+            limit = end - stats.target_cycles
+            if progress_interval:
+                limit = min(limit, progress_interval
+                            - stats.target_cycles % progress_interval)
+            if self._step_quiet(limit):
+                outputs = self._last_outputs
+            else:
+                outputs = self.step_target()
+                self.python_cycles += 1
             if stop_fn is not None and stop_fn(outputs):
                 break
-            if (progress_fn is not None and progress_interval
-                    and self.stats.target_cycles % progress_interval == 0):
+            if (progress_interval
+                    and stats.target_cycles % progress_interval == 0):
                 progress_fn(self)
         self.stats.wall_seconds += time.perf_counter() - t0
         return outputs

@@ -1,8 +1,8 @@
 """Process-local metrics: counters, gauges, fixed-bucket histograms.
 
 Unlike the tracer — which is off unless a run asks for a trace — the
-registry is always live: an increment is one dict lookup and a float
-add, cheap enough for every cache hit and replay batch to count
+registry is always live: an increment is one dict lookup, a lock and a
+float add, cheap enough for every cache hit and replay batch to count
 unconditionally.  That makes it the single source of truth for
 quantities that used to live in ad-hoc module dicts (the artifact
 cache's ``STATS``) while staying visible to the trace exporter and the
@@ -19,69 +19,106 @@ from __future__ import annotations
 import threading
 
 
-class Counter:
+class _Instrument:
+    """Shared plumbing: every update holds the registry's lock (the one
+    :meth:`MetricsRegistry.drain` takes), and ``dirty`` marks an
+    instrument updated or created since the registry's last drain."""
+
+    __slots__ = ("name", "_lock", "dirty")
+
+    def __init__(self, name, lock=None):
+        self.name = name
+        self._lock = lock if lock is not None else threading.Lock()
+        self.dirty = True
+
+
+class Counter(_Instrument):
     """Monotonic accumulator (floats allowed: seconds saved, bytes…)."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("value",)
     kind = "counter"
 
-    def __init__(self, name):
-        self.name = name
+    def __init__(self, name, lock=None):
+        super().__init__(name, lock)
         self.value = 0.0
 
     def inc(self, amount=1.0):
-        self.value += amount
+        with self._lock:
+            self.value += amount
+            self.dirty = True
         return self
+
+    def _zero(self):
+        self.value = 0.0
 
     def as_dict(self):
         return {"kind": self.kind, "value": self.value}
 
 
-class Gauge:
+class Gauge(_Instrument):
     """Last-write-wins sample of a current level."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("value",)
     kind = "gauge"
 
-    def __init__(self, name):
-        self.name = name
+    def __init__(self, name, lock=None):
+        super().__init__(name, lock)
         self.value = 0.0
 
     def set(self, value):
-        self.value = float(value)
+        value = float(value)
+        with self._lock:
+            self.value = value
+            self.dirty = True
         return self
+
+    def _zero(self):
+        self.value = 0.0
 
     def as_dict(self):
         return {"kind": self.kind, "value": self.value}
 
 
-class Histogram:
+class Histogram(_Instrument):
     """Fixed-boundary histogram: ``boundaries`` are bucket upper edges
     (a final implicit +inf bucket catches the rest)."""
 
-    __slots__ = ("name", "boundaries", "counts", "total", "count")
+    __slots__ = ("boundaries", "counts", "total", "count")
     kind = "histogram"
 
-    def __init__(self, name, boundaries):
-        self.name = name
+    def __init__(self, name, boundaries, lock=None):
+        super().__init__(name, lock)
         self.boundaries = tuple(float(b) for b in boundaries)
         if list(self.boundaries) != sorted(self.boundaries):
             raise ValueError("histogram boundaries must be sorted")
-        self.counts = [0] * (len(self.boundaries) + 1)
-        self.total = 0.0
-        self.count = 0
+        self._zero()
 
     def observe(self, value):
         value = float(value)
         for i, edge in enumerate(self.boundaries):
             if value <= edge:
-                self.counts[i] += 1
                 break
         else:
-            self.counts[-1] += 1
-        self.total += value
-        self.count += 1
+            i = len(self.boundaries)
+        with self._lock:
+            self.counts[i] += 1
+            self.total += value
+            self.count += 1
+            self.dirty = True
         return self
+
+    def _add(self, counts, total, count):
+        with self._lock:
+            for i, c in enumerate(counts):
+                self.counts[i] += c
+            self.total += total
+            self.count += count
+            self.dirty = True
+
+    def _zero(self):
+        self.counts = [0] * (len(self.boundaries) + 1)
+        self.total = 0.0
+        self.count = 0
 
     @property
     def mean(self):
@@ -115,7 +152,8 @@ class MetricsRegistry:
             with self._lock:
                 inst = self._instruments.get(name)
                 if inst is None:
-                    inst = self._instruments[name] = cls(name, *extra)
+                    inst = self._instruments[name] = cls(
+                        name, *extra, lock=self._lock)
         if not isinstance(inst, cls):
             raise TypeError(f"metric {name!r} is a {inst.kind}, "
                             f"not a {cls.kind}")
@@ -132,18 +170,27 @@ class MetricsRegistry:
         return inst.mean if isinstance(inst, Histogram) else inst.value
 
     def snapshot(self, prefix=""):
-        """{name: as_dict()} for every instrument under ``prefix``."""
+        """{name: as_dict()} for every instrument under ``prefix``
+        created or updated since the last :meth:`drain`."""
         with self._lock:
             return {name: inst.as_dict()
                     for name, inst in self._instruments.items()
-                    if name.startswith(prefix)}
+                    if inst.dirty and name.startswith(prefix)}
 
     def drain(self):
-        """Snapshot everything and zero the registry (worker flushes)."""
+        """Snapshot everything and zero the registry (worker flushes).
+
+        Instruments stay registered and are zeroed in place under the
+        lock their updates take, so an update through a reference taken
+        before the drain lands in the next drain instead of being lost.
+        """
         with self._lock:
-            payload = {name: inst.as_dict()
-                       for name, inst in self._instruments.items()}
-            self._instruments = {}
+            payload = {}
+            for name, inst in self._instruments.items():
+                if inst.dirty:
+                    payload[name] = inst.as_dict()
+                    inst._zero()
+                    inst.dirty = False
         return payload
 
     def merge(self, payload, source=None):
@@ -172,10 +219,7 @@ class MetricsRegistry:
                         f"histogram {name!r} boundary mismatch on "
                         f"merge{origin}: have {list(hist.boundaries)}, "
                         f"payload {list(d['boundaries'])}")
-                for i, c in enumerate(d["counts"]):
-                    hist.counts[i] += c
-                hist.total += d["total"]
-                hist.count += d["count"]
+                hist._add(d["counts"], d["total"], d["count"])
             else:
                 raise ValueError(f"unknown metric kind "
                                  f"{kind!r}{origin}")

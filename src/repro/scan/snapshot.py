@@ -73,7 +73,7 @@ class ReplayableSnapshot:
     ``inputs`` / ``outputs`` are preallocated ``(replay_length, ports)``
     matrices in the port orders named by ``input_order`` /
     ``output_order``; :meth:`record_cycle` fills one row of each per
-    target cycle.
+    target cycle, or a block of rows per quiet segment.
 
     ``orders`` is ``None`` for a captured snapshot: its orders are the
     circuit's, which every simulator, name map and replay engine
@@ -107,9 +107,19 @@ class ReplayableSnapshot:
 
     def record_cycle(self, inputs, outputs):
         """Write one cycle's input and output rows (port order); cycles
-        beyond the window are ignored."""
+        beyond the window are ignored.
+
+        ``outputs`` may also be a ``(k, outputs)`` block of ``k``
+        cycles' rows, with ``inputs`` the one row held through them.
+        """
         t = self.recorded
-        if t < self.replay_length:
+        if getattr(outputs, "ndim", 1) == 2:
+            end = min(t + len(outputs), self.replay_length)
+            if end > t:
+                self.inputs[t:end] = inputs
+                self.outputs[t:end] = outputs[:end - t]
+                self.recorded = end
+        elif t < self.replay_length:
             self.inputs[t] = inputs
             self.outputs[t] = outputs
             self.recorded = t + 1

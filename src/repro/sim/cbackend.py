@@ -26,17 +26,37 @@ _CHUNK = 1500  # statements per generated C function (keeps gcc fast)
 _CFLAGS = ("-O1", "-fPIC", "-shared")
 
 # The fixed part of every generated simulator: the cycle entry point and
-# the state-access exports.  Its text is part of the ``csim`` cache key,
-# so a cached object built from an older copy (say, one lacking
-# ``mem_read``) is never loaded.  The design-specific part before it
-# defines V/R/GIN, the MEM tables, eval_all, commit_state and
-# write_outputs.
+# the multi-cycle ``run_quiet`` loop and the state-access exports.  Its
+# text is part of the ``csim`` cache key, so a cached object built from
+# an older copy (say, one lacking ``run_quiet``) is never loaded.  The
+# design-specific part before it defines N_IN/N_OUT, V/R/GIN, the MEM
+# tables, eval_all, commit_state and write_outputs.
 RUNTIME_C = """
 void cycle(const uint64_t* IN, uint64_t* OUT, int commit) {
-  memcpy(GIN, IN, sizeof(GIN));
+  memcpy(GIN, IN, N_IN * sizeof(uint64_t));
   eval_all();
   write_outputs(OUT);
   if (commit) commit_state();
+}
+
+/* Step up to n cycles with one input vector.  Before each cycle, stop
+   if any of the n_wake OUT indices in wake is nonzero; when rows is not
+   null, copy each stepped cycle's outputs to the next N_OUT-word row.
+   Returns the number of cycles stepped. */
+uint64_t run_quiet(const uint64_t* IN, uint64_t* OUT, uint64_t n,
+                   const int64_t* wake, int64_t n_wake, uint64_t* rows) {
+  uint64_t j;
+  int64_t w;
+  memcpy(GIN, IN, N_IN * sizeof(uint64_t));
+  for (j = 0; j < n; j++) {
+    for (w = 0; w < n_wake; w++)
+      if (OUT[wake[w]]) return j;
+    eval_all();
+    write_outputs(OUT);
+    commit_state();
+    if (rows) memcpy(rows + j * N_OUT, OUT, N_OUT * sizeof(uint64_t));
+  }
+  return n;
 }
 
 void get_regs(uint64_t* out) { memcpy(out, R, sizeof(R)); }
@@ -198,6 +218,8 @@ def generate_c_source(circuit):
         f"static uint64_t V[{n_slots}];",
         f"static uint64_t R[{max(len(circuit.regs), 1)}];",
         f"static uint64_t GIN[{max(len(circuit.inputs), 1)}];",
+        f"static const uint64_t N_IN = {len(circuit.inputs)};",
+        f"static const uint64_t N_OUT = {len(circuit.outputs)};",
     ]
     for mem, idx in mem_index.items():
         parts.append(f"static uint64_t MEM{idx}[{mem.depth}];")
@@ -338,6 +360,8 @@ _U64P = ctypes.POINTER(ctypes.c_uint64)
 # resolved at load time, so an object lacking one is rebuilt at once.
 _EXPORTS = (
     ("cycle", [_U64P, _U64P, ctypes.c_int], None),
+    ("run_quiet", [_U64P, _U64P, ctypes.c_uint64, ctypes.c_void_p,
+                   ctypes.c_int64, ctypes.c_void_p], ctypes.c_uint64),
     ("get_regs", [_U64P], None),
     ("set_regs", [_U64P], None),
     ("reg_get", [ctypes.c_int64], ctypes.c_uint64),
@@ -364,11 +388,13 @@ def compile_circuit_c(circuit, keep_dir=None, use_cache=True):
     """Compile a circuit to a shared object and wrap it ctypes-side.
 
     Returns ``(cycle_fn, layout)`` matching the Python backend interface,
-    except state lives inside the shared object (proxied by
-    :class:`CRegProxy` / :class:`CMemProxy`).  Every call loads its own
-    copy of the object from a unique path, so each simulator gets private
-    state; the directory is removed once the object is loaded (the
-    mapping outlives the file) unless ``keep_dir`` names it.
+    except that the input and output vectors must be ``ctypes.c_uint64``
+    arrays, passed to the C call as they are, and state lives inside
+    the shared object (proxied by :class:`CRegProxy` / :class:`CMemProxy`).
+    Every call loads its own copy of the object from a unique path, so
+    each simulator gets private state; the directory is removed once the
+    object is loaded (the mapping outlives the file) unless ``keep_dir``
+    names it.
     """
     workdir = keep_dir or tempfile.mkdtemp(prefix="repro_csim_")
     try:
@@ -384,19 +410,10 @@ def compile_circuit_c(circuit, keep_dir=None, use_cache=True):
         if not keep_dir:
             shutil.rmtree(workdir, ignore_errors=True)
 
-    n_in = max(len(circuit.inputs), 1)
-    n_out = max(len(circuit.outputs), 1)
-    in_buf = (ctypes.c_uint64 * n_in)()
-    out_buf = (ctypes.c_uint64 * n_out)()
-
     def cycle_fn(inputs, outputs, regs, mems, commit):
-        # regs/mems lists are proxies (see RTLSimulator wiring below);
-        # the authoritative state lives inside the shared object.
-        for i, value in enumerate(inputs):
-            in_buf[i] = value
-        lib.cycle(in_buf, out_buf, 1 if commit else 0)
-        for i in range(len(outputs)):
-            outputs[i] = out_buf[i]
+        # regs/mems are proxies (see RTLSimulator wiring); the
+        # authoritative state lives inside the shared object.
+        lib.cycle(inputs, outputs, 1 if commit else 0)
 
     cycle_fn.lib = lib
     return cycle_fn, layout

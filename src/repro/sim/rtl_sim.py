@@ -7,6 +7,8 @@ the reference model when validating gate-level replays.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from ..hdl.ir import mask
@@ -28,16 +30,20 @@ class RTLSimulator:
         if backend == "c":
             from .cbackend import compile_circuit_c, CRegProxy, CMemProxy
             self._cycle, self._layout = compile_circuit_c(circuit)
-            lib = self._cycle.lib
+            self._lib = lib = self._cycle.lib
             self._regs = CRegProxy(lib, len(circuit.regs))
             self._mems = [CMemProxy(lib, i, mem.depth, mem.width)
                           for i, mem in enumerate(circuit.mems)]
+            # the live vectors are the C calls' own buffers
+            self._in = (ctypes.c_uint64 * len(circuit.inputs))()
+            self._out = (ctypes.c_uint64 * len(circuit.outputs))()
         else:
             self._cycle, self._layout = compile_circuit_cached(circuit)
+            self._lib = None
             self._regs = [0] * len(circuit.regs)
             self._mems = [[0] * mem.depth for mem in circuit.mems]
-        self._in = [0] * len(circuit.inputs)
-        self._out = [0] * len(circuit.outputs)
+            self._in = [0] * len(circuit.inputs)
+            self._out = [0] * len(circuit.outputs)
         self._in_widths = [node.width for node in circuit.inputs]
         self._reg_list = list(circuit.regs)
         self._mem_list = list(circuit.mems)
@@ -145,13 +151,43 @@ class RTLSimulator:
         """Settle combinational logic without a clock edge."""
         self._cycle(self._in, self._out, self._regs, self._mems, False)
 
-    def step(self, n=1):
-        """Advance ``n`` clock cycles with the currently poked inputs."""
-        cycle_fn = self._cycle
-        inp, out, regs, mems = self._in, self._out, self._regs, self._mems
-        for _ in range(n):
-            cycle_fn(inp, out, regs, mems, True)
-        self.cycle += n
+    def step(self, n=1, wake=(), rows=None):
+        """Advance up to ``n`` clock cycles with the currently poked inputs.
+
+        Before each cycle, stop if the live output vector is nonzero at
+        any output index in ``wake``.  With ``rows``, a C-contiguous
+        ``uint64`` array of at least ``n`` rows by one column per output,
+        write each stepped cycle's outputs to the next row.  Returns the
+        number of cycles stepped.
+        """
+        if rows is not None and (
+                rows.dtype != np.uint64 or not rows.flags.c_contiguous
+                or rows.ndim != 2 or rows.shape[0] < n
+                or rows.shape[1] != len(self._out)):
+            raise ValueError(
+                f"rows must be a C-contiguous uint64 array of at least "
+                f"({n}, {len(self._out)}), not {rows.dtype} {rows.shape}")
+        if wake and not all(0 <= w < len(self._out) for w in wake):
+            raise ValueError(f"wake index out of range: {list(wake)}")
+        if self._lib is not None:
+            stepped = self._lib.run_quiet(
+                self._in, self._out, n,
+                (ctypes.c_int64 * len(wake))(*wake) if wake else None,
+                len(wake), None if rows is None else rows.ctypes.data)
+        else:
+            cycle_fn = self._cycle
+            inp, out, regs, mems = (self._in, self._out, self._regs,
+                                    self._mems)
+            stepped = 0
+            while stepped < n:
+                if wake and any(out[w] for w in wake):
+                    break
+                cycle_fn(inp, out, regs, mems, True)
+                if rows is not None:
+                    rows[stepped] = out
+                stepped += 1
+        self.cycle += stepped
+        return stepped
 
     # -- introspection --------------------------------------------------------
 

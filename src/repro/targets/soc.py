@@ -188,6 +188,13 @@ class HtifEndpoint(Endpoint):
                     self._resp = 0
         return inputs
 
+    def quiet(self, outputs):
+        """Quiet until an MMIO request, unless a response is due."""
+        if self._resp is not None or outputs.get("mmio_req_valid"):
+            return None
+        return ({"mmio_resp_valid": 0, "mmio_resp_data": 0},
+                ("mmio_req_valid",), None)
+
 
 def build_soc_circuit(core_factory, icache_kib=16, dcache_kib=16,
                       line_words=8, fetch_width=1, name=None):
@@ -257,7 +264,7 @@ def run_workload(circuit, source, max_cycles=2_000_000, mem_latency=20,
     The circuit is FAME1-transformed in place on first use; the memory
     endpoint is preloaded with the program image.
     """
-    from ..obs import get_tracer
+    from ..obs import get_registry, get_tracer
     tracer = get_tracer()
     with tracer.span("fame.assemble", cat="fame"):
         program = assemble(source) if isinstance(source, str) else source
@@ -281,6 +288,12 @@ def run_workload(circuit, source, max_cycles=2_000_000, mem_latency=20,
                  stop_fn=lambda outs: htif.halted,
                  progress_fn=progress_fn,
                  progress_interval=progress_interval)
+        loop = {"python_cycles": fame.python_cycles,
+                "quiet_segments": fame.quiet_segments,
+                "quiet_cycles": fame.quiet_cycles}
         span.set(cycles=fame.stats.target_cycles,
-                 snapshots=len(fame.snapshots))
+                 snapshots=len(fame.snapshots), **loop)
+    registry = get_registry()
+    for name, count in loop.items():
+        registry.counter(f"fame.{name}").inc(count)
     return WorkloadResult(fame, htif, memory)

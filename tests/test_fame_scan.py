@@ -210,7 +210,14 @@ class TestFame1Simulator:
         fame = self._build()
         fame.run(max_cycles=10000,
                  stop_fn=lambda outs: outs["acc"] > 50)
-        assert fame.stats.target_cycles < 10000
+        stopped = fame.stats.target_cycles
+        assert stopped < 10000
+        # _Stim promises no quiet stretch, so every cycle is checked and
+        # the run stops at the first one with acc > 50
+        twin = self._build()
+        accs = [twin.run(max_cycles=1)["acc"] for _ in range(stopped)]
+        assert [acc > 50 for acc in accs].index(True) == stopped - 1
+        assert fame.python_cycles == stopped and fame.quiet_cycles == 0
 
     def test_sampling_produces_complete_snapshots(self):
         fame = self._build(replay_length=8, sample_size=5, seed=1)

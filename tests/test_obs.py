@@ -5,6 +5,7 @@ cache-stats-from-registry visibility, the report CLI, and the
 tolerant ``_merge_timings``."""
 
 import json
+import sys
 import threading
 import time
 
@@ -524,13 +525,19 @@ class TestConcurrentDrainMerge:
         producers = [threading.Thread(target=producer, args=(reg,))
                      for reg in workers]
         merge_thread = threading.Thread(target=merger)
-        merge_thread.start()
-        for t in producers:
-            t.start()
-        for t in producers:
-            t.join()
-        stop.set()
-        merge_thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)      # interleave as often as possible
+        try:
+            merge_thread.start()
+            for t in producers:
+                t.start()
+            for t in producers:
+                t.join(timeout=60)
+            stop.set()
+            merge_thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [*producers, merge_thread])
         for i, reg in enumerate(workers):   # final sweep
             parent.merge(reg.drain(), source=f"worker-{i}")
         assert not errors
@@ -538,6 +545,23 @@ class TestConcurrentDrainMerge:
         hist = parent.get("h")
         assert hist.count == 4 * per_thread
         assert sum(hist.counts) == 4 * per_thread
+
+    def test_update_through_a_held_reference_survives_drain(self):
+        """A producer that took its instrument before a drain and updates
+        it after: the update ships with the next drain."""
+        reg = MetricsRegistry()
+        counter, hist = reg.counter("c"), reg.histogram("h", (1,))
+        counter.inc()
+        hist.observe(0)
+        first = reg.drain()
+        counter.inc(2)
+        hist.observe(5)
+        second = reg.drain()
+        assert first["c"]["value"] == 1.0
+        assert second["c"]["value"] == 2.0
+        assert first["h"]["counts"] == [1, 0]
+        assert second["h"]["counts"] == [0, 1]
+        assert reg.drain() == {}
 
 
 class TestPromExposition:
