@@ -11,9 +11,11 @@ simulation.  Both substrates here are Python, so the *measured* gap is
 smaller; the modeled gap with the paper's constants reproduces the
 paper's orders (see EXPERIMENTS.md).
 
-Also measures the worker-pool replay speedup (snapshot replays are
-embarrassingly parallel, Section IV-C) and writes every number to
-``results/BENCH_speedup.json``.
+Also measures the worker-pool speedup of one-snapshot interpreted
+replays (snapshot replays are embarrassingly parallel, Section IV-C;
+on the default 64-lane C-kernel path one process is faster than any
+pool, so ``workers`` is for crash isolation) and writes every number
+to ``results/BENCH_speedup.json``.
 """
 
 import os
@@ -51,7 +53,8 @@ def test_speedup_hierarchy(benchmark, workers):
         rates["fame1 (cycles/s)"] = result.cycles \
             / max(result.stats.wall_seconds, 1e-9)
 
-        # gate-level simulation rate of the same design
+        # gate-level simulation rate of the same design: the one-lane
+        # interpreted simulator, the scalar baseline
         engine = get_replay_engine("rocket_mini")
         gl = GateLevelSimulator(engine.flow.netlist)
         t0 = time.perf_counter()
@@ -67,8 +70,9 @@ def test_speedup_hierarchy(benchmark, workers):
     modeled_gate = gate_sim_time(100e9) / model.t_overall_s
     modeled_uarch = uarch_sim_time(100e9) / model.t_overall_s
 
-    # worker-pool replay: serial vs parallel replay_all on the same
-    # snapshot set (>=8 snapshots so the pool has real work to split)
+    # worker-pool replay: serial vs parallel one-snapshot interpreted
+    # replays of the same snapshot set (>=8 snapshots so the pool has
+    # real work to split)
     circuit, _ = get_circuits("rocket_mini")
     sample = run_workload(circuit, MICROBENCHMARKS["towers"](n=7),
                           max_cycles=2_000_000, mem_latency=20,
@@ -77,13 +81,13 @@ def test_speedup_hierarchy(benchmark, workers):
     assert sample.passed
     snaps = sample.snapshots
     assert len(snaps) >= 8
-    engine = get_replay_engine("rocket_mini")
+    engine = get_replay_engine("rocket_mini", gl_backend="interp")
     n_workers = max(2, workers)
     t0 = time.perf_counter()
-    serial = engine.replay_all(snaps, workers=1)
+    serial = engine.replay_all(snaps, workers=1, batch_lanes=1)
     replay_serial_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    parallel = engine.replay_all(snaps, workers=n_workers)
+    parallel = engine.replay_all(snaps, workers=n_workers, batch_lanes=1)
     replay_parallel_s = time.perf_counter() - t0
     assert [r.power.total_w for r in serial] == \
         [r.power.total_w for r in parallel]
@@ -134,9 +138,9 @@ def test_speedup_hierarchy(benchmark, workers):
 def test_batched_replay_speedup(workers, batch_lanes):
     """Bit-parallel lane batching vs the scalar replay paths.
 
-    Measures snapshot replay throughput in four modes — serial scalar,
-    single-process batched, scalar worker pool, and batched x pool —
-    verifies all four are bit-identical, and writes
+    Measures interpreted snapshot replay throughput in four modes —
+    serial one-lane, single-process batched, one-lane worker pool, and
+    batched x pool — verifies all four are bit-identical, and writes
     ``results/BENCH_replay_batch.json``.  ``--batch-lanes`` narrows the
     lane width for quick smoke runs (CI uses 16).
     """
@@ -152,7 +156,7 @@ def test_batched_replay_speedup(workers, batch_lanes):
                           replay_length=32, seed=7)
     assert sample.passed
     snaps = sample.snapshots
-    engine = get_replay_engine("rocket_mini")
+    engine = get_replay_engine("rocket_mini", gl_backend="interp")
     # lanes per batch in the combined mode, so the pool has one batch
     # per worker rather than a single 64-lane batch on one worker
     combo_lanes = max(1, lanes // n_workers)
@@ -162,10 +166,10 @@ def test_batched_replay_speedup(workers, batch_lanes):
         results = engine.replay_all(snaps, **kwargs)
         return results, time.perf_counter() - t0
 
-    serial, t_serial = timed(workers=1)
+    serial, t_serial = timed(workers=1, batch_lanes=1)
     batched, t_batched = timed(workers=1, batch_lanes=lanes)
     halved, t_halved = timed(workers=1, batch_lanes=combo_lanes)
-    pooled, t_pool = timed(workers=n_workers)
+    pooled, t_pool = timed(workers=n_workers, batch_lanes=1)
     combo, t_combo = timed(workers=n_workers, batch_lanes=combo_lanes)
     for other in (batched, halved, pooled, combo):
         assert [r.power.total_w for r in other] == \

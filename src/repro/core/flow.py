@@ -83,7 +83,7 @@ def compute_run_key(design, workload, sample_size, replay_length,
                     max_cycles, seed, workload_kwargs):
     """Short stable id over a run's identity parameters.
 
-    Backend/overlap/lane/worker knobs are deliberately excluded — they
+    Backend/lane/worker knobs are deliberately excluded — they
     are bit-identical execution strategies, and the correlation id
     should survive a re-run under a different strategy (the history
     row records those knobs separately as ``config``).
@@ -96,8 +96,7 @@ def compute_run_key(design, workload, sample_size, replay_length,
 
 
 _CIRCUIT_CACHE = {}
-_ENGINE_CACHE = {}   # (design, freq_hz, gl_backend, gl_overlap)
-                     #   -> ReplayEngine
+_ENGINE_CACHE = {}   # (design, freq_hz, gl_backend) -> ReplayEngine
 
 
 def clear_caches(disk=False):
@@ -156,27 +155,27 @@ def get_circuits(design):
 
 
 def get_replay_engine(design, freq_hz=None, use_cache=True, debug=False,
-                      gl_backend=None, gl_overlap=None):
+                      gl_backend=None):
     """The (cached) gate-level replay engine for a named configuration.
 
-    Keyed by ``(design, freq_hz, gl_backend, gl_overlap)``: the
-    frequency feeds straight into power analysis, the gate-level
-    evaluation backend owns a native kernel, and the thread-overlap
-    setting sizes the engine's batch thread pool, so none may share a
-    cache slot.  ``use_cache=False`` skips the on-disk artifact cache
-    (the in-memory engine cache still applies); ``debug=True`` runs the
-    structural IR verifier between the ASIC pipeline's passes.
+    Keyed by ``(design, freq_hz, gl_backend)``: the frequency feeds
+    straight into power analysis and the gate-level evaluation backend
+    owns a native kernel, so neither may share a cache slot.
+    ``gl_backend`` defaults to ``auto`` (the C kernel where a compiler
+    exists; ``$REPRO_GL_BACKEND`` overrides).  ``use_cache=False``
+    skips the on-disk artifact cache (the in-memory engine cache still
+    applies); ``debug=True`` runs the structural IR verifier between
+    the ASIC pipeline's passes.
     """
-    from ..gatelevel.glcodegen import resolve_backend, resolve_overlap
+    from ..gatelevel.glcodegen import resolve_backend
     gl_backend = resolve_backend(gl_backend)
-    gl_overlap = resolve_overlap(gl_overlap)
-    key = (design, freq_hz, gl_backend, gl_overlap)
+    key = (design, freq_hz, gl_backend)
     if key not in _ENGINE_CACHE:
         _, target = get_circuits(design)
         flow = _soc_asic_flow(target, use_cache=use_cache, debug=debug)
         _ENGINE_CACHE[key] = ReplayEngine(
             target, flow=flow, grouping=soc_grouping, freq_hz=freq_hz,
-            gl_backend=gl_backend, overlap=gl_overlap)
+            gl_backend=gl_backend)
     return _ENGINE_CACHE[key]
 
 
@@ -184,43 +183,37 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
                 max_cycles=2_000_000, backend="auto", seed=0,
                 confidence=0.99, workload_kwargs=None, strict_replay=True,
                 record_full_io=False, workers=1, journal=None,
-                replay_timeout=None, replay_retries=2, batch_lanes=1,
-                gl_backend=None, gl_overlap=None, debug=False,
+                replay_timeout=None, replay_retries=2, batch_lanes=None,
+                gl_backend=None, debug=False,
                 trace=None, tracer=None,
                 serial_gl_backend=None, fault_plan=None,
                 target_rel_error=None, min_sample=None, max_sample=None):
     """The headline API: energy-evaluate ``workload`` on ``design``.
 
     ``workload`` is a benchmark name from :data:`ALL_PROGRAMS` or a
-    literal assembly source string.  ``workers`` fans snapshot replays
-    out across that many processes (``None`` = all CPUs; 1 = serial);
-    multi-worker replays run under the fault-tolerant supervisor
-    (``replay_timeout`` seconds per snapshot, ``replay_retries``
-    attempts before the in-process fallback) and the resulting
-    :class:`~repro.robust.ReplayHealthReport` lands on the returned
-    run's ``health`` field.
+    literal assembly source string.
 
-    ``batch_lanes`` packs up to that many snapshots (``None`` = 64)
-    into the bit lanes of one batched gate-level replay, multiplying —
-    not replacing — the worker-process parallelism.  Results are
-    bit-identical to serial scalar replay for any setting.
+    With no knobs, replay takes the fast path: ``batch_lanes=None``
+    packs up to 64 snapshots into the bit lanes of one batched
+    gate-level replay, and ``gl_backend=None`` means ``"auto"`` — the
+    native C kernel (built once per host) where a C compiler exists,
+    the interpreter where none does; ``$REPRO_GL_BACKEND`` overrides
+    the default.  ``"c"`` and ``"interp"`` pick a backend explicitly
+    (``"c"`` warns when it has to fall back).  Results are
+    bit-identical for any lane count and backend, so both are
+    recorded in the journal run key as advisory provenance only — a
+    journal written under one setting resumes under another.  The
+    backend that actually ran lands in ``timings["gl_backend"]``.
 
-    ``gl_backend`` selects the gate-level evaluation strategy for
-    batched replays: ``"interp"`` (default), ``"c"`` (the native
-    kernel, built once per host), or ``"auto"`` (``c`` where a C
-    compiler exists); ``$REPRO_GL_BACKEND`` supplies the default.
-    Backends are bit-identical, so the choice is recorded in the
-    journal run key as advisory provenance only — a journal written
-    under one backend resumes under another.
-
-    ``gl_overlap`` keeps up to that many replay batches in flight on
-    threads *within* each process (``$REPRO_GL_OVERLAP`` supplies the
-    default, 1 = off).  The native ``run_cycles`` kernel releases the
-    GIL for a batch's whole trace, so overlap buys real parallelism
-    without worker processes — and composes with ``workers``, where
-    each worker overlaps its own super-task of batches.  Results are
-    bit-identical for any setting; like the backend it is advisory in
-    the journal run key.
+    ``workers`` > 1 replays batches in that many supervised worker
+    processes (``None`` = all CPUs; 1, the default, = in-process).
+    That isolates crashes and hangs in the gate-level kernel; it does
+    not make replay faster, because one process replays a 64-lane
+    batch on the C kernel in less time than a pool takes to start.
+    Supervised runs use ``replay_timeout`` seconds per snapshot and
+    ``replay_retries`` attempts before the in-process fallback, and the
+    resulting :class:`~repro.robust.ReplayHealthReport` lands on the
+    returned run's ``health`` field.
 
     Every circuit transform runs through the pass pipeline
     (:mod:`repro.passes`): the FAME1 decoupling on the simulator
@@ -264,10 +257,12 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
 
     ``target_rel_error`` switches the replay phase into *adaptive*
     mode: snapshots are replayed in confidence-driven (bit-reversal)
-    order and the run stops — cancelling in-flight batches without
-    killing the pool — the moment the eq.-7 confidence interval's
-    relative error drops to the target (a fraction, e.g. ``0.05`` for
-    ±5%), bounded below by ``min_sample`` (default 2) and above by
+    order, in batches that start at ``min_sample`` lanes and double up
+    to ``batch_lanes``, and the run stops — cancelling in-flight
+    batches without killing the pool — the moment the eq.-7
+    confidence interval's relative error drops to the target (a
+    fraction, e.g. ``0.05`` for ±5%), bounded below by
+    ``min_sample`` (default 2) and above by
     ``max_sample`` (default: every sampled snapshot).  The stop
     reason, sample size, final relative error, and fraction of
     snapshots replayed land on the returned run's ``sampling`` dict
@@ -277,10 +272,9 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
     every snapshot is replayed and results are bit-identical to the
     fixed-sample pipeline.
     """
-    from ..gatelevel.glcodegen import resolve_backend, resolve_overlap
+    from ..gatelevel.glcodegen import resolve_backend
     batch_lanes = 64 if batch_lanes is None else int(batch_lanes)
     gl_backend = resolve_backend(gl_backend)
-    gl_overlap = resolve_overlap(gl_overlap)
     workload_name = workload if workload in ALL_PROGRAMS else "(custom)"
     run_key = compute_run_key(design, workload_name, sample_size,
                               replay_length, max_cycles, seed,
@@ -305,8 +299,7 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
                 record_full_io=record_full_io, workers=workers,
                 journal=journal, replay_timeout=replay_timeout,
                 replay_retries=replay_retries, batch_lanes=batch_lanes,
-                gl_backend=gl_backend, gl_overlap=gl_overlap,
-                debug=debug, tracer=tracer,
+                gl_backend=gl_backend, debug=debug, tracer=tracer,
                 serial_gl_backend=serial_gl_backend,
                 fault_plan=fault_plan,
                 target_rel_error=target_rel_error,
@@ -333,7 +326,7 @@ def _run_strober(design, workload, *, sample_size, replay_length,
                  max_cycles, backend, seed, confidence, workload_kwargs,
                  strict_replay, record_full_io, workers, journal,
                  replay_timeout, replay_retries, batch_lanes, gl_backend,
-                 gl_overlap, debug, tracer, serial_gl_backend=None,
+                 debug, tracer, serial_gl_backend=None,
                  fault_plan=None, target_rel_error=None,
                  min_sample=None, max_sample=None):
     """The traced flow body; ``tracer`` is already installed."""
@@ -363,12 +356,11 @@ def _run_strober(design, workload, *, sample_size, replay_length,
             "seed": seed,
             "strict_replay": bool(strict_replay),
             "workload_kwargs": workload_kwargs or {},
-            "batch_lanes": batch_lanes,
-            # advisory provenance: backends and thread overlap are
+            # advisory provenance: lane counts and backends are
             # bit-identical, so resume comparison ignores these keys
             # (see journal module)
+            "batch_lanes": batch_lanes,
             "gl_backend": gl_backend,
-            "gl_overlap": gl_overlap,
             # advisory sampling knobs: resume comparison ignores these
             # too — that is what makes incremental re-sampling work
             # (reopen the same journal with a tighter target and only
@@ -442,8 +434,7 @@ def _run_strober(design, workload, *, sample_size, replay_length,
         with tracer.span("phase.flow", cat="phase") as flow_span:
             engine = get_replay_engine(design, freq_hz=config.freq_hz,
                                        debug=debug,
-                                       gl_backend=gl_backend,
-                                       gl_overlap=gl_overlap)
+                                       gl_backend=gl_backend)
             flow_span.set(cache_hit=engine.flow.cache_hit)
         flow_seconds = flow_span.dur
 
@@ -464,7 +455,9 @@ def _run_strober(design, workload, *, sample_size, replay_length,
             controller.seed(done[i].power.total_mw
                             for i in sorted(done))
             order = controller.plan_order(pending)
-            cancel = CancelToken()
+            # Only an adaptive run can stop early: it gets a cancel
+            # token, and with it batches that ramp up from min_sample.
+            cancel = CancelToken() if controller.adaptive else None
             # The stream labels every result with its *original*
             # snapshot index, so out-of-order completion under a
             # worker pool can never journal a result under the wrong
@@ -475,7 +468,7 @@ def _run_strober(design, workload, *, sample_size, replay_length,
                     timeout=replay_timeout, max_retries=replay_retries,
                     batch_lanes=batch_lanes, fault_plan=fault_plan,
                     serial_gl_backend=serial_gl_backend, order=order,
-                    cancel=cancel):
+                    cancel=cancel, ramp=controller.min_sample):
                 done[idx] = replay_result
                 if journal_file is not None:
                     journal_file.append(TYPE_RESULT,
@@ -531,8 +524,7 @@ def _run_strober(design, workload, *, sample_size, replay_length,
                 "energy_seconds": energy_seconds,
                 "workers": workers,
                 "batch_lanes": batch_lanes,
-                "gl_backend": engine.gl_backend,
-                "gl_overlap": engine.gl_overlap,
+                "gl_backend": engine.backend_used,
                 "flow_cache_hit": engine.flow.cache_hit,
                 "resumed_sim": resume is not None,
                 "resumed_replays": len(resume.results) if resume else 0,

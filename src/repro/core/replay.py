@@ -11,7 +11,6 @@ power-analysis tool.
 
 from __future__ import annotations
 
-import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..gatelevel import (
-    verify_equivalence, GateLevelSimulator, BatchedGateLevelSimulator,
+    verify_equivalence, BatchedGateLevelSimulator,
     build_schedule, pack_lane_words, MAX_LANES, SCHEDULE_VERSION,
     PackedStimulus, StimulusMismatch, lane_ops,
     analyze_power, default_grouping, SynthesisPass, PlacementPass,
@@ -33,9 +32,13 @@ from ..sim.state import name_order, resolve_order
 # Histogram buckets for how full replay batches run (lanes per batch).
 _LANE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 
+# Cycles of a full trace packed into one stimulus (bounds the packing
+# buffers; activity accumulates across windows).
+_TRACE_WINDOW = 1024
+
 
 def _note_replay(n_lanes, n_cycles, toggles):
-    """Per-batch bookkeeping shared by the scalar and batched paths."""
+    """Per-batch replay bookkeeping."""
     registry = get_registry()
     registry.counter("replay.batches").inc()
     registry.counter("replay.snapshots").inc(n_lanes)
@@ -127,50 +130,37 @@ def make_replay_batches(snapshots, lanes):
     step the same number of cycles).  ``N % lanes != 0`` simply leaves
     a ragged final batch.
     """
-    if not 1 <= lanes <= MAX_LANES:
-        raise ValueError(f"lanes must be in 1..{MAX_LANES}, got {lanes}")
-    batches = []
-    current = []
-    current_len = None
-    for i, snapshot in enumerate(snapshots):
-        n_cycles = len(snapshot.input_trace)
-        if current and (len(current) >= lanes
-                        or n_cycles != current_len):
-            batches.append(current)
-            current = []
-        current.append(i)
-        current_len = n_cycles
-    if current:
-        batches.append(current)
-    return batches
+    return plan_replay_batches(snapshots, lanes)
 
 
-def plan_replay_batches(snapshots, lanes, order=None):
+def plan_replay_batches(snapshots, lanes, order=None, ramp=None):
     """Pack snapshot indices into bit-lane batches following ``order``.
 
-    The ``order``-aware generalization of :func:`make_replay_batches`:
     ``order`` is a sequence of snapshot positions (a permutation, or a
     strict subset for incremental re-sampling) giving the dispatch
-    order; batches group *adjacent-in-order* indices sharing one trace
-    length, at most ``lanes`` per batch.  With ``order=None`` this is
-    exactly :func:`make_replay_batches` — natural order over all
-    snapshots — so fixed-sample runs batch byte-identically to the
-    historical path.
+    order, natural order over all snapshots when ``None``; batches
+    group *adjacent-in-order* indices sharing one trace length, at most
+    ``lanes`` per batch.  With ``ramp`` the lane limit grows instead:
+    the first batch holds at most ``ramp`` snapshots and each later
+    batch twice as many as the one before, up to ``lanes`` — so a
+    stream stopped early has replayed little past its stop.
     """
-    if order is None:
-        return make_replay_batches(snapshots, lanes)
     if not 1 <= lanes <= MAX_LANES:
         raise ValueError(f"lanes must be in 1..{MAX_LANES}, got {lanes}")
     snapshots = list(snapshots)
+    if order is None:
+        order = range(len(snapshots))
+    limit = lanes if ramp is None else max(1, min(int(ramp), lanes))
     batches = []
     current = []
     current_len = None
     for i in order:
         n_cycles = len(snapshots[i].input_trace)
-        if current and (len(current) >= lanes
+        if current and (len(current) >= limit
                         or n_cycles != current_len):
             batches.append(current)
             current = []
+            limit = min(limit * 2, lanes)
         current.append(i)
         current_len = n_cycles
     if current:
@@ -313,35 +303,31 @@ class ReplayEngine:
 
     ``circuit`` must be the un-transformed RTL circuit — the gate-level
     netlist corresponds to the tapeout design, not the FPGA simulator.
+    Every replay runs in the bit lanes of a
+    :class:`~repro.gatelevel.BatchedGateLevelSimulator` on the engine's
+    evaluation kernel: ``gl_backend`` (default ``auto``, the C kernel
+    where a compiler exists) as resolved by
+    :func:`~repro.gatelevel.resolve_backend`.
     """
 
     def __init__(self, circuit, flow=None, grouping=default_grouping,
                  freq_hz=None, verify_equiv=False, port_names=None,
-                 gl_backend=None, overlap=None):
+                 gl_backend=None):
         if circuit is None and flow is None:
             raise ValueError("ReplayEngine needs a circuit or a flow")
         self.circuit = circuit
         self.flow = flow or run_asic_flow(circuit, verify=verify_equiv)
         self.grouping = grouping
         self.freq_hz = freq_hz
-        # One levelized schedule (cached on disk next to the flow)
-        # shared by the scalar simulator and every batched simulator.
+        # One levelized schedule (cached on disk next to the flow) and
+        # one native kernel (built-or-cache-loaded here, at engine init)
+        # shared by every simulator: both are netlist- and
+        # lane-oblivious.
         self._schedule = load_levelized_schedule(self.flow)
-        self.gl = GateLevelSimulator(self.flow.netlist,
-                                     schedule=self._schedule)
-        # One native kernel (built-or-cache-loaded here, at engine
-        # init) shared by every batched simulator: the kernel is
-        # netlist- and lane-oblivious.
-        from ..gatelevel.glcodegen import (
-            build_kernel, resolve_backend, resolve_overlap)
+        from ..gatelevel.glcodegen import build_kernel, resolve_backend
         self.gl_backend = resolve_backend(gl_backend)
-        self.gl_overlap = resolve_overlap(overlap)
         self._gl_kernel = build_kernel(self.flow.netlist, self.gl_backend)
-        # (thread,) lanes -> BatchedGateLevelSimulator; keyed by thread
-        # as well when overlap threads each need a private simulator.
-        self._batched = {}
-        self._batched_lock = threading.Lock()
-        self._overlap_pool = None
+        self._sims = {}     # lanes -> BatchedGateLevelSimulator
         if port_names is None:
             if circuit is not None:
                 port_names = replay_port_names(circuit)
@@ -359,102 +345,33 @@ class ReplayEngine:
 
     @classmethod
     def from_flow(cls, flow, port_names=None, grouping=default_grouping,
-                  freq_hz=None, gl_backend=None, overlap=None):
+                  freq_hz=None, gl_backend=None):
         """Rebuild an engine from a shipped/cached :class:`AsicFlow`.
 
         This is how replay worker processes come up: no circuit IR is
         needed, only the (picklable) flow artifact.
         """
         return cls(None, flow=flow, grouping=grouping, freq_hz=freq_hz,
-                   port_names=port_names, gl_backend=gl_backend,
-                   overlap=overlap)
+                   port_names=port_names, gl_backend=gl_backend)
 
-    def _warm_up_retimed(self, state):
-        """Force retimed-block inputs from the history registers."""
-        for block in self.flow.name_map.retimed:
-            for k in range(block.latency, 0, -1):
-                for _name, _width, label, hist_paths in block.inputs:
-                    self.gl.force_label(label, state.reg(hist_paths[k - 1]))
-                self.gl.step()
-            self.gl.release_all()
+    @property
+    def backend_used(self):
+        """The backend replays run on: ``c`` or ``interp``, after the
+        ``auto`` resolution and the ``c -> interp`` fallback."""
+        kernel = self._gl_kernel
+        return "interp" if kernel is None else kernel.backend
 
     def replay(self, snapshot, strict=True):
-        """Replay one snapshot; returns a :class:`ReplayResult`."""
-        with get_tracer().span("replay.snapshot", cat="replay",
-                               snapshot_cycle=snapshot.cycle) as span:
-            result = self._replay(snapshot, strict=strict)
-            span.set(cycles=result.cycles,
-                     mismatches=result.mismatches)
-        return result
+        """Replay one snapshot (a one-lane :meth:`replay_batch`);
+        returns a :class:`ReplayResult`."""
+        return self.replay_batch([snapshot], strict=strict)[0]
 
-    def _replay(self, snapshot, strict=True):
-        snapshot.validate()
-        t0 = time.perf_counter()
-        gl = self.gl
-        # Canonical starting state: replay results must not depend on
-        # what this simulator ran before (serial loop vs fresh worker).
-        gl.full_reset()
-        self._warm_up_retimed(snapshot.state)
-        commands = self.flow.name_map.load_commands(snapshot.state)
-        gl.load_dffs(commands)
-        for mem_path, contents in snapshot.state.mems.items():
-            gl.load_sram(mem_path, contents)
-        gl.clear_activity()
-
-        columns = self._port_columns(snapshot.input_order)
-        out_names = snapshot.output_names
-        mismatches = 0
-        for inputs, expected in zip(snapshot.input_trace.tolist(),
-                                    snapshot.output_trace.tolist()):
-            for port, col in columns:
-                gl.poke(port, inputs[col])
-            gl.eval()
-            for name, value in zip(out_names, expected):
-                if gl.peek(name) != value:
-                    mismatches += 1
-                    if strict:
-                        raise ReplayError(
-                            f"replay mismatch at snapshot cycle "
-                            f"{snapshot.cycle}: output {name} = "
-                            f"{gl.peek(name):#x}, trace has {value:#x}")
-            gl.step()
-
-        activity = gl.activity()
-        power = analyze_power(self.flow.netlist, activity,
-                              self.flow.placement,
-                              freq_hz=self.freq_hz,
-                              grouping=self.grouping)
-        _note_replay(1, gl.cycles, int(activity["toggles"].sum()))
-        return ReplayResult(
-            snapshot_cycle=snapshot.cycle,
-            power=power,
-            cycles=gl.cycles,
-            mismatches=mismatches,
-            load_commands=len(commands),
-            wall_seconds=time.perf_counter() - t0,
-        )
-
-    def _port_columns(self, input_order):
-        """``(port, column)`` of each replayed port a snapshot input
-        order carries, in this engine's port order."""
-        index = resolve_order(input_order).index
-        return [(port, index[port]) for port in self._port_names
-                if port in index]
-
-    def _get_batched(self, lanes):
-        # Under thread overlap every worker thread gets its own
-        # simulator: lane state, toggle arenas, and SRAM stores are
-        # per-simulator mutable, only the (stateless) kernel is shared.
-        key = ((threading.get_ident(), lanes) if self.gl_overlap > 1
-               else lanes)
-        with self._batched_lock:
-            sim = self._batched.get(key)
+    def _sim(self, lanes):
+        sim = self._sims.get(lanes)
         if sim is None:
-            sim = BatchedGateLevelSimulator(
+            sim = self._sims[lanes] = BatchedGateLevelSimulator(
                 self.flow.netlist, lanes=lanes, schedule=self._schedule,
                 kernel=self._gl_kernel)
-            with self._batched_lock:
-                sim = self._batched.setdefault(key, sim)
         return sim
 
     # -- stimulus packing -------------------------------------------------------
@@ -462,9 +379,9 @@ class ReplayEngine:
     def _pack_warm_stimulus(self, snapshots):
         """Retimed warm-up as per-cycle force segments.
 
-        Equivalent to the historical loop — block-major, latency
-        descending, every one of a block's input labels re-forced each
-        cycle, all forces released between blocks — expressed as one
+        Block-major, latency descending, every one of a block's input
+        labels forced from its history register each cycle, all forces
+        released between blocks (Section IV-C3) — expressed as one
         :class:`PackedStimulus` whose every cycle carries a complete
         force segment.  Returns ``None`` when the flow has no retimed
         blocks (the common case).
@@ -504,7 +421,7 @@ class ReplayEngine:
         """Pack a batch's I/O matrices into one :class:`PackedStimulus`.
 
         Pokes are lane-masked input scatters (a lane whose port order
-        lacks a port leaves it alone, like the scalar poke loop); checks
+        lacks a port leaves it undriven); checks
         compare each lane's outputs against its own trace.  The lanes'
         matrices are bit-transposed whole, with numpy.
         """
@@ -534,9 +451,10 @@ class ReplayEngine:
         :class:`BatchedGateLevelSimulator`: one netlist evaluation per
         cycle advances every lane, each lane's outputs are verified
         against its own I/O trace, and each lane's exact activity feeds
-        its own power analysis.  Results are bit-identical to
-        :meth:`replay`, in snapshot order.  Every snapshot in a batch
-        must share one trace length (see :func:`make_replay_batches`).
+        its own power analysis.  Results are bit-identical for any lane
+        count and backend, in snapshot order.  Every snapshot in a
+        batch must share one trace length (see
+        :func:`make_replay_batches`).
         """
         snapshots = list(snapshots)
         n = len(snapshots)
@@ -545,8 +463,6 @@ class ReplayEngine:
         if n > MAX_LANES:
             raise ValueError(
                 f"batch of {n} snapshots exceeds {MAX_LANES} lanes")
-        if n == 1:
-            return [self.replay(snapshots[0], strict=strict)]
         with get_tracer().span("replay.batch", cat="replay",
                                lanes=n) as span:
             results = self._replay_batch(snapshots, strict=strict)
@@ -563,13 +479,15 @@ class ReplayEngine:
                 "snapshots in one batch must share a trace length")
         t0 = time.perf_counter()
         netlist = self.flow.netlist
-        gl = self._get_batched(n)
+        gl = self._sim(n)
+        # Canonical starting state: replay results must not depend on
+        # what this simulator ran before (serial loop vs fresh worker).
         gl.full_reset()
         warm = self._pack_warm_stimulus(snapshots)
         main = self._pack_main_stimulus(snapshots)
-        # Retimed warm-up, all lanes at once: the same block-major,
-        # latency-descending forcing as the scalar path, packed into
-        # per-cycle force segments.
+        # Retimed warm-up, all lanes at once: force each block's inputs
+        # from its history registers, block-major and latency-
+        # descending (IV-C3), packed into per-cycle force segments.
         if warm is not None:
             gl.run_cycles(stim=warm)
         commands = [self.flow.name_map.load_commands(s.state)
@@ -596,14 +514,17 @@ class ReplayEngine:
             ) from exc
         mismatches = lane_mismatches.tolist()
 
-        activities = [gl.activity(lane) for lane in range(n)]
-        powers = [analyze_power(netlist, act,
-                                self.flow.placement, freq_hz=self.freq_hz,
-                                grouping=self.grouping)
-                  for act in activities]
-        _note_replay(n, gl.cycles,
-                     int(sum(int(act["toggles"].sum())
-                             for act in activities)))
+        # One lane's activity at a time: a batch's per-net toggle
+        # vectors are never all alive at once.
+        powers = []
+        toggles = 0
+        for lane in range(n):
+            act = gl.activity(lane)
+            toggles += int(act["toggles"].sum())
+            powers.append(analyze_power(
+                netlist, act, self.flow.placement, freq_hz=self.freq_hz,
+                grouping=self.grouping))
+        _note_replay(n, gl.cycles, toggles)
         per_lane_seconds = (time.perf_counter() - t0) / n
         return [ReplayResult(
                     snapshot_cycle=snapshot.cycle,
@@ -614,63 +535,10 @@ class ReplayEngine:
                     wall_seconds=per_lane_seconds)
                 for lane, snapshot in enumerate(snapshots)]
 
-    # -- thread-level batch overlap ---------------------------------------------
-
-    def _overlap_executor(self):
-        if self._overlap_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            self._overlap_pool = ThreadPoolExecutor(
-                max_workers=self.gl_overlap,
-                thread_name_prefix="replay-overlap")
-        return self._overlap_pool
-
-    def _replay_batch_any(self, snapshots, strict=True):
-        """:meth:`replay_batch` without the single-snapshot scalar
-        shortcut — overlap threads must not share ``self.gl``, so even
-        singleton batches run on a (per-thread) batched simulator."""
-        snapshots = list(snapshots)
-        n = len(snapshots)
-        if n == 0:
-            return []
-        if n > MAX_LANES:
-            raise ValueError(
-                f"batch of {n} snapshots exceeds {MAX_LANES} lanes")
-        with get_tracer().span("replay.batch", cat="replay",
-                               lanes=n) as span:
-            results = self._replay_batch(snapshots, strict=strict)
-            span.set(cycles=results[0].cycles,
-                     mismatches=sum(r.mismatches for r in results))
-        return results
-
-    def replay_batches(self, groups, strict=True):
-        """Replay several independent lane-batches, flattened in order.
-
-        With ``gl_overlap`` > 1 the batches run concurrently on the
-        engine's thread pool: the native ``run_cycles`` kernel releases
-        the GIL for the whole trace, so threads buy real parallelism.
-        Each thread drives its own batched simulator; results are
-        bit-identical to replaying the groups serially.  This is the
-        unit of work a supervised replay worker executes when handed a
-        super-task of several batches.
-        """
-        groups = [list(group) for group in groups]
-        if self.gl_overlap > 1 and len(groups) > 1:
-            pool = self._overlap_executor()
-            futures = [pool.submit(self._replay_batch_any, group, strict)
-                       for group in groups]
-            out = []
-            for future in futures:
-                out.extend(future.result())
-            return out
-        out = []
-        for group in groups:
-            out.extend(self.replay_batch(group, strict=strict))
-        return out
-
     def replay_stream(self, snapshots, strict=True, workers=1,
                       timeout=None, max_retries=2, fault_plan=None,
-                      batch_lanes=1, serial_gl_backend=None, order=None,
-                      cancel=None):
+                      batch_lanes=None, serial_gl_backend=None,
+                      order=None, cancel=None, ramp=1):
         """Stream replays: a generator of ``(index, result)`` pairs.
 
         The streaming core of :meth:`replay_all`.  Batches are
@@ -690,7 +558,11 @@ class ReplayEngine:
         once set, no further batches are dispatched, already-completed
         results still stream out, and in-flight work is abandoned
         without killing the pool (supervised runs count the abandoned
-        snapshots in ``self.last_health.cancelled``).
+        snapshots in ``self.last_health.cancelled``).  A cancellable
+        stream ramps its batches up: the first holds ``ramp``
+        snapshots and each later one twice as many, up to
+        ``batch_lanes`` (see :func:`plan_replay_batches`), so a stop
+        lands close to where one-snapshot dispatch would put it.
 
         Arguments are validated here, eagerly; the returned generator
         is lazy.  Supervised runs (``workers`` > 1) that lose their
@@ -718,73 +590,36 @@ class ReplayEngine:
                     "order contains duplicate snapshot indices")
             if any(not 0 <= i < len(snapshots) for i in order):
                 raise ValueError("order index out of range")
+        ramp = None if cancel is None else ramp
         if workers == 1:
             return self._stream_serial(snapshots, strict, batch_lanes,
-                                       order, cancel)
+                                       order, cancel, ramp)
         return self._stream_supervised(
             snapshots, strict, workers, timeout, max_retries,
-            fault_plan, batch_lanes, serial_gl_backend, order, cancel)
+            fault_plan, batch_lanes, serial_gl_backend, order, cancel,
+            ramp)
 
-    def _serial_batches(self, snapshots, batch_lanes, order):
-        if batch_lanes == 1:
-            positions = order if order is not None \
-                else range(len(snapshots))
-            return [[i] for i in positions]
-        return plan_replay_batches(snapshots, batch_lanes, order=order)
+    def _replay_in_process(self, snapshots, strict, batches, cancel):
+        for batch in batches:
+            if cancel is not None and cancel.cancelled:
+                break
+            batch_results = self.replay_batch(
+                [snapshots[i] for i in batch], strict=strict)
+            yield from zip(batch, batch_results)
 
     def _stream_serial(self, snapshots, strict, batch_lanes, order,
-                       cancel):
-        overlap = self.gl_overlap
+                       cancel, ramp):
         with get_tracer().span("replay.all", cat="replay", workers=1,
                                batch_lanes=batch_lanes,
-                               snapshots=len(snapshots),
-                               overlap=overlap):
-            batches = self._serial_batches(snapshots, batch_lanes, order)
-            if overlap <= 1 or len(batches) <= 1:
-                for batch in batches:
-                    if cancel is not None and cancel.cancelled:
-                        break
-                    batch_results = self.replay_batch(
-                        [snapshots[i] for i in batch], strict=strict)
-                    for i, result in zip(batch, batch_results):
-                        yield i, result
-                return
-            # Thread-overlapped: keep up to ``overlap`` batches in
-            # flight and yield each as it completes.  Completion order
-            # may differ from dispatch order; the index labels travel
-            # with the results, exactly as under a worker pool.
-            from concurrent.futures import FIRST_COMPLETED, wait
-            pool = self._overlap_executor()
-            pending = {}
-            next_batch = 0
-            stop = False
-            try:
-                while pending or (not stop and next_batch < len(batches)):
-                    while (not stop and next_batch < len(batches)
-                           and len(pending) < overlap):
-                        if cancel is not None and cancel.cancelled:
-                            stop = True
-                            break
-                        batch = batches[next_batch]
-                        next_batch += 1
-                        future = pool.submit(
-                            self._replay_batch_any,
-                            [snapshots[i] for i in batch], strict)
-                        pending[future] = batch
-                    if not pending:
-                        break
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        batch = pending.pop(future)
-                        for i, result in zip(batch, future.result()):
-                            yield i, result
-            finally:
-                for future in pending:
-                    future.cancel()
+                               snapshots=len(snapshots)):
+            batches = plan_replay_batches(snapshots, batch_lanes,
+                                          order=order, ramp=ramp)
+            yield from self._replay_in_process(snapshots, strict,
+                                               batches, cancel)
 
     def _stream_supervised(self, snapshots, strict, workers, timeout,
                            max_retries, fault_plan, batch_lanes,
-                           serial_gl_backend, order, cancel):
+                           serial_gl_backend, order, cancel, ramp):
         from ..parallel import ParallelReplayError
         from ..robust.supervisor import (
             replay_supervised_stream, ReplayHealthReport)
@@ -795,7 +630,7 @@ class ReplayEngine:
         # build its own fallback engine instead of reusing this
         # one (whose kernel is exactly what the caller distrusts).
         serial_self = (serial_gl_backend is None
-                       or serial_gl_backend == self.gl_backend)
+                       or serial_gl_backend == self.backend_used)
         with tracer.span("replay.all", cat="replay", workers=workers,
                          batch_lanes=batch_lanes,
                          snapshots=len(snapshots)) as span:
@@ -810,9 +645,9 @@ class ReplayEngine:
                         serial_engine=self if serial_self else None,
                         batch_lanes=batch_lanes,
                         gl_backend=self.gl_backend,
-                        gl_overlap=self.gl_overlap,
                         serial_gl_backend=serial_gl_backend,
-                        order=order, cancel=cancel, report=report):
+                        order=order, cancel=cancel, report=report,
+                        ramp=ramp):
                     done.add(idx)
                     yield idx, result
                 self.last_health = report
@@ -829,18 +664,15 @@ class ReplayEngine:
                 positions = (order if order is not None
                              else range(len(snapshots)))
                 remaining = [i for i in positions if i not in done]
-                for batch in self._serial_batches(snapshots, batch_lanes,
-                                                  remaining):
-                    if cancel is not None and cancel.cancelled:
-                        break
-                    batch_results = self.replay_batch(
-                        [snapshots[i] for i in batch], strict=strict)
-                    for i, result in zip(batch, batch_results):
-                        yield i, result
+                yield from self._replay_in_process(
+                    snapshots, strict,
+                    plan_replay_batches(snapshots, batch_lanes,
+                                        order=remaining),
+                    cancel)
 
     def replay_all(self, snapshots, strict=True, workers=1,
                    on_result=None, timeout=None, max_retries=2,
-                   fault_plan=None, batch_lanes=1,
+                   fault_plan=None, batch_lanes=None,
                    serial_gl_backend=None):
         """Replay every snapshot; optionally across worker processes.
 
@@ -848,31 +680,32 @@ class ReplayEngine:
         the stream to completion and returns results in snapshot
         order.
 
-        The paper parallelizes this step — each replay is independent,
-        so results are identical regardless of ``workers``.  With
-        ``workers=1`` (the default) this is exactly the serial loop;
-        ``workers=None`` uses every CPU.  Results preserve snapshot
-        order, and deterministic verification failures (strict-mode
-        mismatches, snapshot integrity failures) propagate.  If the
-        flow payload cannot be pickled (e.g. a closure grouping
-        function), falls back to serial with a warning.
+        ``batch_lanes`` packs that many snapshots into the bit lanes of
+        one batched gate-level evaluation (``None``, the default, = the
+        full 64).  Results are bit-identical for any lane count, any
+        backend and any ``workers``.
+
+        Each replay is independent, so the paper parallelizes this
+        step; here ``workers`` > 1 fans batches out over that many
+        processes (``None`` uses every CPU).  That buys crash
+        isolation, not speed: one process on the C kernel replays a
+        64-lane batch faster than a pool starts up.  Results preserve
+        snapshot order, and deterministic verification failures
+        (strict-mode mismatches, snapshot integrity failures)
+        propagate.  If the flow payload cannot be pickled (e.g. a
+        closure grouping function), falls back to serial with a
+        warning.
 
         Multi-worker runs go through the supervised pool
         (:mod:`repro.robust.supervisor`): crashed or hung workers are
-        respawned, their snapshots retried with exponential backoff
-        (``max_retries`` attempts, per-snapshot ``timeout`` seconds),
-        and stragglers degrade to in-process serial replay.  The
-        resulting :class:`~repro.robust.ReplayHealthReport` lands on
+        respawned, their batches retried with exponential backoff
+        (``max_retries`` attempts, per-snapshot ``timeout`` seconds
+        scaled to the batch), and stragglers degrade to in-process
+        serial replay.  The resulting
+        :class:`~repro.robust.ReplayHealthReport` lands on
         ``self.last_health``.  ``on_result(index, result)`` fires as
         each replay completes — the hook the crash-safe run journal
         uses to persist progress incrementally.
-
-        ``batch_lanes`` packs that many snapshots into the bit lanes of
-        one batched gate-level evaluation (``None`` = the full 64; 1 =
-        the scalar path).  Batching composes with ``workers``: each
-        worker process replays whole batches, and its per-snapshot
-        deadline scales to a per-batch deadline.  Results stay
-        bit-identical to the serial scalar path either way.
 
         ``serial_gl_backend`` overrides the gate-level backend of the
         supervisor's last-resort in-process fallback engine.  The job
@@ -899,29 +732,52 @@ class ReplayEngine:
         state equals RTL reset state).  This is the slow full-benchmark
         gate-level simulation the Figure 8 validation compares against.
 
-        ``io_trace`` is a list of (inputs, outputs) dicts per cycle.
+        ``io_trace`` is a list of (inputs, outputs) dicts per cycle.  It
+        runs on the engine's one-lane simulator, packed into stimulus
+        windows of :data:`_TRACE_WINDOW` cycles.
         Returns ``(PowerReport, mismatches)``.
         """
-        gl = self.gl
+        gl = self._sim(1)
         if from_reset:
-            for macro in self.flow.netlist.srams:
-                gl.load_sram(macro.name, [0] * macro.depth)
             gl.full_reset()
         gl.clear_activity()
+        io_trace = list(io_trace)
         mismatches = 0
-        for inputs, expected in io_trace:
-            for port in self._port_names:
-                if port in inputs:
-                    gl.poke(port, inputs[port])
-            gl.eval()
-            for name, value in expected.items():
-                if gl.peek(name) != value:
-                    mismatches += 1
-                    if strict:
-                        raise ReplayError(
-                            f"full-trace mismatch on output {name}")
-            gl.step()
-        power = analyze_power(self.flow.netlist, gl.activity(),
+        for start in range(0, len(io_trace), _TRACE_WINDOW):
+            stim = self._pack_trace(io_trace[start:start + _TRACE_WINDOW])
+            try:
+                mismatches += int(gl.run_cycles(stim=stim,
+                                                strict=strict)[0])
+            except StimulusMismatch as exc:
+                raise ReplayError(
+                    f"full-trace mismatch on output {exc.name}") from exc
+        power = analyze_power(self.flow.netlist, gl.activity(0),
                               self.flow.placement, freq_hz=self.freq_hz,
                               grouping=self.grouping)
         return power, mismatches
+
+    def _pack_trace(self, io_trace):
+        """One lane's ``(inputs, outputs)`` dicts as a
+        :class:`PackedStimulus`: a port absent from a cycle's dict is
+        neither driven nor checked that cycle."""
+        netlist = self.flow.netlist
+        outputs = list(netlist.outputs)
+        flat = {}
+        for kind, side, names, table, what in (
+                ("poke", 0, self._port_names, netlist.inputs, "input"),
+                ("check", 1, outputs, netlist.outputs, "output")):
+            values = np.zeros((1, len(io_trace), len(names)),
+                              dtype=np.uint64)
+            present = np.zeros(values.shape, dtype=bool)
+            for t, cycle in enumerate(io_trace):
+                row = cycle[side]
+                for p, name in enumerate(names):
+                    if name in row:
+                        values[0, t, p] = row[name]
+                        present[0, t, p] = True
+            ops, op_cycle, op_column = lane_ops(
+                values, present, _port_nets(table, names, what))
+            flat.update({f"{kind}_{k}": v for k, v in ops.items()})
+        # op_cycle/op_column are the check ops' (the loop's last kind)
+        return PackedStimulus.from_flat(
+            len(io_trace), flat, _CheckMeta(op_cycle, op_column, outputs))

@@ -20,7 +20,7 @@ from .gl_sim import (
     STEP_PHASES,
 )
 from .glcodegen import (
-    build_kernel, resolve_backend, resolve_overlap, kernel_cache_key,
+    build_kernel, resolve_backend, kernel_cache_key,
     GLCodegenError, GLCodegenUnavailable,
 )
 from .formal import (
@@ -40,7 +40,7 @@ __all__ = [
     "LevelizedSchedule", "build_schedule", "pack_lane_words",
     "pack_lane_bits", "lane_ops",
     "MAX_LANES", "SCHEDULE_VERSION", "STEP_PHASES",
-    "build_kernel", "resolve_backend", "resolve_overlap",
+    "build_kernel", "resolve_backend",
     "kernel_cache_key", "GLCodegenError", "GLCodegenUnavailable",
     "match_netlist", "verify_equivalence", "NameMap", "MatchPoint",
     "MatchError", "EquivalenceResult", "FormalMatchPass", "GatherPlan",

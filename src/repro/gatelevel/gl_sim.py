@@ -9,20 +9,19 @@ Supports net *forcing* (the Verilog ``force`` used to warm up retimed
 datapaths during replay, Section IV-C3) and direct DFF state loading via
 the VPI-style bulk loader interface (Section IV-C2).
 
-Two simulators share one levelized schedule (:class:`LevelizedSchedule`,
-picklable so the artifact cache can persist it next to the ASIC flow):
-
-* :class:`GateLevelSimulator` — the scalar simulator: one ``uint8`` value
-  per net, one stimulus at a time.
-* :class:`BatchedGateLevelSimulator` — the bit-parallel simulator: one
-  ``uint64`` word per net with up to :data:`MAX_LANES` independent
-  simulations packed into the bit *lanes*.  Logic cells are lane-oblivious
-  bitwise ops, so one netlist evaluation advances every lane at once —
-  the classic bit-parallel logic-simulation trick, applied here to
-  snapshot replay.  State loads, forces, and SRAM ports are lane-masked;
-  per-net x per-lane toggle counts are kept as bit-sliced vertical
-  counters (one ``uint64`` plane per count bit, ripple-carry updated from
-  the per-cycle XOR diff) so every lane still yields its own exact SAIF.
+All simulation runs on :class:`BatchedGateLevelSimulator`, the
+bit-parallel simulator: one ``uint64`` word per net with up to
+:data:`MAX_LANES` independent simulations packed into the bit *lanes*.
+Logic cells are lane-oblivious bitwise ops, so one netlist evaluation
+advances every lane at once — the classic bit-parallel logic-simulation
+trick, applied here to snapshot replay.  State loads, forces, and SRAM
+ports are lane-masked; per-net x per-lane toggle counts are kept as
+bit-sliced vertical counters (one ``uint64`` plane per count bit,
+ripple-carry updated from the per-cycle XOR diff) so every lane still
+yields its own exact SAIF.  :class:`GateLevelSimulator` is its one-lane
+view with a lane-free API, for co-simulation and single-stimulus use.
+The levelized schedule (:class:`LevelizedSchedule`) is picklable so the
+artifact cache can persist it next to the ASIC flow.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netlist import CONST0, CONST1
+from .netlist import CONST1
 from ..obs import get_tracer, get_registry
 
 
@@ -240,6 +239,10 @@ def pack_lane_bits(bits):
     return words.view("<u8")[..., 0].astype(np.uint64)
 
 
+# Bytes of unpacked stimulus bits lane_ops holds at once.
+_UNPACK_BYTES = 1 << 18
+
+
 def lane_ops(values, present, port_nets):
     """Flat poke/check op arrays from per-lane port values.
 
@@ -255,12 +258,18 @@ def lane_ops(values, present, port_nets):
     widths = np.array([len(nets) for nets in port_nets], dtype=np.int64)
     top = int(widths.max()) if n_ports else 0
     # bits 0..top-1 of every value with lanes last, then packed across
-    # lanes: words[cycle, port, bit]
+    # lanes: words[cycle, port, bit].  A block of cycles at a time, so
+    # the unpacked bits (8 bytes per value bit) stay small.
     by_lane = np.ascontiguousarray(values.transpose(1, 2, 0), dtype="<u8")
     raw = by_lane.view(np.uint8).reshape(n_cycles, n_ports, lanes, 8)
-    bits = np.unpackbits(raw[..., :(top + 7) // 8], axis=-1,
-                         bitorder="little")[..., :top]
-    words = pack_lane_bits(np.ascontiguousarray(bits.transpose(0, 1, 3, 2)))
+    nbytes = (top + 7) // 8
+    step = max(1, _UNPACK_BYTES // max(1, n_ports * lanes * 8 * nbytes))
+    words = np.zeros((n_cycles, n_ports, top), dtype=np.uint64)
+    for c0 in range(0, n_cycles, step):
+        bits = np.unpackbits(raw[c0:c0 + step, ..., :nbytes], axis=-1,
+                             bitorder="little")[..., :top]
+        words[c0:c0 + step] = pack_lane_bits(
+            np.ascontiguousarray(bits.transpose(0, 1, 3, 2)))
     masks = pack_lane_bits(np.ascontiguousarray(present.transpose(1, 2, 0)))
     cycle, port = np.nonzero(masks)
     cnt = widths[port]
@@ -450,236 +459,6 @@ class PackedStimulus:
         return flat
 
 
-class GateLevelSimulator:
-    """Simulate a GateNetlist cycle by cycle, counting activity."""
-
-    def __init__(self, netlist, schedule=None):
-        self.netlist = netlist
-        self.schedule = _check_schedule(schedule, netlist)
-        self._values = np.zeros(netlist.n_nets, dtype=np.uint8)
-        self._values[CONST1] = 1
-        self._prev = self._values.copy()
-        self.depth = self.schedule.depth
-        self._levels = self.schedule.levels
-        self._dff_d = self.schedule.dff_d
-        self._dff_q = self.schedule.dff_q
-        self._dff_init = self.schedule.dff_init
-        self._dff_index = self.schedule.dff_index
-        self._ram_ports = self.schedule.ram_ports
-        self._sram_index = self.schedule.sram_index
-        self._forces = {}          # net -> value
-        self._force_nets = None
-        self._force_vals = None
-        self.cycles = 0
-        self.toggles = np.zeros(netlist.n_nets, dtype=np.int64)
-        self.sram_reads = [0] * len(netlist.srams)
-        self.sram_writes = [0] * len(netlist.srams)
-        self._sram_data = [[0] * macro.depth for macro in netlist.srams]
-        self._sram_last_addr = {}
-        self._plan_nets = {}
-        self.reset()
-        get_registry().counter("glsim.scalar_sims").inc()
-
-    # -- state ---------------------------------------------------------------
-
-    def reset(self):
-        """Registers to init values, memories preserved, counters kept."""
-        if len(self.netlist.dffs):
-            self._values[self._dff_q[:len(self.netlist.dffs)]] = \
-                self._dff_init[:len(self.netlist.dffs)]
-
-    def full_reset(self):
-        """Return every net, force, memory, and read-port memo to the
-        just-constructed state (activity counters aside).
-
-        Replays call this so each snapshot starts from one canonical
-        state regardless of what ran on this simulator before — the
-        property that makes serial and worker-pool replays bit-identical
-        (a fresh worker's simulator has no history to inherit).  Note
-        retimed-datapath warm-up runs *before* snapshot SRAM loading, so
-        memory contents at warm-up time are part of that canonical state.
-        """
-        self._values[:] = 0
-        self._values[CONST1] = 1
-        self._forces.clear()
-        self._rebuild_force_arrays()
-        self._sram_last_addr.clear()
-        for data in self._sram_data:
-            data[:] = [0] * len(data)
-        self.reset()
-        np.copyto(self._prev, self._values)
-
-    def clear_activity(self):
-        self.toggles[:] = 0
-        self.cycles = 0
-        self.sram_reads = [0] * len(self.netlist.srams)
-        self.sram_writes = [0] * len(self.netlist.srams)
-        self._prev = self._values.copy()
-
-    def load_dff(self, name, value):
-        """Direct state load (the VPI bulk-loader path)."""
-        idx = self._dff_index.get(name)
-        if idx is None:
-            raise GateSimError(f"no DFF named {name!r}")
-        self._values[self.netlist.dffs[idx].q] = value & 1
-
-    def load_dffs(self, commands):
-        """Bulk load a :class:`~repro.gatelevel.formal.DffLoad` in one
-        scatter; returns the number of commands executed."""
-        self._values[_plan_nets(self, commands.plan)] = commands.bits
-        return len(commands)
-
-    def load_sram(self, name, contents):
-        idx = self._sram_index.get(name)
-        if idx is None:
-            raise GateSimError(f"no SRAM named {name!r}")
-        if len(contents) != self.netlist.srams[idx].depth:
-            raise GateSimError(f"SRAM {name} depth mismatch")
-        self._sram_data[idx][:] = (contents.tolist()
-                                   if isinstance(contents, np.ndarray)
-                                   else contents)
-
-    def read_sram(self, name, addr):
-        idx = self._sram_index.get(name)
-        if idx is None:
-            raise GateSimError(f"no SRAM named {name!r}")
-        return self._sram_data[idx][addr]
-
-    # -- forcing ----------------------------------------------------------------
-
-    def force_label(self, label, value):
-        """Force a preserved multi-bit net group to an integer value."""
-        nets = self.netlist.preserved_nets.get(label)
-        if nets is None:
-            raise GateSimError(f"no preserved nets labelled {label!r}")
-        for i, net in enumerate(nets):
-            self._forces[net] = (value >> i) & 1
-        self._rebuild_force_arrays()
-
-    def release_all(self):
-        self._forces.clear()
-        self._rebuild_force_arrays()
-
-    def _rebuild_force_arrays(self):
-        if self._forces:
-            self._force_nets = np.array(list(self._forces), dtype=np.int64)
-            self._force_vals = np.array(
-                [self._forces[n] for n in self._forces], dtype=np.uint8)
-        else:
-            self._force_nets = None
-            self._force_vals = None
-
-    # -- evaluation ----------------------------------------------------------------
-
-    def poke(self, port, value):
-        nets = self.netlist.inputs.get(port)
-        if nets is None:
-            raise GateSimError(f"no input port {port!r}")
-        for i, net in enumerate(nets):
-            self._values[net] = (value >> i) & 1
-
-    def peek(self, port):
-        nets = self.netlist.outputs.get(port)
-        if nets is None:
-            raise GateSimError(f"no output port {port!r}")
-        value = 0
-        for i, net in enumerate(nets):
-            value |= int(self._values[net]) << i
-        return value
-
-    def peek_all(self):
-        return {name: self.peek(name) for name in self.netlist.outputs}
-
-    def peek_net(self, net):
-        return int(self._values[net])
-
-    def eval(self):
-        """Settle combinational logic for the current inputs/state."""
-        v = self._values
-        if self._force_nets is not None:
-            v[self._force_nets] = self._force_vals
-        for groups, rams in self._levels:
-            for cell, outs, in0, in1, in2 in groups:
-                if cell == "INV":
-                    v[outs] = v[in0] ^ 1
-                elif cell == "BUF":
-                    v[outs] = v[in0]
-                elif cell == "AND2":
-                    v[outs] = v[in0] & v[in1]
-                elif cell == "OR2":
-                    v[outs] = v[in0] | v[in1]
-                elif cell == "XOR2":
-                    v[outs] = v[in0] ^ v[in1]
-                elif cell == "XNOR2":
-                    v[outs] = (v[in0] ^ v[in1]) ^ 1
-                elif cell == "NAND2":
-                    v[outs] = (v[in0] & v[in1]) ^ 1
-                elif cell == "NOR2":
-                    v[outs] = (v[in0] | v[in1]) ^ 1
-                elif cell == "MUX2":
-                    sel = v[in0]
-                    v[outs] = np.where(sel, v[in1], v[in2])
-                else:
-                    raise GateSimError(f"unknown cell {cell}")
-            for macro_idx, port_idx in rams:
-                addr_arr, addr_w, data_arr = \
-                    self._ram_ports[macro_idx][port_idx]
-                addr = int(v[addr_arr] @ addr_w)
-                macro = self.netlist.srams[macro_idx]
-                word = (self._sram_data[macro_idx][addr]
-                        if addr < macro.depth else 0)
-                v[data_arr] = (word >> np.arange(len(data_arr))) & 1
-                key = (macro_idx, port_idx)
-                if self._sram_last_addr.get(key) != addr:
-                    self._sram_last_addr[key] = addr
-                    self.sram_reads[macro_idx] += 1
-            if self._force_nets is not None:
-                v[self._force_nets] = self._force_vals
-
-    def step(self, n=1):
-        """Advance n clock cycles (eval, count activity, commit state)."""
-        for _ in range(n):
-            self.eval()
-            self.toggles += self._values != self._prev
-            np.copyto(self._prev, self._values)
-            self._commit()
-            self.cycles += 1
-
-    def _commit(self):
-        # SRAM writes sample their nets before DFF outputs change: a write
-        # port's address/data may be a register output net directly.
-        v = self._values
-        for macro_idx, macro in enumerate(self.netlist.srams):
-            data_store = self._sram_data[macro_idx]
-            for en, addr_nets, data_nets in macro.write_ports:
-                if not v[en]:
-                    continue
-                addr = 0
-                for i, net in enumerate(addr_nets):
-                    addr |= int(v[net]) << i
-                if addr >= macro.depth:
-                    continue
-                word = 0
-                for i, net in enumerate(data_nets):
-                    word |= int(v[net]) << i
-                data_store[addr] = word
-                self.sram_writes[macro_idx] += 1
-        n_dff = len(self.netlist.dffs)
-        if n_dff:
-            v[self._dff_q[:n_dff]] = v[self._dff_d[:n_dff]]
-
-    # -- activity export -------------------------------------------------------------
-
-    def activity(self):
-        """Return a SAIF-style activity summary for power analysis."""
-        return {
-            "cycles": self.cycles,
-            "toggles": self.toggles.copy(),
-            "sram_reads": list(self.sram_reads),
-            "sram_writes": list(self.sram_writes),
-        }
-
-
 class BatchedGateLevelSimulator:
     """Bit-parallel gate-level simulation: one snapshot per bit lane.
 
@@ -689,7 +468,7 @@ class BatchedGateLevelSimulator:
     so a single levelized evaluation advances every lane at once —
     per-gate evaluation overhead is amortized across the whole batch.
 
-    Lane semantics match :class:`GateLevelSimulator` exactly, per lane:
+    Per lane:
 
     * DFF loads, input pokes, and net forces are lane-masked read-modify-
       write operations (``lane=None`` broadcasts to every lane);
@@ -810,9 +589,16 @@ class BatchedGateLevelSimulator:
             self._values[self._dff_q[:n_dff]] = self._dff_init_words[:n_dff]
 
     def full_reset(self):
-        """Every lane back to the canonical just-constructed state
-        (activity counters aside) — see
-        :meth:`GateLevelSimulator.full_reset`."""
+        """Return every net, force, memory, and read-port memo of every
+        lane to the just-constructed state (activity counters aside).
+
+        Replays call this so each snapshot starts from one canonical
+        state regardless of what ran on this simulator before — the
+        property that makes serial and worker-pool replays bit-identical
+        (a fresh worker's simulator has no history to inherit).  Note
+        retimed-datapath warm-up runs *before* snapshot SRAM loading, so
+        memory contents at warm-up time are part of that canonical state.
+        """
         self._values[:] = 0
         self._values[CONST1] = _ALL_ONES
         self._forces.clear()
@@ -1257,13 +1043,9 @@ class BatchedGateLevelSimulator:
         if p > self._plane_count:
             self._plane_count = p
 
-    def _commit(self):
-        self._commit_sram_writes()
-        self._commit_dffs()
-
     def _commit_sram_writes(self):
-        # SRAM writes sample their nets before DFF outputs change (the
-        # same pre-commit ordering as the scalar simulator).  Per-lane
+        # SRAM writes sample their nets before DFF outputs change: a
+        # write port's address/data may be a register output net.  Per-lane
         # addresses/values are assembled with packed dot products; only
         # the store scatter loops, and only over enabled lanes.
         v = self._values
@@ -1322,8 +1104,8 @@ class BatchedGateLevelSimulator:
         return out
 
     def activity(self, lane):
-        """SAIF-style activity summary for one lane (same schema as
-        :meth:`GateLevelSimulator.activity`)."""
+        """SAIF-style activity summary for one lane: cycle count, per-net
+        toggle counts, per-macro SRAM read and write counts."""
         self._check_lane(lane)
         return {
             "cycles": self.cycles,
@@ -1331,3 +1113,32 @@ class BatchedGateLevelSimulator:
             "sram_reads": [int(x) for x in self.sram_reads[:, lane]],
             "sram_writes": [int(x) for x in self.sram_writes[:, lane]],
         }
+
+
+class GateLevelSimulator(BatchedGateLevelSimulator):
+    """A one-lane :class:`BatchedGateLevelSimulator` with a lane-free API.
+
+    For callers that drive one stimulus at a time — RTL co-simulation
+    (:func:`~repro.gatelevel.formal.verify_equivalence`) and tests.
+    ``poke``, ``peek``, ``step``, ``force_label``, ``release_all`` and
+    ``full_reset`` are the batched ones (their lane arguments default to
+    the one lane); the methods below drop the lane argument.  ``eval``
+    and ``load_sram`` are bound in this class body so that timers which
+    patch class attributes can tell one-lane calls from batched ones.
+    """
+
+    def __init__(self, netlist, schedule=None, backend="interp",
+                 kernel=None):
+        super().__init__(netlist, lanes=1, schedule=schedule,
+                         backend=backend, kernel=kernel)
+
+    eval = BatchedGateLevelSimulator.eval
+    load_sram = BatchedGateLevelSimulator.load_sram
+
+    def load_dffs(self, commands):
+        """Bulk load one :class:`~repro.gatelevel.formal.DffLoad`;
+        returns the number of commands executed."""
+        return self.load_dffs_lanes([commands])[0]
+
+    def activity(self):
+        return super().activity(0)

@@ -54,7 +54,6 @@ from ..obs import get_tracer, get_registry
 
 _ENV_BACKEND = "REPRO_GL_BACKEND"
 _ENV_CC = "REPRO_GL_CC"
-_ENV_OVERLAP = "REPRO_GL_OVERLAP"
 
 BACKENDS = ("interp", "c", "auto")
 
@@ -89,34 +88,17 @@ def reset_warnings():
 
 
 def resolve_backend(backend=None):
-    """Normalize a backend request: explicit arg > env var > interp."""
-    value = backend or os.environ.get(_ENV_BACKEND) or "interp"
+    """Normalize a backend request: explicit arg > env var > auto.
+
+    ``auto`` is resolved by :func:`build_kernel`: the C kernel where a
+    compiler exists, the interpreter where none does.
+    """
+    value = backend or os.environ.get(_ENV_BACKEND) or "auto"
     if value not in BACKENDS:
         raise GLCodegenError(
             f"unknown gate-level backend {value!r} "
             f"(choose from {', '.join(BACKENDS)})")
     return value
-
-
-def resolve_overlap(overlap=None):
-    """Normalize the per-process batch thread-overlap request:
-    explicit arg > ``$REPRO_GL_OVERLAP`` > 1 (no overlap).
-
-    Overlap > 1 lets a replay engine run that many independent snapshot
-    batches on concurrent threads — real parallelism once the hot loop
-    is one GIL-releasing native call per batch.
-    """
-    if overlap is None:
-        overlap = os.environ.get(_ENV_OVERLAP) or 1
-    try:
-        overlap = int(overlap)
-    except (TypeError, ValueError):
-        raise GLCodegenError(
-            f"gl overlap must be a positive integer, got {overlap!r}")
-    if overlap < 1:
-        raise GLCodegenError(
-            f"gl overlap must be >= 1, got {overlap}")
-    return overlap
 
 
 @lru_cache(maxsize=None)
@@ -347,8 +329,7 @@ class CKernel:
     allowed to *rebind* (``_prev`` on ``clear_activity``, the toggle
     arena on growth) are re-read per call in :meth:`run_cycles`, which
     executes an entire replay batch as one foreign call that releases
-    the GIL (ctypes drops it around every ``CDLL`` call), so threads
-    running independent batches overlap natively.
+    the GIL (ctypes drops it around every ``CDLL`` call).
     """
 
     backend = "c"

@@ -71,7 +71,7 @@ def series_key(record):
     """The identity a record's metrics are comparable under.
 
     Runs group by (design, workload, knob tuple); benches by name.
-    Knobs that change the work (workers, lanes, backend, overlap) must
+    Knobs that change the work (workers, lanes, backend) must
     split the series — a 64-lane run is not slower than a 1-lane run,
     it is a different experiment.
     """

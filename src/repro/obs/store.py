@@ -260,7 +260,6 @@ def run_record(run):
         "workers": timings.get("workers"),
         "batch_lanes": timings.get("batch_lanes"),
         "gl_backend": timings.get("gl_backend"),
-        "gl_overlap": timings.get("gl_overlap"),
     }
     metrics = {"wall_seconds": run.wall_seconds}
     for key in ("sim_seconds", "flow_seconds", "replay_seconds",

@@ -1,11 +1,9 @@
-"""Parallel execution layer: replay pool + on-disk artifact cache.
+"""Parallel execution layer: replay-pool plumbing + on-disk artifact cache.
 
-Two independent accelerators for the dominant costs of the Strober
-methodology:
-
-* :func:`replay_parallel` — fan snapshot replays out across worker
-  processes (the paper's "each replay is independent" observation),
-  supervised by :mod:`repro.robust.supervisor` for fault tolerance;
+* :class:`CancelToken`, :class:`ParallelReplayError` — shared by the
+  streaming replay scheduler and the supervised worker pool
+  (:mod:`repro.robust.supervisor`, the paper's "each replay is
+  independent" observation, used here for crash isolation);
 * :class:`ArtifactCache` — content-addressed, checksummed disk cache of
   ASIC-flow artifacts and generated RTL-evaluator sources, keyed by
   :func:`repro.hdl.ir.circuit_fingerprint`, so repeated invocations
@@ -17,12 +15,12 @@ from .cache import (
     cache_stats, reset_cache_stats, CACHE_VERSION,
 )
 from .pool import (
-    replay_parallel, ParallelReplayError, CancelToken, default_workers,
+    ParallelReplayError, CancelToken, default_workers,
 )
 
 __all__ = [
     "ArtifactCache", "get_cache", "cache_enabled", "default_cache_dir",
     "cache_stats", "reset_cache_stats", "CACHE_VERSION",
-    "replay_parallel", "ParallelReplayError", "CancelToken",
+    "ParallelReplayError", "CancelToken",
     "default_workers",
 ]

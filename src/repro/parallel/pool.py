@@ -1,25 +1,15 @@
-"""Multiprocessing snapshot-replay pool.
+"""Shared pieces of multi-process snapshot replay.
 
 The paper notes snapshot replays are embarrassingly parallel (each
-replay is independent, Section IV-C); this module fans them out across
-worker processes.  Since the robustness layer landed, the fan-out is
-handled by the *supervised* pool in :mod:`repro.robust.supervisor`:
-each worker builds its gate-level simulator once from the pickled
-:class:`AsicFlow` payload, and a supervisor imposes per-snapshot
-timeouts, respawns crashed workers, retries with exponential backoff,
-and degrades to in-process serial replay when retries are exhausted.
-
-Guarantees:
-
-* results come back in snapshot order;
-* a strict-mode replay mismatch (or a snapshot integrity failure)
-  propagates to the caller exactly as the serial path would raise it —
-  verification failures are deterministic and are never retried;
-* snapshots are dispatched one at a time so uneven replay times
-  load-balance across workers;
-* transient worker failures (crash, hang, spurious exception) are
-  retried and recorded in a :class:`repro.robust.ReplayHealthReport`
-  instead of hanging or killing the whole run.
+replay is independent, Section IV-C).  The worker pool itself is the
+*supervised* pool in :mod:`repro.robust.supervisor`
+(:func:`~repro.robust.supervisor.replay_supervised`): each worker
+builds its replay engine once from the pickled :class:`AsicFlow`
+payload, and a supervisor imposes per-batch deadlines, respawns crashed
+workers, retries with exponential backoff, and degrades to in-process
+serial replay when retries are exhausted.  This module holds what the
+pool and its callers share: the payload error, the cancel token, and
+the start-method choice.
 """
 
 from __future__ import annotations
@@ -103,35 +93,3 @@ def _pick_context(start_method=None):
                          threads=threading.active_count())
     return multiprocessing.get_context(start_method)
 
-
-def replay_parallel(flow, snapshots, *, workers, port_names,
-                    grouping=None, freq_hz=None, strict=True,
-                    start_method=None, timeout=None, max_retries=2,
-                    fault_plan=None, on_result=None, health=None,
-                    batch_lanes=1):
-    """Replay ``snapshots`` on ``workers`` processes; order-preserving.
-
-    Thin compatibility wrapper over
-    :func:`repro.robust.supervisor.replay_supervised`.  Raises
-    :class:`ParallelReplayError` if the flow/grouping payload is not
-    picklable (e.g. a closure grouping function) — callers may fall
-    back to the serial path.  Deterministic verification failures
-    (strict-mode ``ReplayError``, ``SnapshotError``) propagate
-    unchanged; transient worker failures are retried by the supervisor.
-
-    ``batch_lanes`` > 1 makes each worker replay bit-parallel lane
-    batches instead of single snapshots (same results, one netlist
-    evaluation per batch per cycle); ``health``, if given, is a list
-    the resulting :class:`~repro.robust.ReplayHealthReport` is
-    appended to.
-    """
-    from ..robust.supervisor import replay_supervised
-    results, report = replay_supervised(
-        flow, snapshots, workers=workers, port_names=port_names,
-        grouping=grouping, freq_hz=freq_hz, strict=strict,
-        start_method=start_method, timeout=timeout,
-        max_retries=max_retries, fault_plan=fault_plan,
-        on_result=on_result, batch_lanes=batch_lanes)
-    if health is not None:
-        health.append(report)
-    return results

@@ -225,18 +225,19 @@ def load_resume(path, expected_meta):
 
 # Run-key entries that are provenance, not identity: they describe how
 # a run was executed, not what it computed, so resume comparison strips
-# them from both sides.  The gate-level evaluation backend and the
-# thread-overlap setting are advisory because every backend — and any
-# overlap — is bit-identical by construction: a journal written under
-# one backend or overlap resumes under another (and journals from
-# before the keys existed resume under any).  The adaptive-sampling
+# them from both sides.  The replay lane count and the gate-level
+# evaluation backend are advisory because every setting is
+# bit-identical by construction: a journal written under one resumes
+# under another (and journals from before a key existed resume under
+# any).  ``gl_overlap`` is a retired knob of the same kind, kept so
+# journals that recorded it still resume.  The adaptive-sampling
 # knobs are advisory because every replay result is a pure function of
 # its snapshot: which subset got replayed is provenance, and keeping
 # the knobs out of the identity is precisely what lets a fixed-sample
 # journal be reopened with ``target_rel_error`` (or a tighter target)
 # to replay only the additional snapshots needed.
-_ADVISORY_META_KEYS = ("gl_backend", "gl_overlap", "target_rel_error",
-                       "min_sample", "max_sample")
+_ADVISORY_META_KEYS = ("batch_lanes", "gl_backend", "gl_overlap",
+                       "target_rel_error", "min_sample", "max_sample")
 
 
 def _identity_meta(meta):

@@ -173,7 +173,7 @@ def _worker_main(payload, task_conn, result_conn):
         from ..core.replay import ReplayEngine
         from ..obs import Tracer, NullTracer, set_tracer, get_registry
         (flow, port_names, grouping, freq_hz, trace, gl_backend,
-         gl_overlap, correlation) = pickle.loads(payload)
+         correlation) = pickle.loads(payload)
         get_registry().reset()
         # The parent's correlation attrs (job id, run key) stamp this
         # worker's spans too, so one job's spans join across pids.
@@ -186,8 +186,7 @@ def _worker_main(payload, task_conn, result_conn):
         with tracer.span("worker.init", cat="worker"):
             engine = ReplayEngine.from_flow(
                 flow, port_names=port_names, grouping=grouping,
-                freq_hz=freq_hz, gl_backend=gl_backend,
-                overlap=gl_overlap)
+                freq_hz=freq_hz, gl_backend=gl_backend)
         # One-time init is done: the supervisor re-arms the in-flight
         # task's deadline on receipt, so compile/load cost is excluded
         # from the batch's wall-clock budget.
@@ -215,25 +214,15 @@ def _worker_main(payload, task_conn, result_conn):
             return               # supervisor went away
         if task is None:
             return
-        # A task is one *super-task*: a flat list of snapshots plus the
-        # ``splits`` that carve it back into lane-batches.  With thread
-        # overlap off every task holds exactly one batch (a single-
-        # snapshot list when batch_lanes == 1; replay degenerates to
-        # the scalar path for those); with overlap on, the engine runs
-        # the batches concurrently on its thread pool.
-        tidx, snaps, strict, fault, splits = task
+        # A task is one lane-batch of snapshots.
+        tidx, snaps, strict, fault = task
         try:
             if fault is not None:
                 from .faultinject import apply_worker_fault
                 apply_worker_fault(fault)
-            groups = []
-            cursor = 0
-            for size in splits:
-                groups.append(snaps[cursor:cursor + size])
-                cursor += size
             with tracer.span("worker.task", cat="worker", task=tidx,
-                             lanes=len(snaps), batches=len(groups)):
-                results = engine.replay_batches(groups, strict=strict)
+                             lanes=len(snaps)):
+                results = engine.replay_batch(snaps, strict=strict)
             # Flush spans *before* the result: the pipe is FIFO, so by
             # the time the supervisor has parsed this task's result it
             # has necessarily merged this task's spans — the last
@@ -314,7 +303,7 @@ class _Worker:
                 self._outbox[0] = buf[n:]
 
     def dispatch(self, tidx, snaps, strict, fault, timeout, attempt,
-                 splits, init_grace=0.0):
+                 init_grace=0.0):
         self.task = tidx
         self.attempt = attempt
         self.task_timeout = timeout
@@ -325,7 +314,7 @@ class _Worker:
         # moment the ready message is drained.
         grace = 0.0 if self.ready else init_grace
         self.deadline = time.monotonic() + timeout + grace
-        self._send((tidx, snaps, strict, fault, splits))
+        self._send((tidx, snaps, strict, fault))
 
     # ---- incoming results (non-blocking, parent side) ----
 
@@ -420,9 +409,9 @@ def replay_supervised_stream(flow, snapshots, *, workers, port_names,
                              max_retries=2, backoff_base=0.25,
                              fault_plan=None, serial_engine=None,
                              batch_lanes=1, gl_backend=None,
-                             gl_overlap=None,
                              serial_gl_backend=None, init_grace=None,
-                             order=None, cancel=None, report=None):
+                             order=None, cancel=None, report=None,
+                             ramp=None):
     """Stream supervised replays: yields ``(index, result)`` pairs.
 
     The streaming core of :func:`replay_supervised`.  Batches are
@@ -451,15 +440,9 @@ def replay_supervised_stream(flow, snapshots, *, workers, port_names,
     supplied by callers that need live/after-the-fact access to the
     health counters while consuming the stream.
 
-    ``gl_overlap`` — thread-level batch overlap inside each worker
-    process (default :func:`repro.gatelevel.resolve_overlap`, i.e.
-    ``$REPRO_GL_OVERLAP`` or 1).  With overlap > 1 the unit of
-    dispatch becomes a *super-task* of up to ``gl_overlap``
-    consecutive lane-batches; the worker's engine replays them
-    concurrently on its thread pool (the native ``run_cycles`` kernel
-    releases the GIL for the whole trace).  Deadlines scale with the
-    super-task's total snapshot count — as-if-serial, so the overlap
-    speedup only ever adds headroom.
+    ``ramp`` — optional first batch size: batches then double up to
+    ``batch_lanes`` (see :func:`repro.core.replay.plan_replay_batches`),
+    so a cancelled stream abandons little past its stop.
 
     Argument validation (and the :class:`ParallelReplayError` for an
     unpicklable payload) happens eagerly, before the first
@@ -491,33 +474,17 @@ def replay_supervised_stream(flow, snapshots, *, workers, port_names,
         report.total_snapshots = len(positions)
     if n == 0 or positions == []:
         return iter(())
-    from ..gatelevel.glcodegen import resolve_overlap
-    gl_overlap = resolve_overlap(gl_overlap)
     try:
         payload = pickle.dumps((flow, list(port_names), grouping,
                                 freq_hz, trace_workers, gl_backend,
-                                gl_overlap, dict(tracer.correlation)),
+                                dict(tracer.correlation)),
                                protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise ParallelReplayError(
             f"replay payload is not picklable: {exc}") from exc
-    if batch_lanes > 1:
-        from ..core.replay import plan_replay_batches
-        batches = plan_replay_batches(snapshots, batch_lanes,
-                                      order=positions)
-    elif positions is not None:
-        batches = [[i] for i in positions]
-    else:
-        batches = [[i] for i in range(n)]
-    # Super-tasks: with thread overlap each dispatch unit carries up to
-    # ``gl_overlap`` consecutive lane-batches for the worker's thread
-    # pool; with overlap off every task is exactly one batch and the
-    # semantics are the historical per-batch ones.
-    if gl_overlap > 1 and len(batches) > 1:
-        tasks = [batches[i:i + gl_overlap]
-                 for i in range(0, len(batches), gl_overlap)]
-    else:
-        tasks = [[batch] for batch in batches]
+    from ..core.replay import plan_replay_batches
+    tasks = plan_replay_batches(snapshots, max(1, int(batch_lanes)),
+                                order=positions, ramp=ramp)
     n_tasks = len(tasks)
     workers = max(1, min(int(workers), n_tasks))
     if timeout is None:
@@ -547,16 +514,13 @@ def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
                       tracer, registry):
     """Generator body of :func:`replay_supervised_stream` (validated).
 
-    ``tasks`` is a list of super-tasks, each a list of lane-batches
-    (each a list of snapshot indices); ``flat`` is the per-task flat
-    index list, which is also the order worker results come back in.
+    ``tasks`` is a list of lane-batches, each a list of snapshot
+    indices in the order worker results come back in.
     """
     from ..core.replay import ReplayError
     from ..scan.snapshot import SnapshotError
 
     n_tasks = len(tasks)
-    flat = [[i for batch in task for i in batch] for task in tasks]
-    splits = [[len(batch) for batch in task] for task in tasks]
 
     ctx = _pick_context(start_method)
     pool = [_Worker(ctx, payload) for _ in range(workers)]
@@ -592,7 +556,7 @@ def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
             return
         completed[tidx] = True
         done += 1
-        for idx, result in zip(flat[tidx], batch_results):
+        for idx, result in zip(tasks[tidx], batch_results):
             if serial:
                 report.completed_serial += 1
             else:
@@ -600,7 +564,7 @@ def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
             events.append((idx, result))
 
     def _batch_detail(tidx, detail):
-        size = len(flat[tidx])
+        size = len(tasks[tidx])
         if size > 1:
             return f"{detail} (batch of {size} snapshots)"
         return detail
@@ -611,7 +575,7 @@ def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
         Incidents are attributed to the task's first snapshot."""
         if completed[tidx]:
             return
-        first = flat[tidx][0]
+        first = tasks[tidx][0]
         attempts[tidx] += 1
         report.record(kind, first, snapshots[first].cycle, attempts[tidx],
                       _batch_detail(tidx, detail))
@@ -622,12 +586,10 @@ def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
                           _batch_detail(
                               tidx,
                               "retries exhausted; replaying in-process"))
-            # Replay each lane-batch of the task individually — a
-            # super-task's flat group may exceed the lane limit.
             _complete(tidx,
-                      _get_serial_engine().replay_batches(
-                          [[snapshots[i] for i in batch]
-                           for batch in tasks[tidx]], strict=strict),
+                      _get_serial_engine().replay_batch(
+                          [snapshots[i] for i in tasks[tidx]],
+                          strict=strict),
                       serial=True)
         else:
             report.retries += 1
@@ -659,16 +621,14 @@ def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
                 if (not cancelled and w.task is None and ready
                         and w.proc.is_alive()):
                     tidx = ready.popleft()
-                    indices = flat[tidx]
+                    indices = tasks[tidx]
                     fault = (fault_plan.pick(indices[0],
                                              snapshots[indices[0]])
                              if fault_plan is not None else None)
-                    # Deadline scales with the task's total snapshot
-                    # count, as if its batches ran serially: overlap
-                    # only ever adds headroom, never tightens it.
+                    # Deadline scales with the batch's snapshot count.
                     w.dispatch(tidx, [snapshots[i] for i in indices],
                                strict, fault, timeout * len(indices),
-                               attempts[tidx] + 1, splits[tidx],
+                               attempts[tidx] + 1,
                                init_grace=init_grace)
 
             # Sleep until some worker has bytes for us (or the poll
@@ -729,7 +689,7 @@ def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
                 yield events.popleft()
 
             if cancelled:
-                abandoned = sum(len(flat[t]) for t in range(n_tasks)
+                abandoned = sum(len(tasks[t]) for t in range(n_tasks)
                                 if not completed[t])
                 if abandoned:
                     report.cancelled = abandoned
@@ -765,7 +725,7 @@ def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
                     pool[i] = _respawn("timeout")
                     _retry_or_fallback(
                         tidx, "timeout",
-                        f"no result within {timeout * len(flat[tidx]):.1f}s;"
+                        f"no result within {timeout * len(tasks[tidx]):.1f}s;"
                         f" worker killed")
             while events:
                 yield events.popleft()
@@ -785,8 +745,7 @@ def replay_supervised(flow, snapshots, *, workers, port_names,
                       start_method=None, timeout=None, max_retries=2,
                       backoff_base=0.25, fault_plan=None, on_result=None,
                       serial_engine=None, batch_lanes=1, gl_backend=None,
-                      gl_overlap=None, serial_gl_backend=None,
-                      init_grace=None):
+                      serial_gl_backend=None, init_grace=None):
     """Replay ``snapshots`` under supervision; order-preserving.
 
     Returns ``(results, ReplayHealthReport)``.  ``on_result(index,
@@ -833,7 +792,6 @@ def replay_supervised(flow, snapshots, *, workers, port_names,
             max_retries=max_retries, backoff_base=backoff_base,
             fault_plan=fault_plan, serial_engine=serial_engine,
             batch_lanes=batch_lanes, gl_backend=gl_backend,
-            gl_overlap=gl_overlap,
             serial_gl_backend=serial_gl_backend, init_grace=init_grace,
             report=report):
         results[idx] = result

@@ -171,6 +171,7 @@ class StroberService:
         self.jobs = {}
         self._queue = collections.deque()
         self._running = {}        # job id -> asyncio.Task
+        self._clients = set()     # open connection-handler tasks
         self.breakers = BreakerBoard(
             threshold=config.breaker_threshold,
             cooldown_s=config.breaker_cooldown_s)
@@ -331,6 +332,12 @@ class StroberService:
 
     async def _stop(self):
         self._server.close()
+        # Connections still open are finished here, while the loop
+        # runs: a handler left pending would be finalized after the
+        # loop closed, and its writer.close() would raise.
+        for task in list(self._clients):
+            task.cancel()
+        await asyncio.gather(*self._clients, return_exceptions=True)
         with contextlib.suppress(Exception):
             await self._server.wait_closed()
         if self._metrics_server is not None:
@@ -529,6 +536,8 @@ class StroberService:
     # -- the socket protocol -----------------------------------------
 
     async def _handle_client(self, reader, writer):
+        task = asyncio.current_task()
+        self._clients.add(task)
         try:
             while True:
                 try:
@@ -563,6 +572,7 @@ class StroberService:
             # daemon exit get cancelled mid-cleanup, which is fine.
             with contextlib.suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
+            self._clients.discard(task)
 
     async def _dispatch(self, request):
         cmd = request.get("cmd")
@@ -815,6 +825,7 @@ def _summarize(run):
         "epi_nj": energy.epi_nj,
         "rel_error": getattr(power, "relative_error_bound", None),
         "gl_backend": run.timings.get("gl_backend"),
+        "batch_lanes": run.timings.get("batch_lanes"),
         "resumed_sim": run.timings.get("resumed_sim"),
         "resumed_replays": run.timings.get("resumed_replays"),
         "wall_seconds": run.wall_seconds,

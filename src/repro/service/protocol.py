@@ -98,7 +98,7 @@ class JobSpec:
     confidence: float = 0.99
     strict_replay: bool = True
     workers: int = 1
-    batch_lanes: int = 1
+    batch_lanes: int = None       # None = 64, run_strober's default
     gl_backend: str = None
     workload_kwargs: dict = field(default_factory=dict)
     deadline_s: float = None      # per-job wall clock; None = no deadline

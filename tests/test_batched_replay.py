@@ -1,5 +1,5 @@
 """Bit-parallel batched snapshot replay: lane-for-lane golden
-equivalence with the scalar serial path, mismatch blame, worker-pool
+equivalence with the one-lane serial path, mismatch blame, worker-pool
 composition, and the persisted levelized schedule
 (repro.core.replay.replay_batch / replay_all(batch_lanes=...),
 repro.gatelevel.BatchedGateLevelSimulator)."""
@@ -13,7 +13,8 @@ import pytest
 
 from repro.core import run_strober
 from repro.core.replay import (
-    ReplayEngine, ReplayError, make_replay_batches, run_asic_flow,
+    ReplayEngine, ReplayError, make_replay_batches, plan_replay_batches,
+    run_asic_flow,
 )
 from repro.gatelevel import (
     BatchedGateLevelSimulator, GateLevelSimulator, MAX_LANES,
@@ -33,7 +34,7 @@ def towers_run():
 def serial_keys(towers_run):
     return [_power_key(r)
             for r in towers_run.engine.replay_all(towers_run.snapshots,
-                                                  workers=1)]
+                                                  workers=1, batch_lanes=1)]
 
 
 def _power_key(result):
@@ -62,6 +63,11 @@ class TestMakeBatches:
             make_replay_batches(_fake_snaps([32]), 0)
         with pytest.raises(ValueError):
             make_replay_batches(_fake_snaps([32]), MAX_LANES + 1)
+
+    def test_ramp_doubles_up_to_the_lane_limit(self):
+        batches = plan_replay_batches(_fake_snaps([32] * 20), 8, ramp=2)
+        assert [len(b) for b in batches] == [2, 4, 8, 6]
+        assert [i for b in batches for i in b] == list(range(20))
 
     def test_pack_lane_words_round_trip(self):
         values = [5, 0, 7, 2, 63]
@@ -154,10 +160,10 @@ class TestWorkerComposition:
 class TestRunStroberIntegration:
     def test_batch_lanes_preserves_energy(self):
         scalar = run_strober("rocket_mini", "towers", sample_size=4,
-                             replay_length=32, backend="auto", seed=3)
+                             replay_length=32, backend="auto", seed=3,
+                             batch_lanes=1)
         batched = run_strober("rocket_mini", "towers", sample_size=4,
-                              replay_length=32, backend="auto", seed=3,
-                              batch_lanes=None)
+                              replay_length=32, backend="auto", seed=3)
         assert batched.timings["batch_lanes"] == MAX_LANES
         assert scalar.timings["batch_lanes"] == 1
         assert batched.energy.power.mean == scalar.energy.power.mean

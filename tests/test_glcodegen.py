@@ -16,7 +16,7 @@ from repro.core.flow import clear_caches, get_replay_engine
 from repro.gatelevel import (
     BatchedGateLevelSimulator, GateLevelSimulator, MAX_LANES,
     PackedStimulus, StimulusMismatch, build_kernel, build_schedule,
-    kernel_cache_key, pack_lane_words, resolve_backend, resolve_overlap,
+    kernel_cache_key, pack_lane_words, resolve_backend,
     synthesize, GLCodegenError,
 )
 from repro.gatelevel import glcodegen
@@ -116,7 +116,7 @@ class TestResolveBackend:
         monkeypatch.setenv("REPRO_GL_BACKEND", "c")
         assert resolve_backend(None) == "c"
         monkeypatch.delenv("REPRO_GL_BACKEND")
-        assert resolve_backend(None) == "interp"
+        assert resolve_backend(None) == "auto"
 
     def test_unknown_rejected(self):
         assert glcodegen.BACKENDS == ("interp", "c", "auto")
@@ -168,6 +168,27 @@ class TestSmallDesignEquivalence:
                 assert sim.peek("acc", lane=lane) == scalar.peek("acc")
                 assert sim.peek("peek", lane=lane) == \
                     scalar.peek("peek")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_one_lane_view_matches_interp(self, backend):
+        netlist = _small_netlist()
+        ref = GateLevelSimulator(netlist)
+        sim = GateLevelSimulator(netlist, backend=backend)
+        assert sim.lanes == 1 and sim.backend == backend
+        rng = random.Random(3)
+        for _cycle in range(20):
+            d, we = rng.randrange(256), rng.randrange(2)
+            for s in (ref, sim):
+                s.poke("d", d)
+                s.poke("we", we)
+                s.eval()
+            assert sim.peek_all() == ref.peek_all()
+            for s in (ref, sim):
+                s.step()
+        _assert_identical(ref, sim, backend)
+        got, want = sim.activity(), ref.activity()
+        assert np.array_equal(got["toggles"], want["toggles"])
+        assert got["sram_reads"] == want["sram_reads"]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_forces_fall_back_bit_identically(self, backend):
@@ -579,55 +600,42 @@ class TestRunCycles:
         assert (registry.value("glstep.eval_seconds") or 0) > 0
 
 
-class TestResolveOverlap:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GL_OVERLAP", "4")
-        assert resolve_overlap(2) == 2
+class TestOneReplayPath:
+    """Every replay goes through ``replay_batch``: the lane count and
+    the backend change the speed, never a bit of the result."""
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GL_OVERLAP", "3")
-        assert resolve_overlap(None) == 3
-        monkeypatch.delenv("REPRO_GL_OVERLAP")
-        assert resolve_overlap(None) == 1
-
-    @pytest.mark.parametrize("bad", [0, -2, "zero"])
-    def test_invalid_rejected(self, bad):
-        with pytest.raises(GLCodegenError):
-            resolve_overlap(bad)
-
-
-class TestThreadOverlap:
-    def test_overlap_power_identical(self, towers_run):
-        # overlapped batched replay (ragged batches AND singleton
-        # batches) must be bit-identical to the serial scalar path
-        engine = get_replay_engine("rocket_mini", gl_overlap=3)
-        assert engine.gl_overlap == 3
-        want = [_power_key(r) for r in towers_run.replays]
-        for lanes in (3, 1):
-            results = engine.replay_all(towers_run.snapshots,
-                                        workers=1, batch_lanes=lanes)
-            assert [_power_key(r) for r in results] == want
-
-    def test_run_strober_overlap_identical(self, towers_run):
-        run = run_strober("rocket_mini", "towers", sample_size=8,
-                          replay_length=32, backend="auto", seed=3,
-                          batch_lanes=3, gl_overlap=2,
-                          gl_backend="c")
-        assert run.timings["gl_overlap"] == 2
-        assert run.energy.epi_nj == towers_run.energy.epi_nj
-        assert [_power_key(r) for r in run.replays] == \
-            [_power_key(r) for r in towers_run.replays]
-
-    def test_supervised_super_tasks_identical(self, towers_run):
-        # workers > 1 dispatches super-tasks of gl_overlap batches;
-        # each worker overlaps them on its own thread pool
-        engine = get_replay_engine("rocket_mini", gl_overlap=2)
-        results = engine.replay_all(towers_run.snapshots, workers=2,
-                                    batch_lanes=3)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("lanes", [1, 7, None])
+    def test_power_identical_for_any_lanes(self, towers_run, backend,
+                                           lanes):
+        engine = get_replay_engine("rocket_mini", gl_backend=backend)
+        results = engine.replay_all(towers_run.snapshots,
+                                    batch_lanes=lanes)
         assert [_power_key(r) for r in results] == \
             [_power_key(r) for r in towers_run.replays]
-        assert engine.last_health is not None
-        assert engine.last_health.healthy
+        assert _power_key(engine.replay(towers_run.snapshots[2])) == \
+            _power_key(towers_run.replays[2])
+
+    def test_no_knob_run_takes_the_fast_path(self, towers_run):
+        assert towers_run.timings["batch_lanes"] == MAX_LANES
+        # auto resolves to the C kernel where a compiler exists
+        want = "c" if HAVE_CC else "interp"
+        if os.environ.get("REPRO_GL_BACKEND") == "interp":
+            want = "interp"
+        assert towers_run.timings["gl_backend"] == want
+
+    def test_full_trace_identical_across_backends(self):
+        run = run_strober("rocket_mini", "towers", sample_size=2,
+                          replay_length=32, seed=3, record_full_io=True)
+        trace = run.result.fame.full_io_trace
+        out = []
+        for backend in BACKENDS:
+            engine = get_replay_engine("rocket_mini", gl_backend=backend)
+            power, mismatches = engine.replay_full_trace(trace)
+            assert mismatches == 0
+            out.append((power.total_w, power.switching_w,
+                        tuple(sorted(power.by_group.items()))))
+        assert len(set(out)) == 1
 
 
 class TestKernelVersionResume:

@@ -36,7 +36,7 @@ def _fake_run(**overrides):
         timings={"sim_seconds": 0.5, "flow_seconds": 0.3,
                  "replay_seconds": 0.6, "energy_seconds": 0.1,
                  "workers": 2, "batch_lanes": 8, "gl_backend": "interp",
-                 "gl_overlap": 1, "flow_cache_hit": True})
+                 "flow_cache_hit": True})
     base.update(overrides)
     return SimpleNamespace(**base)
 
@@ -192,8 +192,7 @@ class TestRecordBuilders:
         assert record["design"] == "rocket_mini"
         assert record["run_key"] == "abc123def456"
         assert record["config"] == {"workers": 2, "batch_lanes": 8,
-                                    "gl_backend": "interp",
-                                    "gl_overlap": 1}
+                                    "gl_backend": "interp"}
         assert record["metrics"]["wall_seconds"] == 1.5
         assert record["metrics"]["sim_seconds"] == 0.5
         assert record["snapshots"] == 3

@@ -17,7 +17,8 @@ from repro.core import (
 from repro.core.replay import ReplayEngine, ReplayError
 from repro.hdl import Module, elaborate, circuit_fingerprint
 from repro.gatelevel import GateLevelSimulator
-from repro.parallel import ArtifactCache, replay_parallel, ParallelReplayError
+from repro.parallel import ArtifactCache, ParallelReplayError
+from repro.robust.supervisor import replay_supervised
 from repro.sim import RTLSimulator
 
 
@@ -69,9 +70,9 @@ class TestParallelReplay:
             engine.flow, port_names=engine._port_names,
             grouping=lambda origin: "all", freq_hz=engine.freq_hz)
         with pytest.raises(ParallelReplayError):
-            replay_parallel(fancy.flow, snaps, workers=2,
-                            port_names=fancy._port_names,
-                            grouping=fancy.grouping)
+            replay_supervised(fancy.flow, snaps, workers=2,
+                              port_names=fancy._port_names,
+                              grouping=fancy.grouping)
         with pytest.warns(RuntimeWarning):
             results = fancy.replay_all(snaps, workers=2)
         assert len(results) == 2

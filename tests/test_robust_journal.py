@@ -131,18 +131,19 @@ class TestRunStroberResume:
         replays — and produces a bit-identical energy estimate."""
         jpath = str(tmp_path / "run.journal")
         calls = {"n": 0}
-        orig = ReplayEngine.replay
+        orig = ReplayEngine.replay_batch
 
-        def bomb(self, snapshot, strict=True):
+        def bomb(self, snapshots, strict=True):
             calls["n"] += 1
             if calls["n"] > 3:
                 raise RuntimeError("simulated crash mid-replay")
-            return orig(self, snapshot, strict=strict)
+            return orig(self, snapshots, strict=strict)
 
-        monkeypatch.setattr(ReplayEngine, "replay", bomb)
+        # one snapshot per batch, so the crash lands after 3 replays
+        monkeypatch.setattr(ReplayEngine, "replay_batch", bomb)
         with pytest.raises(RuntimeError, match="simulated crash"):
-            run_strober(**RUN_KW, journal=jpath)
-        monkeypatch.setattr(ReplayEngine, "replay", orig)
+            run_strober(**RUN_KW, journal=jpath, batch_lanes=1)
+        monkeypatch.setattr(ReplayEngine, "replay_batch", orig)
 
         # resume must not rerun the FAME simulation
         import repro.core.flow as flow_mod
@@ -165,6 +166,18 @@ class TestRunStroberResume:
         assert again.timings["resumed_sim"]
         assert again.timings["resumed_replays"] == len(first.snapshots)
         assert _energy_key(again.energy) == _energy_key(baseline.energy)
+
+    def test_one_lane_journal_resumes_under_defaults(self, tmp_path):
+        # the lane count is advisory: a journal written with 1-lane
+        # batches resumes under the 64-lane default
+        jpath = str(tmp_path / "run.journal")
+        first = run_strober(**RUN_KW, journal=jpath, batch_lanes=1)
+        again = run_strober(**RUN_KW, journal=jpath)
+        assert again.timings["batch_lanes"] == 64
+        assert again.timings["resumed_replays"] == len(first.snapshots)
+        assert _energy_key(again.energy) == _energy_key(first.energy)
+        assert [r.power.total_w for r in again.replays] == \
+            [r.power.total_w for r in first.replays]
 
     def test_journal_records_are_complete(self, tmp_path):
         jpath = str(tmp_path / "run.journal")

@@ -201,6 +201,15 @@ class TestEndToEnd:
         assert status["last_span"] is not None
         assert "service.jobs_done" in status["metrics"]
 
+    def test_no_knob_job_runs_the_fast_path(self, tmp_path):
+        with _harness(tmp_path) as harness:
+            with harness.client() as client:
+                job = client.wait(client.submit(**SPEC), timeout_s=300)
+        assert job["state"] == "done"
+        assert job["spec"]["batch_lanes"] is None
+        assert job["summary"]["batch_lanes"] == 64
+        assert job["summary"]["gl_backend"] in ("c", "interp")
+
     def test_malformed_request_line_gets_typed_error(self, tmp_path,
                                                      stub_runs):
         with _harness(tmp_path) as harness:
@@ -435,6 +444,28 @@ class TestAdmissionAndLifecycle:
         assert event["quarantined"] == "/quarantine/glso.pkl"
         assert calm["backends"] == ["interp"]      # capped by the floor
         assert breakers["rocket_mini"]["floor"] == "interp"
+
+
+class TestTeardown:
+    def test_open_connection_is_closed_before_the_loop(self, tmp_path,
+                                                       stub_runs):
+        harness = _harness(tmp_path).start()
+        try:
+            address = harness.address
+            with socket.create_connection(
+                    (address["host"], address["port"]), timeout=30) as s:
+                f = s.makefile("rwb")
+                f.write(encode_line({"cmd": "ping"}))
+                f.flush()
+                assert decode_line(f.readline())["ok"] is True
+                assert len(harness.service._clients) == 1
+                harness.stop()
+                # the daemon finished the handler, then closed the
+                # socket: the client reads end-of-stream
+                assert not harness.service._clients
+                assert f.readline() == b""
+        finally:
+            harness.stop()
 
 
 class TestQueueResume:
