@@ -383,6 +383,7 @@ def _run_strober(design, workload, *, sample_size, replay_length,
                 from ..robust.journal import JournaledWorkloadResult
                 result = JournaledWorkloadResult(resume.sim,
                                                  resume.snapshots)
+                rtl_backend = None      # no simulator ran
             else:
                 sim_ctx = _sim_pipeline().run(sim_circuit, debug=debug)
                 sim_report = sim_ctx.report
@@ -397,6 +398,7 @@ def _run_strober(design, workload, *, sample_size, replay_length,
                     seed=seed,
                     record_full_io=record_full_io,
                 )
+                rtl_backend = result.fame.sim.backend
             sim_span.set(cycles=result.cycles)
         sim_seconds = sim_span.dur
         if not result.passed:
@@ -524,6 +526,7 @@ def _run_strober(design, workload, *, sample_size, replay_length,
                 "energy_seconds": energy_seconds,
                 "workers": workers,
                 "batch_lanes": batch_lanes,
+                "rtl_backend": rtl_backend,
                 "gl_backend": engine.backend_used,
                 "flow_cache_hit": engine.flow.cache_hit,
                 "resumed_sim": resume is not None,

@@ -327,7 +327,9 @@ class ReplayEngine:
         from ..gatelevel.glcodegen import build_kernel, resolve_backend
         self.gl_backend = resolve_backend(gl_backend)
         self._gl_kernel = build_kernel(self.flow.netlist, self.gl_backend)
-        self._sims = {}     # lanes -> BatchedGateLevelSimulator
+        # lanes -> BatchedGateLevelSimulator: the full-width one and
+        # the most recent other width (see _sim)
+        self._sims = {}
         if port_names is None:
             if circuit is not None:
                 port_names = replay_port_names(circuit)
@@ -369,6 +371,13 @@ class ReplayEngine:
     def _sim(self, lanes):
         sim = self._sims.get(lanes)
         if sim is None:
+            # An adaptive run ramps through many widths; keep only the
+            # 64-lane simulator and the latest other one (each holds
+            # its own net values and toggle planes), so a fixed run's
+            # 64, ..., 64, tail pattern still rebuilds nothing.
+            if lanes != MAX_LANES:
+                for width in [w for w in self._sims if w != MAX_LANES]:
+                    del self._sims[width]
             sim = self._sims[lanes] = BatchedGateLevelSimulator(
                 self.flow.netlist, lanes=lanes, schedule=self._schedule,
                 kernel=self._gl_kernel)

@@ -20,8 +20,7 @@ from .gl_sim import (
     STEP_PHASES,
 )
 from .glcodegen import (
-    build_kernel, resolve_backend, kernel_cache_key,
-    GLCodegenError, GLCodegenUnavailable,
+    build_kernel, resolve_backend, kernel_cache_key, GLCodegenError,
 )
 from .formal import (
     match_netlist, verify_equivalence, NameMap, MatchPoint, MatchError,
@@ -41,7 +40,7 @@ __all__ = [
     "pack_lane_bits", "lane_ops",
     "MAX_LANES", "SCHEDULE_VERSION", "STEP_PHASES",
     "build_kernel", "resolve_backend",
-    "kernel_cache_key", "GLCodegenError", "GLCodegenUnavailable",
+    "kernel_cache_key", "GLCodegenError",
     "match_netlist", "verify_equivalence", "NameMap", "MatchPoint",
     "MatchError", "EquivalenceResult", "FormalMatchPass", "GatherPlan",
     "DffLoad",

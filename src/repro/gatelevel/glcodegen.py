@@ -20,13 +20,11 @@ into native code without generating any per-design code:
   checks, toggle planes, SRAM ports, DFF commit — as one foreign call
   that releases the GIL.  Semantics match the interpreter bit for bit.
 
-The shared object is compiled once per host at a fixed ``-O2`` and
-stored in the content-addressed artifact cache
-(:mod:`repro.parallel.cache`) as a single ``glso`` entry.  Its key
-hashes the C source text with the compiler's ``--version`` line, so
-editing the kernel or changing toolchains rebuilds instead of loading a
-stale object.  A cached object that no longer loads is counted as
-``cache.glso.stale``, warned about once, and rebuilt live.
+The shared object is compiled once per host at a fixed ``-O2`` by
+:func:`repro.native.load` and cached as a single ``glso`` entry keyed
+by the C source text, the compiler's ``--version`` line and the flags,
+so editing the kernel or changing toolchains rebuilds instead of
+loading a stale object.
 
 The fallback ladder is ``c -> interp``: no C compiler, or a netlist the
 kernel cannot express (SRAM words wider than 64 bits, addresses wider
@@ -37,23 +35,18 @@ warning; ``auto`` degrades silently.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import shutil
-import subprocess
-import tempfile
 import time
-import warnings
 from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 
 from .gl_sim import StimulusMismatch, _note_step_phases
+from .. import native
 from ..obs import get_tracer, get_registry
 
 _ENV_BACKEND = "REPRO_GL_BACKEND"
-_ENV_CC = "REPRO_GL_CC"
 
 BACKENDS = ("interp", "c", "auto")
 
@@ -64,27 +57,9 @@ _CELL_KINDS = {cell: i for i, cell in enumerate(
     ("INV", "BUF", "AND2", "OR2", "XOR2", "XNOR2", "NAND2", "NOR2",
      "MUX2"))}
 
-_WARNED = set()
-
 
 class GLCodegenError(Exception):
     pass
-
-
-class GLCodegenUnavailable(GLCodegenError):
-    """Requested backend cannot be built here (e.g. no C compiler)."""
-
-
-def _warn_once(event, message):
-    get_tracer().instant(f"glcodegen.{event}", cat="flow", detail=message)
-    if event not in _WARNED:
-        _WARNED.add(event)
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
-
-
-def reset_warnings():
-    """Re-arm the once-per-event warnings (test hook)."""
-    _WARNED.clear()
 
 
 def resolve_backend(backend=None):
@@ -108,61 +83,30 @@ def kernel_source():
             .joinpath("gl_kernel.c").read_text(encoding="utf-8"))
 
 
-def _find_compiler():
-    override = os.environ.get(_ENV_CC)
-    if override:
-        if shutil.which(override) or (os.path.isfile(override)
-                                      and os.access(override, os.X_OK)):
-            return override
-        raise GLCodegenUnavailable(
-            f"$REPRO_GL_CC={override!r} is not an executable compiler")
-    compiler = shutil.which("gcc") or shutil.which("cc")
-    if compiler is None:
-        raise GLCodegenUnavailable("no C compiler on PATH")
-    return compiler
-
-
-@lru_cache(maxsize=None)
-def _cc_version(compiler):
-    """First line of ``compiler --version``."""
-    try:
-        proc = subprocess.run([compiler, "--version"], check=True,
-                              capture_output=True, text=True, timeout=60)
-    except (OSError, subprocess.CalledProcessError,
-            subprocess.TimeoutExpired) as exc:
-        raise GLCodegenUnavailable(
-            f"C compiler {compiler!r} does not run: {exc}") from exc
-    return proc.stdout.splitlines()[0] if proc.stdout else ""
-
-
 def kernel_cache_key():
     """The host-wide ``glso`` cache key: kernel source + cc version.
 
-    Every netlist shares it.  Raises :class:`GLCodegenUnavailable` when
-    no working C compiler is found.
+    Every netlist shares it.  Raises
+    :class:`~repro.native.ToolchainUnavailable` when no working C
+    compiler is found.
     """
-    h = hashlib.blake2b(digest_size=20)
-    for part in (kernel_source(), _cc_version(_find_compiler()),
-                 " ".join(_CFLAGS)):
-        h.update(part.encode())
-        h.update(b"\x1f")
-    return h.hexdigest()
+    return native.cache_key((kernel_source(),), _CFLAGS)
 
 
 def check_supported(netlist):
-    """Raise :class:`GLCodegenUnavailable` for netlists the kernel
-    cannot express: it packs one uint64 word per SRAM entry and
-    assembles addresses in an int64."""
+    """Raise :class:`~repro.native.ToolchainUnavailable` for netlists
+    the kernel cannot express: it packs one uint64 word per SRAM entry
+    and assembles addresses in an int64."""
     for macro in netlist.srams:
         if macro.width > 64:
-            raise GLCodegenUnavailable(
+            raise native.ToolchainUnavailable(
                 f"SRAM macro {macro.name!r} is {macro.width} bits wide; "
                 f"the C kernel packs one uint64 word per entry")
         ports = ([(a, d) for _en, a, d in macro.write_ports]
                  + list(macro.read_ports))
         for addr_nets, data_nets in ports:
             if len(addr_nets) > 62 or len(data_nets) > 64:
-                raise GLCodegenUnavailable(
+                raise native.ToolchainUnavailable(
                     f"SRAM macro {macro.name!r} has a port with "
                     f"{len(addr_nets)} address and {len(data_nets)} "
                     f"data bits; the C kernel handles at most 62 and 64")
@@ -336,14 +280,8 @@ class CKernel:
 
     def __init__(self, lib, compile_seconds=0.0, from_cache=False):
         self._lib = lib                    # keep the CDLL alive
-        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
         self._eval = lib.gl_eval
-        self._eval.argtypes = [ptr] * 6 + [i64]
-        self._eval.restype = None
         self._run = lib.gl_run_cycles
-        self._run.argtypes = [ptr, ctypes.POINTER(_GlState),
-                              ctypes.POINTER(_GlRun)]
-        self._run.restype = i64
         self.compile_seconds = compile_seconds
         self.from_cache = from_cache
 
@@ -440,7 +378,25 @@ class CKernel:
 
 # -- compilation + artifact cache -------------------------------------------
 
-def _note_build(seconds, from_cache):
+# (symbol, argtypes, restype) of the kernel's two entry points
+_EXPORTS = (
+    ("gl_eval", [ctypes.c_void_p] * 6 + [ctypes.c_int64], None),
+    ("gl_run_cycles", [ctypes.c_void_p, ctypes.POINTER(_GlState),
+                       ctypes.POINTER(_GlRun)], ctypes.c_int64),
+)
+
+
+def compile_c_kernel(use_cache=True):
+    """Build (or load from the ``glso`` cache entry) the C kernel.
+
+    Raises :class:`~repro.native.ToolchainUnavailable` only when no
+    working C compiler can be found.
+    """
+    t0 = time.perf_counter()
+    lib, _meta, from_cache = native.load(
+        "glso", (kernel_source(),), _CFLAGS,
+        lambda: (kernel_source(), {}), _EXPORTS, use_cache=use_cache)
+    seconds = time.perf_counter() - t0
     registry = get_registry()
     registry.counter("glcodegen.compile_seconds").inc(float(seconds))
     registry.counter("glcodegen.builds").inc()
@@ -448,70 +404,6 @@ def _note_build(seconds, from_cache):
         registry.counter("glcodegen.cache_loads").inc()
     get_tracer().instant("glcodegen.kernel", cat="flow", backend="c",
                          seconds=seconds, from_cache=from_cache)
-
-
-def _load(so_path):
-    """CDLL the kernel and resolve both entry points now, not lazily."""
-    lib = ctypes.CDLL(so_path)
-    lib.gl_eval
-    lib.gl_run_cycles
-    return lib
-
-
-def _compile(workdir, so_path):
-    c_path = os.path.join(workdir, "gl_kernel.c")
-    with open(c_path, "w") as f:
-        f.write(kernel_source())
-    cmd = [_find_compiler(), *_CFLAGS, "-o", so_path, c_path]
-    try:
-        subprocess.run(cmd, check=True, capture_output=True, timeout=600)
-    except (OSError, subprocess.CalledProcessError,
-            subprocess.TimeoutExpired) as exc:
-        raise GLCodegenUnavailable(
-            f"C compilation failed: {exc}") from exc
-
-
-def compile_c_kernel(use_cache=True):
-    """Build (or load from the ``glso`` cache entry) the C kernel.
-
-    A cached object that fails to ``CDLL`` (ABI/arch/toolchain drift)
-    is counted as ``cache.glso.stale``, warned about once, and rebuilt
-    live — never raised.  Raises :class:`GLCodegenUnavailable` only
-    when no working C compiler can be found.  The shared object's
-    scratch directory is removed as soon as it is loaded: the mapping
-    outlives the file.
-    """
-    from ..parallel.cache import get_cache, cache_enabled
-
-    t0 = time.perf_counter()
-    key = kernel_cache_key() if use_cache and cache_enabled() else None
-    workdir = tempfile.mkdtemp(prefix="repro_glsim_")
-    try:
-        so_path = os.path.join(workdir, "gl_kernel.so")
-        entry = get_cache().get("glso", key) if key is not None else None
-        lib = None
-        if entry is not None:
-            with open(so_path, "wb") as f:
-                f.write(entry["so"])
-            try:
-                lib = _load(so_path)
-            except (OSError, AttributeError) as exc:
-                get_registry().counter("cache.glso.stale").inc()
-                _warn_once(
-                    "glso-stale",
-                    f"cached replay kernel failed to load ({exc}); "
-                    f"rebuilding it")
-        from_cache = lib is not None
-        if lib is None:
-            _compile(workdir, so_path)
-            lib = _load(so_path)
-            if key is not None:
-                with open(so_path, "rb") as f:
-                    get_cache().put("glso", key, {"so": f.read()})
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-    seconds = time.perf_counter() - t0
-    _note_build(seconds, from_cache)
     return CKernel(lib, compile_seconds=seconds, from_cache=from_cache)
 
 
@@ -532,13 +424,9 @@ def build_kernel(netlist, backend, use_cache=True):
         try:
             check_supported(netlist)
             kernel = compile_c_kernel(use_cache=use_cache)
-        except GLCodegenUnavailable as exc:
-            get_registry().counter("glcodegen.c_fallbacks").inc()
-            if backend == "c":
-                _warn_once(
-                    "c-fallback",
-                    f"C replay backend unavailable ({exc}); using the "
-                    f"interpreted evaluator instead")
+        except native.ToolchainUnavailable as exc:
+            native.note_fallback("glcodegen", backend, exc, "replay",
+                                 "interpreted evaluator")
             span.set(backend_used="interp")
             return None
         span.set(backend_used="c", from_cache=kernel.from_cache)

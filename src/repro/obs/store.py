@@ -259,6 +259,7 @@ def run_record(run):
     config = {
         "workers": timings.get("workers"),
         "batch_lanes": timings.get("batch_lanes"),
+        "rtl_backend": timings.get("rtl_backend"),
         "gl_backend": timings.get("gl_backend"),
     }
     metrics = {"wall_seconds": run.wall_seconds}

@@ -13,8 +13,9 @@ Layout::
 
 * ``root`` is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
 * ``kind`` namespaces artifact types (``asicflow``, ``asicflow-soc``,
-  ``pysim``, ``csim``, ``glsched``, and the host-wide gate-level replay
-  kernel ``glso``).
+  ``pysim``, ``glsched``, and the shared objects :mod:`repro.native`
+  builds: per-circuit RTL simulators ``csim`` and the host-wide
+  gate-level replay kernel ``glso``).
 * ``key`` is the circuit fingerprint; invalidation is automatic because
   any structural change to the design changes the key, and format
   changes bump ``CACHE_VERSION``.
@@ -66,8 +67,10 @@ _STAT_KEYS = (
     # levelization time skipped by loading a cached gate-evaluation
     # schedule (kind "glsched") instead of rebuilding it
     "sched_seconds_saved",
-    # cached replay kernels (kind "glso") that no longer load
-    # on this host (toolchain/arch drift) and were rebuilt live
+    # cached shared objects (RTL simulators, kind "csim", and the
+    # replay kernel, kind "glso") that no longer load on this host
+    # (toolchain/arch drift) and were rebuilt and replaced
+    "csim.stale",
     "glso.stale",
 )
 _PREFIX = "cache."

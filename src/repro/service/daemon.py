@@ -824,6 +824,7 @@ def _summarize(run):
         "total_power_mw": energy.total_power_mw,
         "epi_nj": energy.epi_nj,
         "rel_error": getattr(power, "relative_error_bound", None),
+        "rtl_backend": run.timings.get("rtl_backend"),
         "gl_backend": run.timings.get("gl_backend"),
         "batch_lanes": run.timings.get("batch_lanes"),
         "resumed_sim": run.timings.get("resumed_sim"),

@@ -1,24 +1,20 @@
 """Optional C backend for the RTL simulator.
 
-Lowers a Circuit to C, compiles it with the system C compiler, and loads
-it through ctypes.  Gives one-to-two orders of magnitude speedup over the
-generated-Python backend, standing in for the FPGA acceleration the paper
-uses.  Falls back cleanly (raises ``CBackendUnavailable``) when no
-compiler is present; callers use :func:`repro.sim.make_simulator`.
+Lowers a Circuit to C, which :mod:`repro.native` compiles, caches (kind
+``csim``) and loads through ctypes.  Gives one-to-two orders of
+magnitude speedup over the generated-Python backend, standing in for the
+FPGA acceleration the paper uses.  Raises
+:class:`~repro.native.ToolchainUnavailable` when no compiler is present;
+callers use :func:`repro.sim.make_simulator`, which falls back.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-from functools import lru_cache
 
 import numpy as np
 
+from .. import native
 from ..hdl.ir import mask
 from .state import mem_dtype
 
@@ -93,10 +89,6 @@ void mem_write(int mem, uint64_t off, uint64_t n, const void* in) {
   }
 }
 """
-
-
-class CBackendUnavailable(Exception):
-    pass
 
 
 def _mask_expr(expr, width):
@@ -186,7 +178,7 @@ def _lower_c(node, ref, mem_index):
         return f"({args[0]} == {mask(node.args[0].width)}ULL)"
     if op == "xorr":
         return f"((uint64_t)__builtin_parityll({args[0]}))"
-    raise CBackendUnavailable(f"cannot lower op {op!r} to C")
+    raise native.ToolchainUnavailable(f"cannot lower op {op!r} to C")
 
 
 def generate_c_source(circuit):
@@ -275,83 +267,8 @@ def generate_c_source(circuit):
         "out_index": out_index,
         "reg_index": {reg.path: i for reg, i in reg_index.items()},
         "mem_index": {mem.path: i for mem, i in mem_index.items()},
-        "source": None,
     }
     return "\n".join(parts), layout
-
-
-@lru_cache(maxsize=None)
-def _cc_version(compiler):
-    """First line of ``compiler --version``."""
-    try:
-        proc = subprocess.run([compiler, "--version"], check=True,
-                              capture_output=True, text=True, timeout=60)
-    except (OSError, subprocess.CalledProcessError,
-            subprocess.TimeoutExpired) as exc:
-        raise CBackendUnavailable(
-            f"C compiler {compiler!r} does not run: {exc}") from exc
-    return proc.stdout.splitlines()[0] if proc.stdout else ""
-
-
-def csim_cache_key(circuit, compiler):
-    """The ``csim`` cache key: blake2b(circuit fingerprint + the fixed
-    runtime text + the ``cc --version`` line + flags)."""
-    from ..hdl.ir import circuit_fingerprint
-    h = hashlib.blake2b(digest_size=20)
-    for part in (circuit_fingerprint(circuit), RUNTIME_C,
-                 _cc_version(compiler), " ".join(_CFLAGS)):
-        h.update(part.encode())
-        h.update(b"\x1f")
-    return h.hexdigest()
-
-
-def _find_compiler():
-    compiler = shutil.which("gcc") or shutil.which("cc")
-    if compiler is None:
-        raise CBackendUnavailable("no C compiler on PATH")
-    return compiler
-
-
-def _build_so(circuit, workdir, so_path, use_cache):
-    """Produce circuit.so in ``workdir``; returns the evaluator layout.
-
-    Warm path: the generated C source and compiled shared object are
-    stored in the artifact cache under :func:`csim_cache_key`, so a
-    repeat invocation (any process) skips both codegen and the compiler.
-    """
-    from ..parallel.cache import get_cache, cache_enabled
-
-    compiler = _find_compiler()
-    key = None
-    if use_cache and cache_enabled():
-        key = csim_cache_key(circuit, compiler)
-        entry = get_cache().get("csim", key)
-        if entry is not None:
-            with open(so_path, "wb") as f:
-                f.write(entry["so"])
-            layout = dict(entry["layout"])
-            layout["source"] = entry["source"]
-            return layout
-
-    source, layout = generate_c_source(circuit)
-    c_path = os.path.join(workdir, "circuit.c")
-    with open(c_path, "w") as f:
-        f.write(source)
-    cmd = [compiler, *_CFLAGS, "-o", so_path, c_path]
-    try:
-        subprocess.run(cmd, check=True, capture_output=True, timeout=600)
-    except (subprocess.CalledProcessError, subprocess.TimeoutExpired) as exc:
-        raise CBackendUnavailable(f"C compilation failed: {exc}") from exc
-    layout["source"] = source
-    if key is not None:
-        with open(so_path, "rb") as f:
-            so_bytes = f.read()
-        get_cache().put("csim", key, {
-            "source": source,
-            "so": so_bytes,
-            "layout": {k: v for k, v in layout.items() if k != "source"},
-        })
-    return layout
 
 
 _U64P = ctypes.POINTER(ctypes.c_uint64)
@@ -375,40 +292,29 @@ _EXPORTS = (
 )
 
 
-def _load(so_path):
-    lib = ctypes.CDLL(so_path)
-    for name, argtypes, restype in _EXPORTS:
-        fn = getattr(lib, name)
-        fn.argtypes = argtypes
-        fn.restype = restype
-    return lib
-
-
-def compile_circuit_c(circuit, keep_dir=None, use_cache=True):
+def compile_circuit_c(circuit, use_cache=True):
     """Compile a circuit to a shared object and wrap it ctypes-side.
 
     Returns ``(cycle_fn, layout)`` matching the Python backend interface,
     except that the input and output vectors must be ``ctypes.c_uint64``
     arrays, passed to the C call as they are, and state lives inside
     the shared object (proxied by :class:`CRegProxy` / :class:`CMemProxy`).
-    Every call loads its own copy of the object from a unique path, so
-    each simulator gets private state; the directory is removed once the
-    object is loaded (the mapping outlives the file) unless ``keep_dir``
-    names it.
+    Every call loads its own copy of the object (see
+    :func:`repro.native.load`), so each simulator gets private state.
+    The ``csim`` cache key covers the circuit fingerprint and the fixed
+    runtime text; the generated source and layout are cached with the
+    object, so a warm load skips both codegen and the compiler.
     """
-    workdir = keep_dir or tempfile.mkdtemp(prefix="repro_csim_")
-    try:
-        so_path = os.path.join(workdir, "circuit.so")
-        layout = _build_so(circuit, workdir, so_path, use_cache)
-        try:
-            lib = _load(so_path)
-        except (OSError, AttributeError):
-            # A cached .so from an incompatible toolchain/arch: rebuild.
-            layout = _build_so(circuit, workdir, so_path, use_cache=False)
-            lib = _load(so_path)
-    finally:
-        if not keep_dir:
-            shutil.rmtree(workdir, ignore_errors=True)
+    from ..hdl.ir import circuit_fingerprint
+
+    def generate():
+        source, layout = generate_c_source(circuit)
+        return source, {"source": source, "layout": layout}
+
+    lib, meta, from_cache = native.load(
+        "csim", (circuit_fingerprint(circuit), RUNTIME_C), _CFLAGS,
+        generate, _EXPORTS, use_cache=use_cache)
+    layout = dict(meta["layout"], source=meta["source"])
 
     def cycle_fn(inputs, outputs, regs, mems, commit):
         # regs/mems are proxies (see RTLSimulator wiring); the
@@ -416,6 +322,7 @@ def compile_circuit_c(circuit, keep_dir=None, use_cache=True):
         lib.cycle(inputs, outputs, 1 if commit else 0)
 
     cycle_fn.lib = lib
+    cycle_fn.from_cache = from_cache
     return cycle_fn, layout
 
 

@@ -12,6 +12,7 @@ import ctypes
 import numpy as np
 
 from ..hdl.ir import mask
+from ..native import ToolchainUnavailable, note_fallback
 from .compiler import compile_circuit_cached
 from .state import SimState, SimStateError, mem_dtype, name_order
 
@@ -221,12 +222,22 @@ class RTLSimulator:
 
 
 def make_simulator(circuit, backend="auto"):
-    """Build an RTLSimulator, preferring the C backend when available."""
-    if backend == "auto":
+    """Build an RTLSimulator on ``backend`` (``c``, ``python`` or
+    ``auto``).
+
+    ``c`` and ``auto`` try the C backend and fall back to ``python``
+    only when it cannot be built here
+    (:class:`~repro.native.ToolchainUnavailable`): counted as
+    ``sim.c_fallbacks``, and warned about once for an explicit ``c``.
+    Any other error propagates.
+    """
+    if backend in ("c", "auto"):
         try:
             return RTLSimulator(circuit, backend="c")
-        except Exception:
-            return RTLSimulator(circuit, backend="python")
+        except ToolchainUnavailable as exc:
+            note_fallback("sim", backend, exc, "RTL simulator",
+                          "Python evaluator")
+        backend = "python"
     return RTLSimulator(circuit, backend=backend)
 
 

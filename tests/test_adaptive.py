@@ -319,6 +319,23 @@ class TestAdaptiveEndToEnd:
         assert "-- adaptive sampling controller --" in text
         assert "target-met" in text
 
+    def test_ramped_stream_leaves_at_most_two_simulators(self,
+                                                          fixed_run):
+        # an adaptive run's batches ramp 1, 2, 4, ... lanes wide
+        engine = fixed_run.engine
+        snapshots = list(fixed_run.result.snapshots)
+        assert len(snapshots) > 8
+        done = list(engine.replay_stream(snapshots, cancel=CancelToken(),
+                                         ramp=1))
+        assert len(done) == len(snapshots)
+        assert 1 <= len(engine._sims) <= 2
+
+    def test_fixed_batches_reuse_their_simulators(self, fixed_run):
+        engine = fixed_run.engine
+        sims = [engine._sim(lanes) for lanes in (64, 64, 64, 63) * 2]
+        assert all(sim is sims[0] for sim in sims[:3] + sims[4:7])
+        assert sims[3] is sims[7]
+
     def test_fixed_run_emits_no_controller_events(self, tmp_path):
         from repro.obs.report import controller_events
         path = str(tmp_path / "fixed.trace.json")

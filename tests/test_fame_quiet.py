@@ -29,8 +29,8 @@ from repro.targets.soc import (
 )
 
 try:
-    from repro.sim.cbackend import _find_compiler
-    _find_compiler()
+    from repro.native import find_compiler
+    find_compiler()
     BACKENDS = ("c", "python")
 except Exception:  # pragma: no cover - no C compiler on this host
     BACKENDS = ("python",)

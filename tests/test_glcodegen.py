@@ -19,20 +19,21 @@ from repro.gatelevel import (
     kernel_cache_key, pack_lane_words, resolve_backend,
     synthesize, GLCodegenError,
 )
+from repro import native
 from repro.gatelevel import glcodegen
 from repro.hdl import Module, elaborate
 from repro.obs import get_registry
 from repro.parallel import cache_stats, reset_cache_stats
 from repro.parallel.cache import get_cache
 from repro.robust import RunJournal, read_journal, TYPE_META
-from repro.sim.cbackend import CBackendUnavailable, compile_circuit_c
+from repro.sim.cbackend import compile_circuit_c
 
-# honors $REPRO_GL_CC, so a job pointing it at a nonexistent compiler
+# honors $REPRO_CC, so a job pointing it at a nonexistent compiler
 # exercises the fallback tests and skips the C-kernel ones
 try:
-    glcodegen._find_compiler()
+    native.find_compiler()
     HAVE_CC = True
-except glcodegen.GLCodegenUnavailable:
+except native.ToolchainUnavailable:
     HAVE_CC = False
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler")
 
@@ -358,7 +359,7 @@ class TestArtifactCache:
         key = kernel_cache_key()
         get_cache().put("glso", key,
                         {"so": b"\x7fELF not actually a shared object"})
-        glcodegen.reset_warnings()
+        native.reset_warnings()
         before = get_registry().value("cache.glso.stale") or 0
         with pytest.warns(RuntimeWarning, match="failed to load"):
             kernel = build_kernel(netlist, "c")
@@ -387,17 +388,17 @@ class TestArtifactCache:
             build_kernel(netlist, "c")
             try:
                 compile_circuit_c(circuit)
-            except CBackendUnavailable:
+            except native.ToolchainUnavailable:
                 pass
         assert list(scratch.iterdir()) == []
 
 
 class TestFallbackLadder:
     def test_no_cc_falls_back_to_interp(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GL_CC", "/nonexistent/cc")
+        monkeypatch.setenv("REPRO_CC", "/nonexistent/cc")
         netlist = _small_netlist()
         schedule = build_schedule(netlist)
-        glcodegen.reset_warnings()
+        native.reset_warnings()
         before = get_registry().value("glcodegen.c_fallbacks") or 0
         with pytest.warns(RuntimeWarning, match="unavailable"):
             kernel = build_kernel(netlist, "c", use_cache=False)
@@ -409,9 +410,9 @@ class TestFallbackLadder:
         assert sim.backend == "interp"
 
     def test_auto_degrades_silently(self, monkeypatch, recwarn):
-        monkeypatch.setenv("REPRO_GL_CC", "/nonexistent/cc")
+        monkeypatch.setenv("REPRO_CC", "/nonexistent/cc")
         netlist = _small_netlist()
-        glcodegen.reset_warnings()
+        native.reset_warnings()
         kernel = build_kernel(netlist, "auto", use_cache=False)
         assert kernel is None
         assert not [w for w in recwarn
@@ -428,7 +429,7 @@ class TestFallbackLadder:
         macro = netlist.srams[0]
         macro.width = 72
         schedule = build_schedule(netlist)
-        glcodegen.reset_warnings()
+        native.reset_warnings()
         with pytest.warns(RuntimeWarning, match="72 bits wide"):
             sim = BatchedGateLevelSimulator(netlist, lanes=3,
                                             schedule=schedule,
@@ -623,6 +624,9 @@ class TestOneReplayPath:
         if os.environ.get("REPRO_GL_BACKEND") == "interp":
             want = "interp"
         assert towers_run.timings["gl_backend"] == want
+        # so does the RTL simulator's, to the Python evaluator
+        assert towers_run.timings["rtl_backend"] == \
+            ("c" if HAVE_CC else "python")
 
     def test_full_trace_identical_across_backends(self):
         run = run_strober("rocket_mini", "towers", sample_size=2,

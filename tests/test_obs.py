@@ -270,7 +270,8 @@ class TestCacheStatsRegistry:
         stats = cache_stats()
         assert stats == {"hits": 0, "misses": 0, "corrupt_dropped": 0,
                          "put_skipped": 0, "sched_seconds_saved": 0.0,
-                         "glso.stale": 0, "quarantined": 0}
+                         "csim.stale": 0, "glso.stale": 0,
+                         "quarantined": 0}
         assert all(isinstance(v, int) for k, v in stats.items()
                    if k != "sched_seconds_saved")
         get_registry().counter("cache.hits").inc(3)

@@ -35,8 +35,8 @@ def _fake_run(**overrides):
         run_key="abc123def456",
         timings={"sim_seconds": 0.5, "flow_seconds": 0.3,
                  "replay_seconds": 0.6, "energy_seconds": 0.1,
-                 "workers": 2, "batch_lanes": 8, "gl_backend": "interp",
-                 "flow_cache_hit": True})
+                 "workers": 2, "batch_lanes": 8, "rtl_backend": "python",
+                 "gl_backend": "interp", "flow_cache_hit": True})
     base.update(overrides)
     return SimpleNamespace(**base)
 
@@ -192,6 +192,7 @@ class TestRecordBuilders:
         assert record["design"] == "rocket_mini"
         assert record["run_key"] == "abc123def456"
         assert record["config"] == {"workers": 2, "batch_lanes": 8,
+                                    "rtl_backend": "python",
                                     "gl_backend": "interp"}
         assert record["metrics"]["wall_seconds"] == 1.5
         assert record["metrics"]["sim_seconds"] == 0.5

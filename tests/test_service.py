@@ -209,6 +209,7 @@ class TestEndToEnd:
         assert job["spec"]["batch_lanes"] is None
         assert job["summary"]["batch_lanes"] == 64
         assert job["summary"]["gl_backend"] in ("c", "interp")
+        assert job["summary"]["rtl_backend"] in ("c", "python")
 
     def test_malformed_request_line_gets_typed_error(self, tmp_path,
                                                      stub_runs):

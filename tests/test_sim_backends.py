@@ -9,7 +9,7 @@ from repro.hdl.ir import Node
 from repro.sim import RTLSimulator, make_simulator
 
 try:
-    from repro.sim.cbackend import compile_circuit_c, CBackendUnavailable
+    from repro.sim.cbackend import compile_circuit_c
     _probe = None
     HAVE_C = True
 except Exception:  # pragma: no cover

@@ -17,6 +17,7 @@ from repro.core import run_strober
 from repro.core.replay import ReplayEngine
 from repro.fame import Endpoint, Fame1Simulator
 from repro.gatelevel import lane_ops, pack_lane_words
+from repro import native
 from repro.hdl import Module, circuit_fingerprint, elaborate
 from repro.robust.journal import (
     TYPE_RESULT, TYPE_SNAPSHOT, RunJournal, read_journal,
@@ -359,20 +360,22 @@ class _RegMem(Module):
 @pytest.fixture
 def c_circuit():
     try:
-        compiler = cbackend._find_compiler()
-    except cbackend.CBackendUnavailable:
+        compiler = native.find_compiler()
+    except native.ToolchainUnavailable:
         pytest.skip("no C compiler")
     return elaborate(_RegMem()), compiler
 
 
 class TestCSimulator:
-    def test_key_covers_runtime_text(self, c_circuit, monkeypatch):
-        circuit, compiler = c_circuit
-        key = cbackend.csim_cache_key(circuit, compiler)
-        assert key == cbackend.csim_cache_key(circuit, compiler)
+    def test_key_covers_runtime_text(self, c_circuit, tmp_path,
+                                     monkeypatch):
+        circuit, _ = c_circuit
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cbackend.compile_circuit_c(circuit)
+        assert cbackend.compile_circuit_c(circuit)[0].from_cache
         monkeypatch.setattr(cbackend, "RUNTIME_C",
                             cbackend.RUNTIME_C + "\n/* next version */\n")
-        assert cbackend.csim_cache_key(circuit, compiler) != key
+        assert not cbackend.compile_circuit_c(circuit)[0].from_cache
 
     def test_planted_old_entry_is_never_loaded(self, c_circuit, tmp_path,
                                                monkeypatch):
