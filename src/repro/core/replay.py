@@ -21,8 +21,8 @@ from ..gatelevel import (
     verify_equivalence, BatchedGateLevelSimulator,
     build_schedule, pack_lane_words, MAX_LANES, SCHEDULE_VERSION,
     PackedStimulus, StimulusMismatch, lane_ops,
-    analyze_power, default_grouping, SynthesisPass, PlacementPass,
-    FormalMatchPass,
+    analyze_power, analyze_power_lanes, default_grouping, SynthesisPass,
+    PlacementPass, FormalMatchPass,
 )
 from ..passes import PassManager, compose_cache_key
 from ..fame.transform import HOST_ENABLE
@@ -523,16 +523,23 @@ class ReplayEngine:
             ) from exc
         mismatches = lane_mismatches.tolist()
 
-        # One lane's activity at a time: a batch's per-net toggle
-        # vectors are never all alive at once.
-        powers = []
-        toggles = 0
-        for lane in range(n):
-            act = gl.activity(lane)
-            toggles += int(act["toggles"].sum())
-            powers.append(analyze_power(
-                netlist, act, self.flow.placement, freq_hz=self.freq_hz,
-                grouping=self.grouping))
+        if gl.backend == "c":
+            # The kernel reduces the toggle planes to every lane's
+            # switching power in one pass; the rest is per batch.
+            powers, toggles = analyze_power_lanes(
+                netlist, gl, self.flow.placement, freq_hz=self.freq_hz,
+                grouping=self.grouping)
+        else:
+            # The reference path: one lane's activity at a time, so a
+            # batch's per-net toggle vectors are never all alive at once.
+            powers = []
+            toggles = 0
+            for lane in range(n):
+                act = gl.activity(lane)
+                toggles += int(act["toggles"].sum())
+                powers.append(analyze_power(
+                    netlist, act, self.flow.placement,
+                    freq_hz=self.freq_hz, grouping=self.grouping))
         _note_replay(n, gl.cycles, toggles)
         per_lane_seconds = (time.perf_counter() - t0) / n
         return [ReplayResult(

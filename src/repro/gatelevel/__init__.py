@@ -26,7 +26,9 @@ from .formal import (
     match_netlist, verify_equivalence, NameMap, MatchPoint, MatchError,
     EquivalenceResult, FormalMatchPass, GatherPlan, DffLoad,
 )
-from .power import analyze_power, PowerReport, default_grouping
+from .power import (
+    analyze_power, analyze_power_lanes, PowerReport, default_grouping,
+)
 
 __all__ = [
     "CELLS", "TECH_45NM", "TechParams", "SramSpec", "CellSpec",
@@ -44,5 +46,6 @@ __all__ = [
     "match_netlist", "verify_equivalence", "NameMap", "MatchPoint",
     "MatchError", "EquivalenceResult", "FormalMatchPass", "GatherPlan",
     "DffLoad",
-    "analyze_power", "PowerReport", "default_grouping",
+    "analyze_power", "analyze_power_lanes", "PowerReport",
+    "default_grouping",
 ]

@@ -8,7 +8,7 @@
  * lanes are up to 64 independent simulations of the same netlist, so
  * every cell is one full-word bitwise op.
  *
- * Two entry points:
+ * Four entry points:
  *
  *   gl_eval       settle combinational logic once;
  *   gl_run_cycles the whole-replay hot loop: per cycle, packed pokes,
@@ -16,10 +16,17 @@
  *                 every level), settle, expected-output checks, the
  *                 vertical toggle-counter ripple add, SRAM write ports
  *                 and DFF commit.  Returns the number of committed
- *                 cycles (< n_cycles only on a strict-mode stop).
+ *                 cycles (< n_cycles only on a strict-mode stop);
+ *   gl_switching  reduce the toggle planes to every lane's switching
+ *                 power per report group, without exporting per-net
+ *                 toggle counts;
+ *   gl_lane_add   add one constant sequence of per-group watts to
+ *                 every lane's groups, in order.
  *
- * The semantics match BatchedGateLevelSimulator's interpreted path bit
- * for bit.
+ * The semantics match BatchedGateLevelSimulator's interpreted path and
+ * repro.gatelevel.power.analyze_power bit for bit; the floating-point
+ * sums rely on the build flags keeping every operation separately
+ * rounded (-ffp-contract=off: no fused multiply-add).
  */
 #include <stdint.h>
 #include <time.h>
@@ -313,4 +320,105 @@ int64_t gl_run_cycles(const gl_prog *P, gl_state *S, gl_run *R) {
   }
   *S->planes_used = used;
   return R->n_cycles;
+}
+
+/* In place: word k of ``x`` becomes byte k of every word, word r's
+ * byte landing in byte r (an 8x8 byte-matrix transpose), then each
+ * word's 8x8 bit matrix (row r = byte r) is transposed.  For eight
+ * toggle planes that turns plane-major bits into one byte per lane:
+ * byte (lane % 8) of x[lane / 8] holds bit p = the lane's bit in
+ * plane p. */
+static void planes_to_lane_bytes(uint64_t x[8]) {
+  uint64_t t;
+  for (int r = 0; r < 4; r++) {
+    t = ((x[r] >> 32) ^ x[r + 4]) & 0x00000000FFFFFFFFULL;
+    x[r] ^= t << 32;
+    x[r + 4] ^= t;
+  }
+  for (int r = 0; r < 8; r += (r & 1) ? 3 : 1) {   /* 0, 1, 4, 5 */
+    t = ((x[r] >> 16) ^ x[r + 2]) & 0x0000FFFF0000FFFFULL;
+    x[r] ^= t << 16;
+    x[r + 2] ^= t;
+  }
+  for (int r = 0; r < 8; r += 2) {
+    t = ((x[r] >> 8) ^ x[r + 1]) & 0x00FF00FF00FF00FFULL;
+    x[r] ^= t << 8;
+    x[r + 1] ^= t;
+  }
+  for (int k = 0; k < 8; k++) {
+    uint64_t y = x[k];
+    t = (y ^ (y >> 7)) & 0x00AA00AA00AA00AAULL;
+    y ^= t ^ (t << 7);
+    t = (y ^ (y >> 14)) & 0x0000CCCC0000CCCCULL;
+    y ^= t ^ (t << 14);
+    t = (y ^ (y >> 28)) & 0x00000000F0F0F0F0ULL;
+    y ^= t ^ (t << 28);
+    x[k] = y;
+  }
+}
+
+/* Switching power of every lane from the vertical toggle counters:
+ * per net with a nonzero energy, in net order,
+ *
+ *   watts = (double)toggles * cap * 0.5 * vdd2 * 1e-15 / seconds
+ *
+ * evaluated left to right and added to the lane's entry of the net's
+ * report-group row of ``acc`` (group-major: one row of ``lanes`` watts
+ * per group) and to its ``switching`` total — the exact operation
+ * sequence of analyze_power's switching term, so the sums are
+ * bit-identical.  ``toggles`` gets each lane's total toggle count and
+ * ``io_touched`` a 1 where a net of group ``io_slot`` switched.  The
+ * outputs must be zeroed by the caller. */
+void gl_switching(const uint64_t *PL, int64_t n_planes, int64_t n_nets,
+                  int64_t lanes, const double *cap, const int64_t *slot,
+                  int64_t io_slot, double vdd2, double seconds,
+                  double *acc, double *switching, int64_t *toggles,
+                  int64_t *io_touched) {
+  uint64_t lane_mask = lanes >= 64 ? ~(uint64_t)0
+                                   : (((uint64_t)1 << lanes) - 1);
+  int64_t chunks = (n_planes + 7) / 8;
+  uint64_t x[8][8];                /* per 8-plane chunk: lane bytes */
+  for (int64_t i = 0; i < n_nets; i++) {
+    uint64_t any = 0;
+    for (int64_t c = 0; c < chunks; c++) {
+      for (int64_t r = 0; r < 8; r++) {
+        int64_t p = 8 * c + r;
+        x[c][r] = p < n_planes ? PL[(uint64_t)p * n_nets + i] : 0;
+        any |= x[c][r];
+      }
+    }
+    any &= lane_mask;
+    if (!any) continue;
+    for (int64_t c = 0; c < chunks; c++) planes_to_lane_bytes(x[c]);
+    double *row = acc + slot[i] * lanes;
+    while (any) {
+      int64_t lane = lowbit(any);
+      any &= any - 1;
+      int64_t t = 0;
+      for (int64_t c = 0; c < chunks; c++)
+        t |= (int64_t)((x[c][lane >> 3] >> (8 * (lane & 7))) & 0xFF)
+             << (8 * c);
+      toggles[lane] += t;
+      double energy_fj = (double)t * cap[i] * 0.5 * vdd2;
+      if (energy_fj == 0.0) continue;
+      double watts = energy_fj * 1e-15 / seconds;
+      row[lane] += watts;
+      switching[lane] += watts;
+      if (slot[i] == io_slot) io_touched[lane] = 1;
+    }
+  }
+}
+
+/* acc[slots[j] * lanes + lane] += vals[j] for every lane, j in order:
+ * np.add.at(acc[:, lane], slots, vals) for all lanes of a group-major
+ * ``acc`` in one call (the clock-tree and leakage terms of a batch's
+ * power reports).  The lane loop is innermost, so consecutive adds
+ * into one group do not wait on each other. */
+void gl_lane_add(double *acc, int64_t lanes, const int64_t *slots,
+                 const double *vals, int64_t n) {
+  for (int64_t j = 0; j < n; j++) {
+    double *row = acc + slots[j] * lanes;
+    double v = vals[j];
+    for (int64_t lane = 0; lane < lanes; lane++) row[lane] += v;
+  }
 }

@@ -478,7 +478,10 @@ class BatchedGateLevelSimulator:
     * per-net toggle counts are kept per lane as bit-sliced *vertical
       counters*: plane ``i`` holds bit ``i`` of every lane's count, and
       each cycle's ``prev ^ cur`` diff word is ripple-carry added into
-      the planes.  :meth:`activity` extracts any lane's exact SAIF.
+      the planes.  :meth:`activity` extracts any lane's exact SAIF;
+      with the native kernel,
+      :func:`~repro.gatelevel.power.analyze_power_lanes` reduces the
+      planes to every lane's power without extracting them.
 
     ``backend`` selects the evaluation strategy: ``"interp"`` (this
     class's numpy loop) or ``"c"`` / ``"auto"`` (the native kernel from
@@ -574,6 +577,11 @@ class BatchedGateLevelSimulator:
         get_tracer().instant("glsim.batched_build", cat="flow",
                              lanes=lanes, nets=netlist.n_nets,
                              backend=self.backend)
+
+    @property
+    def kernel(self):
+        """The native evaluation kernel, or None when interpreting."""
+        return self._kernel
 
     def _check_lane(self, lane):
         if not 0 <= lane < self.lanes:

@@ -19,8 +19,15 @@ into native code without generating any per-design code:
   a whole replay batch — pokes, forces re-asserted after every level,
   checks, toggle planes, SRAM ports, DFF commit — as one foreign call
   that releases the GIL.  Semantics match the interpreter bit for bit.
+* ``gl_switching`` then reduces the toggle planes to every lane's
+  per-group switching power in one pass (:meth:`CKernel.switching`),
+  the switching term of :func:`~repro.gatelevel.power.analyze_power`
+  with the same operation order, so per-net toggle counts never leave
+  native code; ``gl_lane_add`` adds the clock and leakage terms to
+  every lane in the same order (:meth:`CKernel.lane_add`).
 
-The shared object is compiled once per host at a fixed ``-O2`` by
+The shared object is compiled once per host at fixed flags
+(``-O2 -ffp-contract=off``) by
 :func:`repro.native.load` and cached as a single ``glso`` entry keyed
 by the C source text, the compiler's ``--version`` line and the flags,
 so editing the kernel or changing toolchains rebuilds instead of
@@ -50,7 +57,9 @@ _ENV_BACKEND = "REPRO_GL_BACKEND"
 
 BACKENDS = ("interp", "c", "auto")
 
-_CFLAGS = ("-O2", "-fPIC", "-shared")
+# -ffp-contract=off: every floating-point operation of gl_switching is
+# rounded on its own, as numpy rounds them (no fused multiply-add).
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 #: Cell kind -> opcode; must match the enum in ``gl_kernel.c``.
 _CELL_KINDS = {cell: i for i, cell in enumerate(
@@ -282,6 +291,8 @@ class CKernel:
         self._lib = lib                    # keep the CDLL alive
         self._eval = lib.gl_eval
         self._run = lib.gl_run_cycles
+        self._switching = lib.gl_switching
+        self._lane_add = lib.gl_lane_add
         self.compile_seconds = compile_seconds
         self.from_cache = from_cache
 
@@ -375,14 +386,49 @@ class CKernel:
             raise StimulusMismatch(t, stim.check_meta[op][1], lane)
         return done
 
+    def switching(self, sim, net_cap, switch_slot, n_slots, io_slot,
+                  vdd2, seconds):
+        """Every lane's switching power from ``sim``'s toggle planes.
+
+        ``net_cap`` (float64) and ``switch_slot`` (int64) are per net.
+        Returns ``(acc, switching_w, toggles, io_touched)``: a
+        group-major ``(n_slots, lanes)`` matrix of switching watts, and
+        per lane the switching total, the total toggle count and
+        whether a net of group ``io_slot`` switched.
+        """
+        lanes = sim.lanes
+        acc = np.zeros((n_slots, lanes))
+        switching_w = np.zeros(lanes)
+        toggles = np.zeros(lanes, dtype=np.int64)
+        io_touched = np.zeros(lanes, dtype=np.int64)
+        self._switching(
+            sim._toggle_arena.ctypes.data, sim._plane_count,
+            sim.netlist.n_nets, lanes, net_cap.ctypes.data,
+            switch_slot.ctypes.data, io_slot, vdd2, seconds,
+            acc.ctypes.data, switching_w.ctypes.data, toggles.ctypes.data,
+            io_touched.ctypes.data)
+        return acc, switching_w, toggles, io_touched.astype(bool)
+
+    def lane_add(self, acc, slots, vals):
+        """``np.add.at(acc[:, lane], slots, vals)`` for every lane of
+        the group-major float64 matrix ``acc``, in place; int64
+        ``slots`` and float64 ``vals`` are contiguous."""
+        self._lane_add(acc.ctypes.data, acc.shape[1], slots.ctypes.data,
+                       vals.ctypes.data, len(vals))
+
 
 # -- compilation + artifact cache -------------------------------------------
 
-# (symbol, argtypes, restype) of the kernel's two entry points
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+
+# (symbol, argtypes, restype) of the kernel's entry points
 _EXPORTS = (
-    ("gl_eval", [ctypes.c_void_p] * 6 + [ctypes.c_int64], None),
-    ("gl_run_cycles", [ctypes.c_void_p, ctypes.POINTER(_GlState),
-                       ctypes.POINTER(_GlRun)], ctypes.c_int64),
+    ("gl_eval", [_PTR] * 6 + [_I64], None),
+    ("gl_run_cycles", [_PTR, ctypes.POINTER(_GlState),
+                       ctypes.POINTER(_GlRun)], _I64),
+    ("gl_switching", [_PTR, _I64, _I64, _I64, _PTR, _PTR, _I64, _F64,
+                      _F64, _PTR, _PTR, _PTR, _PTR], None),
+    ("gl_lane_add", [_PTR, _I64, _PTR, _PTR, _I64], None),
 )
 
 

@@ -14,9 +14,15 @@ The activity-independent part of the model (per-net capacitance, each
 net's attribution group, per-cell leakage) is built once per (netlist,
 placement, tech, grouping) and cached on the netlist, so analyzing an
 activity window costs a few vectorized array ops instead of a python
-loop over every net — batched replay calls this once per lane.  The
-vectorized path accumulates with ``np.add.at`` (unbuffered, in element
-order), so results are bit-identical to the original sequential loops.
+loop over every net.  The vectorized path accumulates with
+``np.add.at`` (unbuffered, in element order), so results are
+bit-identical to the original sequential loops.
+
+:func:`analyze_power` is the reference: one activity window, one
+report.  :func:`analyze_power_lanes` reports every lane of a batched
+simulator at once: the native kernel reduces the toggle planes to
+per-lane, per-group switching watts with the same operation order, and
+the activity-independent terms are added here for the whole batch.
 """
 
 from __future__ import annotations
@@ -155,14 +161,37 @@ def _power_model(netlist, placement, tech, grouping):
 def _ordered_sum(values):
     """Sequential left-to-right float sum (what a python loop does).
 
-    ``np.add.at`` is documented unbuffered — each element is applied in
-    order — unlike ``np.sum``'s pairwise reduction, which rounds
-    differently.  Bit-identity with the pre-vectorization power
-    analysis depends on this.
+    ``np.cumsum`` is a sequential accumulate, unlike ``np.sum``'s
+    pairwise reduction, which rounds differently.  Bit-identity with
+    the pre-vectorization power analysis depends on this.
     """
-    buf = np.zeros(1)
-    np.add.at(buf, np.zeros(len(values), dtype=np.intp), values)
-    return float(buf[0])
+    if len(values) == 0:
+        return 0.0
+    return float(np.cumsum(values)[-1])
+
+
+def _clock_watts(model, tech, cycles, seconds, vdd2):
+    """Per-DFF clock-tree watts: two transitions per cycle into every
+    DFF clock pin."""
+    clk_cap = tech.clock_pin_cap_ff * tech.clock_wire_factor
+    clk_energy_per_ff_fj = 2 * 0.5 * clk_cap * vdd2 * cycles
+    return np.full(model.n_dffs, clk_energy_per_ff_fj * 1e-15 / seconds)
+
+
+def _add_sram_watts(acc, model, reads, writes, seconds, total):
+    """SRAM access energy (a handful of macros: plain loop): adds each
+    macro's watts to its group in ``acc`` and returns ``total`` plus
+    them.  Per lane, ``reads``/``writes`` are per-macro counts and
+    ``acc``/``total`` scalars; for a batch, rows of lane counts, a
+    group-major ``acc`` and a lane vector — the same operations
+    elementwise."""
+    for idx, spec in enumerate(model.sram_specs):
+        fj = (reads[idx] * spec.read_energy_fj
+              + writes[idx] * spec.write_energy_fj)
+        w = fj * 1e-15 / seconds
+        acc[model.sram_slots[idx]] += w
+        total += w
+    return total
 
 
 def analyze_power(netlist, activity, placement=None, tech=TECH_45NM,
@@ -188,22 +217,13 @@ def analyze_power(netlist, activity, placement=None, tech=TECH_45NM,
     switching_w = _ordered_sum(watts)
     io_touched = bool((slots == model.io_slot).any())
 
-    # Clock tree: two transitions per cycle into every DFF clock pin.
-    clk_cap = tech.clock_pin_cap_ff * tech.clock_wire_factor
-    clk_energy_per_ff_fj = 2 * 0.5 * clk_cap * vdd2 * cycles
-    clk_watts = np.full(model.n_dffs, clk_energy_per_ff_fj * 1e-15
-                        / seconds)
+    clk_watts = _clock_watts(model, tech, cycles, seconds, vdd2)
     np.add.at(acc, model.dff_slots, clk_watts)
     clock_w = _ordered_sum(clk_watts)
 
-    # SRAM access energy (a handful of macros: plain loop).
-    sram_dynamic_w = 0.0
-    for idx, spec in enumerate(model.sram_specs):
-        fj = (activity["sram_reads"][idx] * spec.read_energy_fj
-              + activity["sram_writes"][idx] * spec.write_energy_fj)
-        w = fj * 1e-15 / seconds
-        acc[model.sram_slots[idx]] += w
-        sram_dynamic_w += w
+    sram_dynamic_w = _add_sram_watts(
+        acc, model, activity["sram_reads"], activity["sram_writes"],
+        seconds, 0.0)
 
     # Leakage (time-invariant; scalar total prefolded in the model).
     np.add.at(acc, model.leak_slots, model.leak_w)
@@ -225,3 +245,63 @@ def analyze_power(netlist, activity, placement=None, tech=TECH_45NM,
         freq_hz=freq_hz,
         by_group=by_group,
     )
+
+
+def analyze_power_lanes(netlist, sim, placement=None, tech=TECH_45NM,
+                        freq_hz=None, grouping=default_grouping):
+    """Every lane's :class:`PowerReport` for a batched simulator's
+    activity window, plus the lanes' total toggle count.
+
+    ``sim`` is a :class:`~repro.gatelevel.gl_sim.BatchedGateLevelSimulator`
+    on the native kernel.  Lane ``i``'s report equals
+    ``analyze_power(netlist, sim.activity(i), ...)`` field for field,
+    ``by_group`` key order included: the kernel reduces the toggle
+    planes to per-group switching watts in the reference's order, and
+    the clock, SRAM and leakage terms follow per lane in the
+    reference's order too.
+    """
+    kernel = sim.kernel
+    if kernel is None:
+        raise ValueError(
+            "analyze_power_lanes needs a simulator on the native kernel; "
+            "use analyze_power(netlist, sim.activity(lane)) per lane")
+    freq_hz = freq_hz or tech.default_freq_hz
+    cycles = sim.cycles
+    if cycles <= 0:
+        raise ValueError("activity window has zero cycles")
+    seconds = cycles / freq_hz
+    vdd2 = tech.vdd * tech.vdd
+
+    model = _power_model(netlist, placement, tech, grouping)
+    acc, switching_w, toggles, io_touched = kernel.switching(
+        sim, model.net_cap, model.switch_slot, model.io_slot + 1,
+        model.io_slot, vdd2, seconds)
+
+    clk_watts = _clock_watts(model, tech, cycles, seconds, vdd2)
+    kernel.lane_add(acc, model.dff_slots, clk_watts)
+    clock_w = _ordered_sum(clk_watts)
+
+    sram_dynamic_w = _add_sram_watts(
+        acc, model, sim.sram_reads, sim.sram_writes, seconds,
+        np.zeros(sim.lanes))
+
+    kernel.lane_add(acc, model.leak_slots, model.leak_w)
+    leakage_w = model.leakage_w
+
+    total = switching_w + clock_w + sram_dynamic_w + leakage_w
+    names = model.group_names
+    reports = []
+    for lane, row in enumerate(acc.T.tolist()):
+        by_group = dict(zip(names, row))
+        if io_touched[lane]:
+            by_group["(io)"] = row[model.io_slot]
+        reports.append(PowerReport(
+            total_w=float(total[lane]),
+            switching_w=float(switching_w[lane]),
+            clock_w=clock_w,
+            sram_dynamic_w=float(sram_dynamic_w[lane]),
+            leakage_w=leakage_w,
+            cycles=cycles,
+            freq_hz=freq_hz,
+            by_group=by_group))
+    return reports, int(toggles.sum())

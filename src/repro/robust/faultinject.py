@@ -15,7 +15,9 @@ Two halves:
 * **Worker sabotage** — :class:`FaultSpec` / :class:`FaultPlan` plug
   into :func:`repro.robust.supervisor.replay_supervised`; the plan is
   consumed supervisor-side, so a snapshot whose dispatch was sabotaged
-  is not re-faulted on retry (modelling transient faults).
+  is not re-faulted on retry (modelling transient faults).  Workers
+  are killed, stalled or made to raise mid-replay, or killed during
+  bootstrap before they have read their engine payload.
 * **Data corruption** — :func:`flip_snapshot_bit`,
   :func:`corrupt_file`, :func:`corrupt_cache_entry`,
   :func:`corrupt_journal_tail` damage artifacts the way real storage
@@ -44,11 +46,11 @@ import numpy as np
 class FaultSpec:
     """One deliberate fault, executed inside a replay worker."""
 
-    kind: str                # "kill" | "stall" | "error"
+    kind: str                # "kill" | "stall" | "error" | "bootstrap-death"
     index: int = None        # snapshot position to hit (None = any)
     times: int = 1           # how many dispatch attempts to sabotage
     seconds: float = 3600.0  # stall duration (stall faults)
-    exit_code: int = 43      # worker exit status (kill faults)
+    exit_code: int = 43      # worker exit status (kill, bootstrap-death)
 
 
 class FaultPlan:
@@ -57,6 +59,9 @@ class FaultPlan:
     ``pick`` runs in the *supervisor* (parent) process, so consuming a
     spec's ``times`` budget there guarantees the retry of a sabotaged
     snapshot runs clean — the definition of a transient fault.
+    ``bootstrap-death`` specs are not task faults: ``pick_bootstrap``
+    hands them to newly spawned workers instead, which die before
+    reading their engine payload.
     """
 
     def __init__(self, specs):
@@ -64,16 +69,25 @@ class FaultPlan:
 
     def pick(self, index, snapshot):
         for spec in self.specs:
-            if spec.times > 0 and (spec.index is None
-                                   or spec.index == index):
+            if (spec.kind != "bootstrap-death" and spec.times > 0
+                    and (spec.index is None or spec.index == index)):
+                spec.times -= 1
+                return spec
+        return None
+
+    def pick_bootstrap(self):
+        """The fault for the next spawned worker's bootstrap, or None."""
+        for spec in self.specs:
+            if spec.kind == "bootstrap-death" and spec.times > 0:
                 spec.times -= 1
                 return spec
         return None
 
 
 def apply_worker_fault(spec):
-    """Executed inside a worker process just before a replay."""
-    if spec.kind == "kill":
+    """Executed inside a worker process just before a replay (or, for
+    ``bootstrap-death``, before it reads its engine payload)."""
+    if spec.kind in ("kill", "bootstrap-death"):
         os._exit(spec.exit_code)
     elif spec.kind == "stall":
         time.sleep(spec.seconds)

@@ -36,11 +36,11 @@ from __future__ import annotations
 import os
 import pickle
 import random
+import selectors
 import struct
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import connection as _mpconn
 
 from ..parallel.pool import ParallelReplayError, _pick_context
 
@@ -50,6 +50,8 @@ _MIN_TIMEOUT_S = 30.0
 _PER_CYCLE_BUDGET_S = 0.25
 _POLL_S = 0.02
 _INIT_GRACE_S = 300.0
+
+_WaitSelector = getattr(selectors, "PollSelector", selectors.SelectSelector)
 
 # Full-jitter retry delays (and nothing else) come from this generator;
 # it is module-level so tests can seed it deterministically.
@@ -157,8 +159,15 @@ def _shippable(exc):
             f"worker raised unpicklable {type(exc).__name__}: {exc!r}")
 
 
-def _worker_main(payload, task_conn, result_conn):
+def _worker_main(task_conn, result_conn, fault=None):
     """Worker process: build the engine once, replay streamed tasks.
+
+    The engine payload (the pickled flow, ~0.5 MB) is the first frame
+    on ``task_conn``, not a ``Process`` argument: under ``spawn``,
+    ``Process.start()`` writes its arguments to the child synchronously,
+    so a child that stalls or dies before reading them could block the
+    supervisor before any deadline is armed.  ``fault`` is a
+    bootstrap fault to inject before the payload is read.
 
     When the parent's tracer asked for worker capture (the ``trace``
     flag in the payload), the worker installs its own
@@ -172,6 +181,13 @@ def _worker_main(payload, task_conn, result_conn):
     try:
         from ..core.replay import ReplayEngine
         from ..obs import Tracer, NullTracer, set_tracer, get_registry
+        if fault is not None:
+            from .faultinject import apply_worker_fault
+            apply_worker_fault(fault)
+        try:
+            payload = task_conn.recv_bytes()
+        except EOFError:
+            return               # supervisor went away before bootstrap
         (flow, port_names, grouping, freq_hz, trace, gl_backend,
          correlation) = pickle.loads(payload)
         get_registry().reset()
@@ -234,6 +250,21 @@ def _worker_main(payload, task_conn, result_conn):
             result_conn.send((tidx, "error", _shippable(exc)))
 
 
+def _wait(readers, writers, timeout):
+    """Block until a reader is readable, a writer writable, or
+    ``timeout`` seconds pass (poll-based, like
+    ``multiprocessing.connection.wait``: no fd-number limit)."""
+    if not readers and not writers:
+        time.sleep(timeout)
+        return
+    with _WaitSelector() as selector:
+        for conn in readers:
+            selector.register(conn, selectors.EVENT_READ)
+        for conn in writers:
+            selector.register(conn, selectors.EVENT_WRITE)
+        selector.select(timeout)
+
+
 class _Worker:
     """Parent-side handle: one process, one task in flight at a time.
 
@@ -250,18 +281,18 @@ class _Worker:
     nothing but its own channel, which is discarded with it.
 
     The parent side never blocks (and spawns no threads, which keeps
-    forked respawns safe): task writes are buffered and pumped from
-    the supervisor loop, and result reads parse ``Connection``'s
-    length-prefixed wire framing out of a byte buffer — a worker
-    killed mid-message leaves a partial frame that is simply never
-    completed, not a read the supervisor is stuck in.
+    forked respawns safe): the engine payload and task writes are
+    buffered and pumped from the supervisor loop, and result reads
+    parse ``Connection``'s length-prefixed wire framing out of a byte
+    buffer — a worker killed mid-message leaves a partial frame that
+    is simply never completed, not a read the supervisor is stuck in.
     """
 
-    def __init__(self, ctx, payload):
+    def __init__(self, ctx, payload, fault=None):
         task_r, self._task_w = ctx.Pipe(duplex=False)
         self._res_r, res_w = ctx.Pipe(duplex=False)
         self.proc = ctx.Process(target=_worker_main,
-                                args=(payload, task_r, res_w),
+                                args=(task_r, res_w, fault),
                                 daemon=True)
         self.proc.start()
         task_r.close()
@@ -270,6 +301,7 @@ class _Worker:
         os.set_blocking(self._res_r.fileno(), False)
         self._outbox = deque()     # framed task bytes awaiting write
         self._inbox = bytearray()  # raw result bytes awaiting framing
+        self._send_bytes(payload)  # the bootstrap frame
         self.task = None           # task index in flight, or None
         self.deadline = None
         self.attempt = 0
@@ -279,10 +311,19 @@ class _Worker:
     # ---- outgoing tasks (non-blocking, parent side) ----
 
     def _send(self, obj):
-        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        frame = struct.pack("!i", len(payload)) + payload
-        self._outbox.append(memoryview(frame))
+        self._send_bytes(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+    def _send_bytes(self, data):
+        self._outbox.append(memoryview(struct.pack("!i", len(data))))
+        self._outbox.append(memoryview(data))
         self.pump()
+
+    def pending_conn(self):
+        """Task connection to select on for writability while buffered
+        bytes wait, or None."""
+        if self._outbox and not self._task_w.closed:
+            return self._task_w
+        return None
 
     def pump(self):
         """Flush buffered task bytes; never blocks the supervisor."""
@@ -381,7 +422,12 @@ class _Worker:
             self._send(None)
         except Exception:
             pass
-        self.proc.join(timeout=2.0)
+        # keep pumping: the sentinel may sit behind an undelivered
+        # engine payload
+        deadline = time.monotonic() + 2.0
+        while self.proc.is_alive() and time.monotonic() < deadline:
+            self.pump()
+            self.proc.join(timeout=_POLL_S)
         if self.proc.is_alive():
             self.kill()
         else:
@@ -523,7 +569,13 @@ def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
     n_tasks = len(tasks)
 
     ctx = _pick_context(start_method)
-    pool = [_Worker(ctx, payload) for _ in range(workers)]
+
+    def _spawn():
+        fault = (fault_plan.pick_bootstrap()
+                 if fault_plan is not None else None)
+        return _Worker(ctx, payload, fault)
+
+    pool = [_spawn() for _ in range(workers)]
     registry.counter("supervisor.spawns").inc(workers)
 
     def _respawn(reason):
@@ -531,7 +583,7 @@ def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
         registry.counter("supervisor.respawns").inc()
         tracer.instant("supervisor.respawn", cat="supervisor",
                        reason=reason)
-        return _Worker(ctx, payload)
+        return _spawn()
 
     completed = [False] * n_tasks
     attempts = [0] * n_tasks
@@ -631,21 +683,20 @@ def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
                                attempts[tidx] + 1,
                                init_grace=init_grace)
 
-            # Sleep until some worker has bytes for us (or the poll
-            # tick elapses), then drain every complete message from
-            # every worker — dead ones included — before health
-            # checks, so a worker that answered and then died is
-            # credited, not retried.  A cancelled stream skips the
-            # sleep: one final non-blocking drain credits whatever
-            # already arrived, then the loop exits.
+            # Sleep until some worker has bytes for us or can take
+            # more of its buffered payload (or the poll tick elapses),
+            # then drain every complete message from every worker —
+            # dead ones included — before health checks, so a worker
+            # that answered and then died is credited, not retried.  A
+            # cancelled stream skips the sleep: one final non-blocking
+            # drain credits whatever already arrived, then the loop
+            # exits.
             if not cancelled:
-                conns = [c for c in (w.poll_conn() for w in pool
-                                     if w.proc.is_alive())
-                         if c is not None]
-                if conns:
-                    _mpconn.wait(conns, timeout=_POLL_S)
-                else:
-                    time.sleep(_POLL_S)
+                live = [w for w in pool if w.proc.is_alive()]
+                _wait([c for c in (w.poll_conn() for w in live)
+                       if c is not None],
+                      [c for c in (w.pending_conn() for w in live)
+                       if c is not None], _POLL_S)
             for w in pool:
                 for msg in w.drain():
                     tidx, status, body = msg
@@ -712,12 +763,13 @@ def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
                 if not w.proc.is_alive():
                     report.crashes += 1
                     exitcode = w.proc.exitcode
+                    when = "mid-replay" if w.ready else "before ready"
                     w.clear()
                     w._close_pipes()
                     pool[i] = _respawn("worker-crash")
                     _retry_or_fallback(
                         tidx, "worker-crash",
-                        f"worker died mid-replay (exitcode {exitcode})")
+                        f"worker died {when} (exitcode {exitcode})")
                 elif now > w.deadline:
                     report.timeouts += 1
                     w.clear()

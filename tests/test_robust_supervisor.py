@@ -168,6 +168,35 @@ class TestStartMethods:
         assert _keys(results) == serial_baseline[:2]
         assert health.healthy
 
+    def test_spawn_worker_dying_in_bootstrap_is_recovered(
+            self, towers_run, serial_baseline, monkeypatch):
+        """A spawned worker that dies before reading its engine payload
+        is a crash incident: respawned, its batch retried, no hang.
+        The payload is a framed message on the task pipe, so
+        ``Process.start()`` has nothing large to block on."""
+        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
+        plan = FaultPlan([FaultSpec("bootstrap-death")])
+        t0 = time.monotonic()
+        results, health = _supervised(towers_run.engine,
+                                      list(towers_run.snapshots),
+                                      fault_plan=plan)
+        assert time.monotonic() - t0 < 120.0
+        assert _keys(results) == serial_baseline
+        assert not health.healthy
+        assert health.crashes == 1
+        assert health.respawns >= 1
+        incident = next(i for i in health.incidents
+                        if i.kind == "worker-crash")
+        assert "before ready" in incident.detail
+        assert "exitcode 43" in incident.detail
+
+    def test_bootstrap_faults_are_not_task_faults(self):
+        plan = FaultPlan([FaultSpec("bootstrap-death", times=1),
+                          FaultSpec("error", index=0)])
+        assert plan.pick(0, None).kind == "error"
+        assert plan.pick_bootstrap().kind == "bootstrap-death"
+        assert plan.pick_bootstrap() is None
+
 
 class TestTimeoutDerivation:
     def test_floor_and_scaling(self):
