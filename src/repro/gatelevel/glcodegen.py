@@ -99,7 +99,7 @@ def kernel_cache_key():
     :class:`~repro.native.ToolchainUnavailable` when no working C
     compiler is found.
     """
-    return native.cache_key((kernel_source(),), _CFLAGS)
+    return native.cache_key(kernel_source(), _CFLAGS)
 
 
 def check_supported(netlist):
@@ -439,9 +439,8 @@ def compile_c_kernel(use_cache=True):
     working C compiler can be found.
     """
     t0 = time.perf_counter()
-    lib, _meta, from_cache = native.load(
-        "glso", (kernel_source(),), _CFLAGS,
-        lambda: (kernel_source(), {}), _EXPORTS, use_cache=use_cache)
+    lib, from_cache = native.load("glso", kernel_source(), _CFLAGS,
+                                  _EXPORTS, use_cache=use_cache)
     seconds = time.perf_counter() - t0
     registry = get_registry()
     registry.counter("glcodegen.compile_seconds").inc(float(seconds))

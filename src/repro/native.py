@@ -85,12 +85,12 @@ def _cc_version(compiler):
     return proc.stdout.splitlines()[0] if proc.stdout else ""
 
 
-def cache_key(key_parts, flags, compiler=None):
-    """blake2b of ``key_parts``, the compiler's version line and
+def cache_key(source, flags, compiler=None):
+    """blake2b of the C ``source``, the compiler's version line and
     ``flags``: the artifact-cache key of one shared object."""
     version = _cc_version(compiler or find_compiler())
     h = hashlib.blake2b(digest_size=20)
-    for part in (*key_parts, version, " ".join(flags)):
+    for part in (source, version, " ".join(flags)):
         h.update(part.encode())
         h.update(b"\x1f")
     return h.hexdigest()
@@ -106,26 +106,24 @@ def _bind(so_path, exports):
     return lib
 
 
-def load(kind, key_parts, flags, generate, exports, use_cache=True):
-    """``(lib, meta, from_cache)``: a private, bound copy of the shared
-    object of ``kind``.
+def load(kind, source, flags, exports, use_cache=True):
+    """``(lib, from_cache)``: a private, bound copy of the shared object
+    built from the C ``source`` with ``flags``.
 
-    ``key_parts`` (strings) identify the source; ``generate()`` is
-    called on a cache miss only and returns ``(c_source, meta)``, where
-    ``meta`` is a picklable dict stored with the object and handed
-    back on later loads.  ``exports`` lists ``(symbol, argtypes,
-    restype)``.  Every call loads (``dlopen``) its own copy from a
-    fresh temp directory, removed once loaded (the mapping outlives the
-    file), so state in the object's statics is private to the caller.
-    A cached object that fails to load is counted as
-    ``cache.<kind>.stale``, warned about once, rebuilt, and replaced.
-    Raises :class:`ToolchainUnavailable` when no working compiler is
-    found or the source does not compile.
+    The artifact-cache key of ``kind`` covers the source, the compiler's
+    version line and the flags (:func:`cache_key`).  ``exports`` lists
+    ``(symbol, argtypes, restype)``.  Every call loads (``dlopen``) its
+    own copy from a fresh temp directory, removed once loaded (the
+    mapping outlives the file), so state in the object's statics is
+    private to the caller.  A cached object that fails to load is
+    counted as ``cache.<kind>.stale``, warned about once, rebuilt, and
+    replaced.  Raises :class:`ToolchainUnavailable` when no working
+    compiler is found or the source does not compile.
     """
     from .parallel.cache import cache_enabled, get_cache
 
     compiler = find_compiler()
-    key = (cache_key(key_parts, flags, compiler)
+    key = (cache_key(source, flags, compiler)
            if use_cache and cache_enabled() else None)
     workdir = tempfile.mkdtemp(prefix=f"repro_{kind}_")
     try:
@@ -137,16 +135,12 @@ def load(kind, key_parts, flags, generate, exports, use_cache=True):
             with open(cached_path, "wb") as f:
                 f.write(entry["so"])
             try:
-                lib = _bind(cached_path, exports)
+                return _bind(cached_path, exports), True
             except (OSError, AttributeError) as exc:
                 get_registry().counter(f"cache.{kind}.stale").inc()
                 _warn_once(f"{kind}-stale",
                            f"cached {kind} object failed to load "
                            f"({exc}); rebuilding it")
-            else:
-                meta = {k: v for k, v in entry.items() if k != "so"}
-                return lib, meta, True
-        source, meta = generate()
         c_path = os.path.join(workdir, "lib.c")
         so_path = os.path.join(workdir, "lib.so")
         with open(c_path, "w") as f:
@@ -161,7 +155,7 @@ def load(kind, key_parts, flags, generate, exports, use_cache=True):
         lib = _bind(so_path, exports)
         if key is not None:
             with open(so_path, "rb") as f:
-                get_cache().put(kind, key, {"so": f.read(), **meta})
-        return lib, meta, False
+                get_cache().put(kind, key, {"so": f.read()})
+        return lib, False
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -1,9 +1,13 @@
 """Optional C backend for the RTL simulator.
 
 Lowers a Circuit to C, which :mod:`repro.native` compiles, caches (kind
-``csim``) and loads through ctypes.  Gives one-to-two orders of
-magnitude speedup over the generated-Python backend, standing in for the
-FPGA acceleration the paper uses.  Raises
+``csim``, keyed by the generated source) and loads through ctypes.
+Gives one-to-two orders of magnitude speedup over the generated-Python
+backend, standing in for the FPGA acceleration the paper uses.  The
+evaluation is split into ``eval_k`` functions of :data:`_CHUNK` nodes;
+inside one, node values are ``const`` locals that gcc keeps in
+registers, and only a value read by a later chunk, by ``commit_state``
+or by ``write_outputs`` is stored to the static ``V[]`` array.  Raises
 :class:`~repro.native.ToolchainUnavailable` when no compiler is present;
 callers use :func:`repro.sim.make_simulator`, which falls back.
 """
@@ -18,13 +22,14 @@ from .. import native
 from ..hdl.ir import mask
 from .state import mem_dtype
 
-_CHUNK = 1500  # statements per generated C function (keeps gcc fast)
+# Nodes per generated eval_k function.  On boom-1w_mini (7,595 nodes)
+# the -O1 build takes ~2 s anywhere from 200 to 1,500 (700 read lowest)
+# and 2.5 s at 3,000; the per-cycle time is flat across that range.
+_CHUNK = 700
 _CFLAGS = ("-O1", "-fPIC", "-shared")
 
 # The fixed part of every generated simulator: the cycle entry point and
-# the multi-cycle ``run_quiet`` loop and the state-access exports.  Its
-# text is part of the ``csim`` cache key, so a cached object built from
-# an older copy (say, one lacking ``run_quiet``) is never loaded.  The
+# the multi-cycle ``run_quiet`` loop and the state-access exports.  The
 # design-specific part before it defines N_IN/N_OUT, V/R/GIN, the MEM
 # tables, eval_all, commit_state and write_outputs.
 RUNTIME_C = """
@@ -130,12 +135,16 @@ def _lower_c(node, ref, mem_index):
     if op == "shl":
         amount = node.args[1]
         if amount.op == "const":
+            if amount.params >= 64:
+                return "0ULL"
             return _mask_expr(f"({args[0]} << {amount.params})", w)
         return (f"(({args[1]} >= 64) ? 0ULL : "
                 + _mask_expr(f"({args[0]} << {args[1]})", w) + ")")
     if op == "shr":
         amount = node.args[1]
         if amount.op == "const":
+            if amount.params >= 64:
+                return "0ULL"
             return f"({args[0]} >> {amount.params})"
         return f"(({args[1]} >= 64) ? 0ULL : ({args[0]} >> {args[1]}))"
     if op == "sra":
@@ -161,6 +170,8 @@ def _lower_c(node, ref, mem_index):
         return f"({sa} {cmp} {sb})"
     if op == "cat":
         lo_w = node.args[1].width
+        if lo_w >= 64:
+            return args[1]
         return _mask_expr(f"(({args[0]} << {lo_w}) | {args[1]})", w)
     if op == "bits":
         hi, lo = node.params
@@ -188,12 +199,25 @@ def generate_c_source(circuit):
     reg_index = {reg: i for i, reg in enumerate(circuit.regs)}
     mem_index = {mem: i for i, mem in enumerate(circuit.mems)}
 
-    # Every non-trivial node value lives in a static V[] slot so the body
-    # can be split across many small functions (fast to compile).
+    # A node value is a const local of its own chunk; only values read
+    # by a later chunk, commit_state or write_outputs are also stored to
+    # a V[] slot.  Stores to the static V[] slow gcc's alias and
+    # dead-store passes down and keep values out of registers.
+    order = circuit.comb_order
+    chunk = {node: i // _CHUNK for i, node in enumerate(order)}
+    shared = [*circuit.reg_next.values(),
+              *(driver for _, driver in circuit.outputs)]
+    for mem in circuit.mems:
+        for port in mem.writes:
+            shared.extend(port)
+    for node in order:
+        shared.extend(arg for arg in node.args
+                      if chunk.get(arg, chunk[node]) != chunk[node])
     slot = {}
-    for node in circuit.comb_order:
-        slot[node] = len(slot)
-    n_slots = max(len(slot), 1)
+    for node in shared:
+        if node in chunk and node not in slot:
+            slot[node] = len(slot)
+    local = {node: f"t{i}" for i, node in enumerate(order)}
 
     def ref(node):
         if node.op == "const":
@@ -207,7 +231,7 @@ def generate_c_source(circuit):
     parts = [
         "#include <stdint.h>",
         "#include <string.h>",
-        f"static uint64_t V[{n_slots}];",
+        f"static uint64_t V[{max(len(slot), 1)}];",
         f"static uint64_t R[{max(len(circuit.regs), 1)}];",
         f"static uint64_t GIN[{max(len(circuit.inputs), 1)}];",
         f"static const uint64_t N_IN = {len(circuit.inputs)};",
@@ -223,17 +247,18 @@ def generate_c_source(circuit):
                  + (", ".join(str(mem_dtype(mem.width).itemsize)
                               for mem in mem_index) or "0") + "};")
 
-    stmts = []
-    for node in circuit.comb_order:
-        stmts.append(f"  V[{slot[node]}] = "
-                     f"{_lower_c(node, ref, mem_index)};")
+    def chunk_ref(arg):
+        return local[arg] if chunk.get(arg) == here else ref(arg)
 
     chunk_fns = []
-    for start in range(0, len(stmts), _CHUNK):
-        fn_name = f"eval_{len(chunk_fns)}"
-        chunk_fns.append(fn_name)
-        parts.append(f"static void {fn_name}(void) {{")
-        parts.extend(stmts[start:start + _CHUNK])
+    for here, start in enumerate(range(0, len(order), _CHUNK)):
+        chunk_fns.append(f"eval_{here}")
+        parts.append(f"static void eval_{here}(void) {{")
+        for node in order[start:start + _CHUNK]:
+            parts.append(f"  const uint64_t {local[node]} = "
+                         f"{_lower_c(node, chunk_ref, mem_index)};")
+            if node in slot:
+                parts.append(f"  V[{slot[node]}] = {local[node]};")
         parts.append("}")
 
     parts.append("static void eval_all(void) {")
@@ -301,20 +326,15 @@ def compile_circuit_c(circuit, use_cache=True):
     the shared object (proxied by :class:`CRegProxy` / :class:`CMemProxy`).
     Every call loads its own copy of the object (see
     :func:`repro.native.load`), so each simulator gets private state.
-    The ``csim`` cache key covers the circuit fingerprint and the fixed
-    runtime text; the generated source and layout are cached with the
-    object, so a warm load skips both codegen and the compiler.
+    The ``csim`` cache key is the generated source itself (plus the
+    compiler version and flags), so a codegen change never loads an
+    object built by an older generator; generating it costs about as
+    much as fingerprinting the circuit (~0.03 s on ``boom-1w_mini``).
     """
-    from ..hdl.ir import circuit_fingerprint
-
-    def generate():
-        source, layout = generate_c_source(circuit)
-        return source, {"source": source, "layout": layout}
-
-    lib, meta, from_cache = native.load(
-        "csim", (circuit_fingerprint(circuit), RUNTIME_C), _CFLAGS,
-        generate, _EXPORTS, use_cache=use_cache)
-    layout = dict(meta["layout"], source=meta["source"])
+    source, layout = generate_c_source(circuit)
+    lib, from_cache = native.load("csim", source, _CFLAGS, _EXPORTS,
+                                  use_cache=use_cache)
+    layout["source"] = source
 
     def cycle_fn(inputs, outputs, regs, mems, commit):
         # regs/mems are proxies (see RTLSimulator wiring); the

@@ -377,6 +377,21 @@ class TestCSimulator:
                             cbackend.RUNTIME_C + "\n/* next version */\n")
         assert not cbackend.compile_circuit_c(circuit)[0].from_cache
 
+    def test_key_covers_lowering_rules(self, c_circuit, tmp_path,
+                                       monkeypatch):
+        circuit, _ = c_circuit
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cbackend.compile_circuit_c(circuit)
+        assert cbackend.compile_circuit_c(circuit)[0].from_cache
+        lower = cbackend._lower_c
+
+        def add_plus_zero(node, ref, mem_index):
+            expr = lower(node, ref, mem_index)
+            return f"({expr} + 0ULL)" if node.op == "add" else expr
+
+        monkeypatch.setattr(cbackend, "_lower_c", add_plus_zero)
+        assert not cbackend.compile_circuit_c(circuit)[0].from_cache
+
     def test_planted_old_entry_is_never_loaded(self, c_circuit, tmp_path,
                                                monkeypatch):
         circuit, _ = c_circuit
