@@ -254,7 +254,7 @@ def test_compiled_replay_speedup(batch_lanes, gl_backend):
     kernels = {"interp": None}
     compile_s = {"interp": 0.0}
     install_s = {"interp": 0.0}
-    k = build_kernel(netlist, "c", use_cache=False)
+    k = build_kernel("c", use_cache=False)
     if k is not None:
         kernels["c"] = k
         compile_s["c"] = k.compile_seconds
@@ -345,7 +345,7 @@ def test_native_replay_speedup(batch_lanes):
     schedule = engine._schedule
 
     kernels = {"interp": None}
-    k = build_kernel(netlist, "c", use_cache=False)
+    k = build_kernel("c", use_cache=False)
     if k is not None:
         kernels["c"] = k
 

@@ -85,9 +85,9 @@ def estimate_energy(replays, total_cycles, replay_length,
     totals = [r.power.total_mw for r in replays]
     power = estimate_mean(totals, population, confidence)
 
-    groups = set()
-    for r in replays:
-        groups.update(r.power.by_group)
+    # first-seen order, so the breakdown's key order is the same in
+    # every process (a set's would follow string hashing)
+    groups = dict.fromkeys(g for r in replays for g in r.power.by_group)
     breakdown = {}
     for group in groups:
         values = [r.power.by_group.get(group, 0.0) * 1e3 for r in replays]

@@ -121,18 +121,6 @@ def load_levelized_schedule(flow):
         return build_schedule(flow.netlist)
 
 
-def make_replay_batches(snapshots, lanes):
-    """Pack snapshot indices into bit-lane batches of at most ``lanes``.
-
-    Batches hold *consecutive* indices so results and journal callbacks
-    keep snapshot order; a new batch starts whenever the lane limit is
-    reached or the trace length changes (every lane of a batch must
-    step the same number of cycles).  ``N % lanes != 0`` simply leaves
-    a ragged final batch.
-    """
-    return plan_replay_batches(snapshots, lanes)
-
-
 def plan_replay_batches(snapshots, lanes, order=None, ramp=None):
     """Pack snapshot indices into bit-lane batches following ``order``.
 
@@ -326,7 +314,7 @@ class ReplayEngine:
         self._schedule = load_levelized_schedule(self.flow)
         from ..gatelevel.glcodegen import build_kernel, resolve_backend
         self.gl_backend = resolve_backend(gl_backend)
-        self._gl_kernel = build_kernel(self.flow.netlist, self.gl_backend)
+        self._gl_kernel = build_kernel(self.gl_backend)
         # lanes -> BatchedGateLevelSimulator: the full-width one and
         # the most recent other width (see _sim)
         self._sims = {}
@@ -401,30 +389,29 @@ class ReplayEngine:
         n = len(snapshots)
         netlist = self.flow.netlist
         active = np.uint64((1 << n) - 1 if n < 64 else 0xFFFFFFFFFFFFFFFF)
-        total = sum(block.latency for block in retimed)
-        stim = PackedStimulus(total)
-        t = 0
+        counts, nets, vals = [], [], []
         for block in retimed:
             for k in range(block.latency, 0, -1):
                 seg = {}            # net -> packed word (label order)
                 for _name, _width, label, hist_paths in block.inputs:
-                    nets = netlist.preserved_nets.get(label)
-                    if nets is None:
+                    label_nets = netlist.preserved_nets.get(label)
+                    if label_nets is None:
                         raise ReplayError(
                             f"no preserved nets labelled {label!r}")
-                    words = pack_lane_words(
+                    seg.update(zip(label_nets, pack_lane_words(
                         [s.state.reg(hist_paths[k - 1]) for s in snapshots],
-                        len(nets))
-                    for i, net in enumerate(nets):
-                        seg[net] = words[i]
-                nets_arr = np.fromiter(seg, dtype=np.int64,
-                                       count=len(seg))
-                vals = np.fromiter(seg.values(), dtype=np.uint64,
-                                   count=len(seg)) & active
-                masks = np.full(len(seg), active, dtype=np.uint64)
-                stim.set_forces(t, nets_arr, masks, vals)
-                t += 1
-        return stim
+                        len(label_nets))))
+                counts.append(len(seg))
+                nets.extend(seg)
+                vals.extend(seg.values())
+        counts = np.array(counts, dtype=np.int64)
+        return PackedStimulus.from_flat(len(counts), {
+            "force_counts": counts,
+            "force_off": np.cumsum(counts) - counts,
+            "force_nets": np.array(nets, dtype=np.int64),
+            "force_masks": np.full(len(nets), active, dtype=np.uint64),
+            "force_vals": np.array(vals, dtype=np.uint64) & active,
+        })
 
     def _pack_main_stimulus(self, snapshots):
         """Pack a batch's I/O matrices into one :class:`PackedStimulus`.
@@ -463,7 +450,7 @@ class ReplayEngine:
         its own power analysis.  Results are bit-identical for any lane
         count and backend, in snapshot order.  Every snapshot in a
         batch must share one trace length (see
-        :func:`make_replay_batches`).
+        :func:`plan_replay_batches`).
         """
         snapshots = list(snapshots)
         n = len(snapshots)

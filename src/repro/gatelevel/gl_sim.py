@@ -22,6 +22,20 @@ yields its own exact SAIF.  :class:`GateLevelSimulator` is its one-lane
 view with a lane-free API, for co-simulation and single-stimulus use.
 The levelized schedule (:class:`LevelizedSchedule`) is picklable so the
 artifact cache can persist it next to the ASIC flow.
+
+SRAM words are at most 64 bits (the HDL's ``MemDecl`` allows no wider
+word) and addresses at most 62: every lane's memory is one row of a
+``(lanes, depth)`` ``uint64`` store, and :func:`build_schedule` rejects
+a hand-built netlist with a wider macro instead of truncating it.
+
+A whole replay trace reaches :meth:`BatchedGateLevelSimulator
+.run_cycles` as one :class:`PackedStimulus`: flat numpy arrays of
+lane-masked pokes, output checks and per-cycle force segments, the
+layout the native kernel reads and the interpreter walks.  Replay
+builds them in bulk (:func:`lane_ops` for a batch's I/O, force segments
+for the retimed warm-up); the per-cycle ``poke``/``eval``/``peek``/
+``step`` methods remain for co-simulation and as the stepped reference
+that the whole-trace path is tested against.
 """
 
 from __future__ import annotations
@@ -107,6 +121,15 @@ def build_schedule(netlist):
 
 def _build_schedule(netlist):
     t0 = time.perf_counter()
+    for macro in netlist.srams:
+        ports = ([(a, d) for _en, a, d in macro.write_ports]
+                 + list(macro.read_ports))
+        if macro.width > 64 or any(len(a) > 62 or len(d) > 64
+                                   for a, d in ports):
+            raise GateSimError(
+                f"SRAM macro {macro.name!r} is {macro.width} bits wide; "
+                f"gate-level simulation holds one uint64 word per entry "
+                f"and at most 62 address bits")
     level_of = np.zeros(netlist.n_nets, dtype=np.int32)
 
     producers = []
@@ -202,27 +225,20 @@ def _check_schedule(schedule, netlist):
 def pack_lane_words(values, nbits):
     """Pack per-lane integers into per-bit ``uint64`` lane words.
 
-    ``values[lane]`` is an integer whose low ``nbits`` bits matter; the
+    ``values[lane]`` is an unsigned integer of at most 64 bits (a
+    sequence or a ``uint64`` array) whose low ``nbits`` bits matter; the
     result is an array of ``nbits`` words where bit ``lane`` of word
     ``i`` equals bit ``i`` of ``values[lane]`` — the transpose between
     the scalar representation (one value per lane) and the bit-parallel
     one (one word per net).
     """
-    lanes = len(values)
-    if nbits <= 64:
-        keep = (1 << nbits) - 1
-        vals = np.array([v & keep for v in values], dtype=np.uint64)
-        bit_ids = np.arange(nbits, dtype=np.uint64)
-        lane_ids = np.arange(lanes, dtype=np.uint64)
-        bits = (vals[:, None] >> bit_ids[None, :]) & _ONE
-        return np.bitwise_or.reduce(bits << lane_ids[:, None], axis=0)
-    words = []
-    for i in range(nbits):
-        word = 0
-        for lane, value in enumerate(values):
-            word |= ((value >> i) & 1) << lane
-        words.append(word)
-    return np.array(words, dtype=np.uint64)
+    if nbits > 64:
+        raise GateSimError(f"{nbits}-bit lane values do not fit a word")
+    vals = np.asarray(values, dtype=np.uint64)
+    bit_ids = np.arange(nbits, dtype=np.uint64)
+    lane_ids = np.arange(len(vals), dtype=np.uint64)
+    bits = (vals[:, None] >> bit_ids[None, :]) & _ONE
+    return np.bitwise_or.reduce(bits << lane_ids[:, None], axis=0)
 
 
 def pack_lane_bits(bits):
@@ -251,7 +267,7 @@ def lane_ops(values, present, port_nets):
     drive (or check) each port each cycle; ``port_nets[p]`` lists port
     ``p``'s nets, LSB first.  One op is emitted per (cycle, port) with a
     non-empty lane mask, in cycle-major, port-minor order.  Returns the
-    ``counts/masks/off/cnt/nets/words`` arrays of :meth:`PackedStimulus
+    ``counts/masks/off/cnt/nets/words`` arrays of :attr:`PackedStimulus
     .flat` (unprefixed) plus each op's cycle and port index.
     """
     lanes, n_cycles, n_ports = values.shape
@@ -327,136 +343,54 @@ def _note_step_phases(seconds, cycles):
     registry.counter("glstep.calls").inc()
 
 
+def _no_ops(kind, n_cycles):
+    """Flat ``kind`` (poke or check) arrays holding no op."""
+    none = np.zeros(0, dtype=np.int64)
+    return {f"{kind}_counts": np.zeros(n_cycles, dtype=np.int64),
+            f"{kind}_masks": np.zeros(0, dtype=np.uint64),
+            f"{kind}_off": none, f"{kind}_cnt": none,
+            f"{kind}_nets": none,
+            f"{kind}_words": np.zeros(0, dtype=np.uint64)}
+
+
 class PackedStimulus:
-    """A whole replay trace precompiled into per-cycle schedules.
+    """A whole replay trace as the flat arrays that
+    :meth:`~BatchedGateLevelSimulator.run_cycles` reads.
 
-    One instance describes everything :meth:`~BatchedGateLevelSimulator
-    .run_cycles` must do for ``n_cycles`` consecutive cycles:
+    :attr:`flat` holds everything ``n_cycles`` consecutive cycles do, in
+    the layout of the C kernel's ``gl_run`` ABI; both backends read it:
 
-    * **pokes** — masked input scatters applied before eval, as
-      ``(nets, lane_mask, words)`` triples (see
-      :meth:`~BatchedGateLevelSimulator.poke_packed`);
-    * **checks** — expected-output comparisons evaluated right after
-      eval, as ``(name, nets, lane_mask, words)``; mismatching lanes are
-      counted (or raise :class:`StimulusMismatch` in strict mode);
-    * **forces** — optional per-cycle force segments ``(nets, masks,
-      vals)`` replacing the simulator's ambient forces for that cycle
-      (``None`` for a cycle means *no* forces that cycle).  When no
-      segment was ever set the stimulus leaves ambient forces alone.
+    * **pokes** — lane-masked input scatters applied before eval:
+      ``poke_counts`` ops per cycle, then per op its lane mask
+      (``poke_masks``) and its slice (``poke_off``, ``poke_cnt``) of
+      ``poke_nets``/``poke_words``;
+    * **checks** — expected-output comparisons right after eval, in
+      the same layout (``check_*``); mismatching lanes are counted (or
+      raise :class:`StimulusMismatch` in strict mode), and
+      ``check_meta[op]`` gives op ``op``'s ``(cycle, name)``;
+    * **forces** — per-cycle force segments replacing the simulator's
+      ambient forces: cycle ``t`` forces ``force_counts[t]`` nets from
+      ``force_off[t]`` of ``force_nets``/``force_masks``/``force_vals``
+      (pre-masked values; a zero count forces nothing that cycle).
+      ``force_counts`` is ``None`` when the stimulus never forces, which
+      leaves the ambient forces in effect.
 
-    :meth:`flat` lazily flattens everything into contiguous numpy arrays
-    shaped for the C kernel's ``gl_run`` ABI; both backends read those
-    arrays.  A replay batch's trace is built straight into them
-    (:meth:`from_flat`, :func:`lane_ops`).
+    :func:`lane_ops` builds poke and check arrays from per-lane port
+    values; :meth:`from_flat` builds a stimulus from any subset.
     """
 
-    def __init__(self, n_cycles):
+    def __init__(self, n_cycles, flat, check_meta):
         self.n_cycles = n_cycles
-        self.pokes = [[] for _ in range(n_cycles)]
-        self.checks = [[] for _ in range(n_cycles)]
-        self.forces = None
-        self.check_meta = []   # (cycle, name) per flat check op
-        self._flat = None
+        self.flat = flat
+        self.check_meta = check_meta
 
     @classmethod
-    def from_flat(cls, n_cycles, flat, check_meta):
-        """A stimulus given directly as :meth:`flat` arrays (no forces).
-
-        ``check_meta[op]`` must give ``(cycle, name)`` of flat check op
-        ``op``; the per-cycle op lists stay empty.
-        """
-        stim = cls(n_cycles)
-        stim._flat = dict(flat, force_counts=None)
-        stim.check_meta = check_meta
-        return stim
-
-    def add_poke(self, t, nets, lane_mask, words):
-        self.pokes[t].append((nets, np.uint64(lane_mask), words))
-        self._flat = None
-
-    def add_check(self, t, name, nets, lane_mask, words):
-        self.checks[t].append((name, nets, np.uint64(lane_mask), words))
-        self._flat = None
-
-    def set_forces(self, t, nets, masks, vals):
-        """Install a force segment for cycle ``t`` (arrays, pre-masked)."""
-        if self.forces is None:
-            self.forces = [None] * self.n_cycles
-        self.forces[t] = (nets, masks, vals)
-        self._flat = None
-
-    def flat(self):
-        """Contiguous arrays for the native kernel (built once, cached).
-
-        Returns a dict with per-cycle op counts, per-op masks/offsets/
-        lengths, and flat net/word arrays for pokes and checks, plus
-        per-cycle force segments (``force_counts`` is ``None`` when the
-        stimulus never forces, meaning ambient forces stay in effect).
-        Also populates :attr:`check_meta` in flat-op order.
-        """
-        if self._flat is not None:
-            return self._flat
-        flat = {}
-        self.check_meta = []
-        for kind, sched in (("poke", self.pokes), ("check", self.checks)):
-            counts = np.zeros(self.n_cycles, dtype=np.int64)
-            masks, offs, cnts = [], [], []
-            net_parts, word_parts = [], []
-            cursor = 0
-            for t, ops in enumerate(sched):
-                counts[t] = len(ops)
-                for op in ops:
-                    if kind == "check":
-                        name, nets, mask, words = op
-                        self.check_meta.append((t, name))
-                    else:
-                        nets, mask, words = op
-                    masks.append(int(mask))
-                    offs.append(cursor)
-                    cnts.append(len(nets))
-                    net_parts.append(np.asarray(nets, dtype=np.int64))
-                    word_parts.append(np.asarray(words, dtype=np.uint64))
-                    cursor += len(nets)
-            flat[f"{kind}_counts"] = counts
-            flat[f"{kind}_masks"] = np.array(masks, dtype=np.uint64)
-            flat[f"{kind}_off"] = np.array(offs, dtype=np.int64)
-            flat[f"{kind}_cnt"] = np.array(cnts, dtype=np.int64)
-            flat[f"{kind}_nets"] = (
-                np.concatenate(net_parts) if net_parts
-                else np.zeros(0, dtype=np.int64))
-            flat[f"{kind}_words"] = (
-                np.concatenate(word_parts) if word_parts
-                else np.zeros(0, dtype=np.uint64))
-        if self.forces is None:
-            flat["force_counts"] = None
-        else:
-            counts = np.zeros(self.n_cycles, dtype=np.int64)
-            offs = np.zeros(self.n_cycles, dtype=np.int64)
-            net_parts, mask_parts, val_parts = [], [], []
-            cursor = 0
-            for t, seg in enumerate(self.forces):
-                offs[t] = cursor
-                if seg is None:
-                    continue
-                nets, masks_a, vals = seg
-                counts[t] = len(nets)
-                net_parts.append(np.asarray(nets, dtype=np.int64))
-                mask_parts.append(np.asarray(masks_a, dtype=np.uint64))
-                val_parts.append(np.asarray(vals, dtype=np.uint64))
-                cursor += len(nets)
-            flat["force_counts"] = counts
-            flat["force_off"] = offs
-            flat["force_nets"] = (
-                np.concatenate(net_parts) if net_parts
-                else np.zeros(0, dtype=np.int64))
-            flat["force_masks"] = (
-                np.concatenate(mask_parts) if mask_parts
-                else np.zeros(0, dtype=np.uint64))
-            flat["force_vals"] = (
-                np.concatenate(val_parts) if val_parts
-                else np.zeros(0, dtype=np.uint64))
-        self._flat = flat
-        return flat
+    def from_flat(cls, n_cycles, flat, check_meta=()):
+        """A stimulus from :attr:`flat` arrays, where a missing kind
+        holds no op (and missing forces leave the ambient ones)."""
+        return cls(n_cycles, {**_no_ops("poke", n_cycles),
+                              **_no_ops("check", n_cycles),
+                              "force_counts": None, **flat}, check_meta)
 
 
 class BatchedGateLevelSimulator:
@@ -533,14 +467,10 @@ class BatchedGateLevelSimulator:
         n_srams = len(netlist.srams)
         self.sram_reads = np.zeros((n_srams, lanes), dtype=np.int64)
         self.sram_writes = np.zeros((n_srams, lanes), dtype=np.int64)
-        # Word-sized macros use a (lanes, depth) uint64 store so read
-        # ports gather all lanes in one fancy index; wider macros fall
-        # back to per-lane Python lists (arbitrary-precision ints).
-        self._sram_data = [
-            np.zeros((lanes, macro.depth), dtype=np.uint64)
-            if macro.width <= 64
-            else [[0] * macro.depth for _ in range(lanes)]
-            for macro in netlist.srams]
+        # one (lanes, depth) uint64 store per macro, so read ports
+        # gather all lanes in one fancy index
+        self._sram_data = [np.zeros((lanes, macro.depth), dtype=np.uint64)
+                           for macro in netlist.srams]
         self._lane_rows = np.arange(lanes)
         self._plan_nets = {}
         # per-(macro, port) last-read-address memo, -1 = never read;
@@ -549,25 +479,22 @@ class BatchedGateLevelSimulator:
         self._last_addrs = [
             [np.full(lanes, -1, dtype=np.int64) for _ in macro.read_ports]
             for macro in netlist.srams]
-        # per write port: (en, addr_arr, addr_w, data_arr, data_w) with
-        # None weights when the port is too wide for packed assembly
+        # per write port: (en, addr_arr, addr_w, data_arr, data_w)
         self._write_ports = []
         for macro in netlist.srams:
             ports = []
             for en, addr_nets, data_nets in macro.write_ports:
                 addr_arr = np.array(addr_nets, dtype=np.int64)
                 data_arr = np.array(data_nets, dtype=np.int64)
-                addr_w = (np.array([1 << i for i in range(len(addr_nets))],
-                                   dtype=np.int64)
-                          if len(addr_nets) < 63 else None)
-                data_w = (np.array([1 << i for i in range(len(data_nets))],
-                                   dtype=np.uint64)
-                          if len(data_nets) <= 64 else None)
+                addr_w = np.array([1 << i for i in range(len(addr_nets))],
+                                  dtype=np.int64)
+                data_w = np.array([1 << i for i in range(len(data_nets))],
+                                  dtype=np.uint64)
                 ports.append((en, addr_arr, addr_w, data_arr, data_w))
             self._write_ports.append(ports)
         if kernel is None and backend != "interp":
             from .glcodegen import build_kernel
-            kernel = build_kernel(netlist, backend)
+            kernel = build_kernel(backend)
         self._kernel = kernel
         self.backend = kernel.backend if kernel is not None else "interp"
         if kernel is not None:
@@ -614,12 +541,8 @@ class BatchedGateLevelSimulator:
         for per_port in self._last_addrs:
             for last in per_port:
                 last[:] = -1
-        for per_lane in self._sram_data:
-            if isinstance(per_lane, np.ndarray):
-                per_lane[:] = 0
-            else:
-                for data in per_lane:
-                    data[:] = [0] * len(data)
+        for store in self._sram_data:
+            store[:] = 0
         self.reset()
         np.copyto(self._prev, self._values)
 
@@ -631,13 +554,6 @@ class BatchedGateLevelSimulator:
         self.sram_reads[:] = 0
         self.sram_writes[:] = 0
         self._prev = self._values.copy()
-
-    @property
-    def _toggle_planes(self):
-        """The in-use vertical counter planes as a list of arena views
-        (LSB plane first) — the pre-arena representation, kept for
-        activity export and white-box tests."""
-        return [self._toggle_arena[p] for p in range(self._plane_count)]
 
     def _grow_toggle_arena(self, min_planes):
         cap = self._toggle_arena.shape[0]
@@ -711,29 +627,18 @@ class BatchedGateLevelSimulator:
         if len(contents) != self.netlist.srams[idx].depth:
             raise GateSimError(f"SRAM {name} depth mismatch")
         store = self._sram_data[idx]
-        if isinstance(store, np.ndarray):
-            if lane is None:
-                store[:] = contents
-            else:
-                self._check_lane(lane)
-                store[lane] = contents
-            return
-        if isinstance(contents, np.ndarray):
-            contents = contents.tolist()
         if lane is None:
-            for data in store:
-                data[:] = contents
+            store[:] = contents
         else:
             self._check_lane(lane)
-            store[lane][:] = contents
+            store[lane] = contents
 
     def read_sram(self, name, addr, lane=0):
         idx = self._sram_index.get(name)
         if idx is None:
             raise GateSimError(f"no SRAM named {name!r}")
         self._check_lane(lane)
-        value = self._sram_data[idx][lane][addr]
-        return int(value)
+        return int(self._sram_data[idx][lane, addr])
 
     # -- forcing ----------------------------------------------------------------
 
@@ -741,22 +646,12 @@ class BatchedGateLevelSimulator:
         """Force a preserved net group to ``value`` in one or all lanes."""
         if lane is None:
             lane_mask = int(self.active_mask)
-            packed = [value] * self.lanes
+            values = [value] * self.lanes
         else:
             self._check_lane(lane)
             lane_mask = 1 << lane
-            packed = [0] * self.lanes
-            packed[lane] = value
-        self._force_packed(label, lane_mask, packed)
-
-    def force_label_lanes(self, label, values):
-        """Force a preserved net group to a per-lane list of values."""
-        if len(values) != self.lanes:
-            raise GateSimError(
-                f"{len(values)} force values for {self.lanes} lanes")
-        self._force_packed(label, int(self.active_mask), values)
-
-    def _force_packed(self, label, lane_mask, values):
+            values = [0] * self.lanes
+            values[lane] = value
         nets = self.netlist.preserved_nets.get(label)
         if nets is None:
             raise GateSimError(f"no preserved nets labelled {label!r}")
@@ -814,22 +709,6 @@ class BatchedGateLevelSimulator:
         self._values[np.array(nets, dtype=np.int64)] = \
             pack_lane_words(values, len(nets))
 
-    def poke_packed(self, nets, lane_mask, words):
-        """Masked bulk stimulus: lanes in ``lane_mask`` take ``words``.
-
-        ``nets`` is an int64 index array, ``words`` the matching packed
-        lane words (see :func:`pack_lane_words`); lanes outside the mask
-        keep their current values.  This is the replay fast path — one
-        masked scatter per port per cycle.
-        """
-        mask = np.uint64(lane_mask)
-        v = self._values
-        v[nets] = (v[nets] & ~mask) | (words & mask)
-
-    def net_words(self, nets):
-        """Raw packed lane words for an index array of nets."""
-        return self._values[nets]
-
     def peek(self, port, lane=0):
         nets = self.netlist.outputs.get(port)
         if nets is None:
@@ -843,10 +722,6 @@ class BatchedGateLevelSimulator:
     def peek_all(self, lane=0):
         return {name: self.peek(name, lane=lane)
                 for name in self.netlist.outputs}
-
-    def peek_net(self, net, lane=0):
-        self._check_lane(lane)
-        return (int(self._values[net]) >> lane) & 1
 
     def eval(self):
         """Settle combinational logic in every lane at once."""
@@ -893,30 +768,17 @@ class BatchedGateLevelSimulator:
         bits = ((v[addr_arr][:, None] >> self._lane_ids[None, :])
                 & _ONE).astype(np.int64)
         addrs = addr_w @ bits          # per-lane integer addresses
-        store = self._sram_data[macro_idx]
-        if isinstance(store, np.ndarray):
-            ok = addrs < macro.depth
-            words = store[self._lane_rows, np.where(ok, addrs, 0)]
-            words = np.where(ok, words, np.uint64(0))
-            packed = self._pack_word_array(words, len(data_arr))
-        else:
-            lane_words = [store[lane][addr] if addr < macro.depth else 0
-                          for lane, addr in enumerate(addrs.tolist())]
-            packed = pack_lane_words(lane_words, len(data_arr))
+        ok = addrs < macro.depth
+        words = self._sram_data[macro_idx][self._lane_rows,
+                                           np.where(ok, addrs, 0)]
+        packed = pack_lane_words(np.where(ok, words, np.uint64(0)),
+                                 len(data_arr))
         last = self._last_addrs[macro_idx][port_idx]
         changed = addrs != last
         if changed.any():
             self.sram_reads[macro_idx] += changed
             last[:] = addrs
         v[data_arr] = packed
-
-    def _pack_word_array(self, words, nbits):
-        """Transpose per-lane uint64 values into per-bit lane words
-        (the all-numpy form of :func:`pack_lane_words`)."""
-        bit_ids = np.arange(nbits, dtype=np.uint64)
-        bits = (words[:, None] >> bit_ids[None, :]) & _ONE
-        return np.bitwise_or.reduce(bits << self._lane_ids[:, None],
-                                    axis=0)
 
     def step(self, n=1):
         """Advance n clock cycles in every lane (eval, count, commit)."""
@@ -964,7 +826,7 @@ class BatchedGateLevelSimulator:
         semantics identical to the native kernel, reading the same flat
         stimulus arrays."""
         phases = [0.0] * 6
-        flat = stim.flat() if stim is not None else None
+        flat = stim.flat if stim is not None else None
         if flat is not None:
             poke_first = np.concatenate(([0], np.cumsum(flat["poke_counts"])))
             check_first = np.concatenate(
@@ -1066,32 +928,19 @@ class BatchedGateLevelSimulator:
                 en_word = int(v[en]) & active
                 if not en_word:
                     continue
-                if addr_w is not None:
-                    abits = ((v[addr_arr][:, None] >> lane_ids)
-                             & _ONE).astype(np.int64)
-                    addrs = (addr_w @ abits).tolist()
-                if data_w is not None:
-                    dbits = (v[data_arr][:, None] >> lane_ids) & _ONE
-                    words = (dbits * data_w[:, None]).sum(axis=0).tolist()
+                abits = ((v[addr_arr][:, None] >> lane_ids)
+                         & _ONE).astype(np.int64)
+                addrs = (addr_w @ abits).tolist()
+                dbits = (v[data_arr][:, None] >> lane_ids) & _ONE
+                words = (dbits * data_w[:, None]).sum(axis=0).tolist()
                 remaining = en_word
                 while remaining:
                     lane = (remaining & -remaining).bit_length() - 1
                     remaining &= remaining - 1
-                    if addr_w is not None:
-                        addr = addrs[lane]
-                    else:
-                        addr = 0
-                        for i, net in enumerate(addr_arr.tolist()):
-                            addr |= ((int(v[net]) >> lane) & 1) << i
+                    addr = addrs[lane]
                     if addr >= macro.depth:
                         continue
-                    if data_w is not None:
-                        value = words[lane]
-                    else:
-                        value = 0
-                        for i, net in enumerate(data_arr.tolist()):
-                            value |= ((int(v[net]) >> lane) & 1) << i
-                    store[lane][addr] = value
+                    store[lane, addr] = words[lane]
                     self.sram_writes[macro_idx, lane] += 1
 
     def _commit_dffs(self):
@@ -1107,7 +956,7 @@ class BatchedGateLevelSimulator:
         self._check_lane(lane)
         out = np.zeros(self.netlist.n_nets, dtype=np.int64)
         shift = np.uint64(lane)
-        for i, plane in enumerate(self._toggle_planes):
+        for i, plane in enumerate(self._toggle_arena[:self._plane_count]):
             out += ((plane >> shift) & _ONE).astype(np.int64) << i
         return out
 

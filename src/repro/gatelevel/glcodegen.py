@@ -33,10 +33,11 @@ by the C source text, the compiler's ``--version`` line and the flags,
 so editing the kernel or changing toolchains rebuilds instead of
 loading a stale object.
 
-The fallback ladder is ``c -> interp``: no C compiler, or a netlist the
-kernel cannot express (SRAM words wider than 64 bits, addresses wider
-than 62), degrades an explicit ``c`` request to the interpreter with a
-warning; ``auto`` degrades silently.
+The fallback ladder is ``c -> interp``: with no C compiler an explicit
+``c`` request degrades to the interpreter with a warning; ``auto``
+degrades silently.  Every netlist the simulator accepts fits the kernel:
+:func:`~repro.gatelevel.gl_sim.build_schedule` rejects SRAM words wider
+than 64 bits and addresses wider than 62.
 """
 
 from __future__ import annotations
@@ -100,25 +101,6 @@ def kernel_cache_key():
     compiler is found.
     """
     return native.cache_key(kernel_source(), _CFLAGS)
-
-
-def check_supported(netlist):
-    """Raise :class:`~repro.native.ToolchainUnavailable` for netlists
-    the kernel cannot express: it packs one uint64 word per SRAM entry
-    and assembles addresses in an int64."""
-    for macro in netlist.srams:
-        if macro.width > 64:
-            raise native.ToolchainUnavailable(
-                f"SRAM macro {macro.name!r} is {macro.width} bits wide; "
-                f"the C kernel packs one uint64 word per entry")
-        ports = ([(a, d) for _en, a, d in macro.write_ports]
-                 + list(macro.read_ports))
-        for addr_nets, data_nets in ports:
-            if len(addr_nets) > 62 or len(data_nets) > 64:
-                raise native.ToolchainUnavailable(
-                    f"SRAM macro {macro.name!r} has a port with "
-                    f"{len(addr_nets)} address and {len(data_nets)} "
-                    f"data bits; the C kernel handles at most 62 and 64")
 
 
 # -- the kernel ABI -----------------------------------------------------------
@@ -353,7 +335,7 @@ class CKernel:
             dff_tmp=sim._gl_dff_tmp.ctypes.data,
             lanes=sim.lanes,
             active_mask=int(sim.active_mask))
-        flat = stim.flat() if stim is not None else None
+        flat = stim.flat if stim is not None else None
         stop = np.full(3, -1, dtype=np.int64)
         phase_ns = np.zeros(6, dtype=np.float64)
         run = _GlRun(
@@ -452,14 +434,13 @@ def compile_c_kernel(use_cache=True):
     return CKernel(lib, compile_seconds=seconds, from_cache=from_cache)
 
 
-def build_kernel(netlist, backend, use_cache=True):
+def build_kernel(backend, use_cache=True):
     """The evaluation kernel for ``backend``; None means interpret.
 
     Implements the fallback ladder ``c -> interp``: when no C compiler
-    is available or ``netlist`` has SRAM ports the kernel cannot
-    express, an explicit ``c`` request degrades to the interpreter
+    is available, an explicit ``c`` request degrades to the interpreter
     (one warning + a counter) and ``auto`` degrades silently.  The
-    kernel itself is netlist-agnostic.
+    kernel is netlist-agnostic, so one serves every simulator.
     """
     backend = resolve_backend(backend)
     if backend == "interp":
@@ -467,7 +448,6 @@ def build_kernel(netlist, backend, use_cache=True):
     with get_tracer().span("glcodegen.build", cat="flow",
                            backend=backend) as span:
         try:
-            check_supported(netlist)
             kernel = compile_c_kernel(use_cache=use_cache)
         except native.ToolchainUnavailable as exc:
             native.note_fallback("glcodegen", backend, exc, "replay",

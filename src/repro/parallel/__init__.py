@@ -14,13 +14,10 @@ from .cache import (
     ArtifactCache, get_cache, cache_enabled, default_cache_dir,
     cache_stats, reset_cache_stats, CACHE_VERSION,
 )
-from .pool import (
-    ParallelReplayError, CancelToken, default_workers,
-)
+from .pool import ParallelReplayError, CancelToken
 
 __all__ = [
     "ArtifactCache", "get_cache", "cache_enabled", "default_cache_dir",
     "cache_stats", "reset_cache_stats", "CACHE_VERSION",
     "ParallelReplayError", "CancelToken",
-    "default_workers",
 ]

@@ -60,10 +60,6 @@ class CancelToken:
 _ENV_START_METHOD = "REPRO_START_METHOD"
 
 
-def default_workers():
-    return os.cpu_count() or 1
-
-
 def _pick_context(start_method=None):
     """Resolve the multiprocessing start method for replay workers.
 

@@ -236,17 +236,17 @@ def run_campaign(engine, snapshots, workers=2, timeout=10.0,
                 for r in engine.replay_all(snapshots, workers=1)]
     verdicts = {}
 
-    def supervised(snaps, plan=None):
+    def supervised(snaps, plan=None, start_method=None):
         return replay_supervised(
             engine.flow, snaps, workers=workers,
             port_names=engine._port_names, grouping=engine.grouping,
             freq_hz=engine.freq_hz, strict=True, timeout=timeout,
             backoff_base=backoff_base, fault_plan=plan,
-            serial_engine=engine)
+            serial_engine=engine, start_method=start_method)
 
-    def expect_recovery(name, plan):
+    def expect_recovery(name, plan, start_method=None):
         try:
-            results, health = supervised(snapshots, plan)
+            results, health = supervised(snapshots, plan, start_method)
         except Exception:
             verdicts[name] = "missed"
             return
@@ -261,6 +261,11 @@ def run_campaign(engine, snapshots, workers=2, timeout=10.0,
                                          seconds=timeout * 10)]))
     expect_recovery("worker-error",
                     FaultPlan([FaultSpec("error", index=0)]))
+    # spawned, not forked: a forked child can die before the pool
+    # dispatches its first task, which leaves no incident to recover
+    expect_recovery("bootstrap-death",
+                    FaultPlan([FaultSpec("bootstrap-death")]),
+                    start_method="spawn")
 
     def expect_detection(name, snaps, exc_types):
         try:

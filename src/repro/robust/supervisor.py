@@ -812,7 +812,7 @@ def replay_supervised(flow, snapshots, *, workers, port_names,
     directly.
 
     ``batch_lanes`` > 1 packs snapshots into bit-lane batches (see
-    :func:`repro.core.replay.make_replay_batches`): the unit of
+    :func:`repro.core.replay.plan_replay_batches`): the unit of
     dispatch, deadline, retry, and serial fallback becomes the batch,
     with the per-snapshot ``timeout`` scaled by each batch's size.
     With the default of 1 every batch is a single snapshot and the

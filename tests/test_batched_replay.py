@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import run_strober
 from repro.core.replay import (
-    ReplayEngine, ReplayError, make_replay_batches, plan_replay_batches,
+    ReplayEngine, ReplayError, plan_replay_batches,
     run_asic_flow,
 )
 from repro.gatelevel import (
@@ -51,18 +51,18 @@ def _fake_snaps(trace_lengths):
 
 class TestMakeBatches:
     def test_consecutive_with_ragged_tail(self):
-        batches = make_replay_batches(_fake_snaps([32] * 10), 4)
+        batches = plan_replay_batches(_fake_snaps([32] * 10), 4)
         assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
 
     def test_split_on_trace_length_change(self):
-        batches = make_replay_batches(_fake_snaps([32, 32, 16, 16, 32]), 8)
+        batches = plan_replay_batches(_fake_snaps([32, 32, 16, 16, 32]), 8)
         assert batches == [[0, 1], [2, 3], [4]]
 
     def test_lane_bounds(self):
         with pytest.raises(ValueError):
-            make_replay_batches(_fake_snaps([32]), 0)
+            plan_replay_batches(_fake_snaps([32]), 0)
         with pytest.raises(ValueError):
-            make_replay_batches(_fake_snaps([32]), MAX_LANES + 1)
+            plan_replay_batches(_fake_snaps([32]), MAX_LANES + 1)
 
     def test_ramp_doubles_up_to_the_lane_limit(self):
         batches = plan_replay_batches(_fake_snaps([32] * 20), 8, ramp=2)

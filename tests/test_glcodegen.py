@@ -14,9 +14,9 @@ import pytest
 from repro.core import run_strober
 from repro.core.flow import clear_caches, get_replay_engine
 from repro.gatelevel import (
-    BatchedGateLevelSimulator, GateLevelSimulator, MAX_LANES,
+    BatchedGateLevelSimulator, GateLevelSimulator, GateSimError, MAX_LANES,
     PackedStimulus, StimulusMismatch, build_kernel, build_schedule,
-    kernel_cache_key, pack_lane_words, resolve_backend,
+    kernel_cache_key, lane_ops, pack_lane_words, resolve_backend,
     synthesize, GLCodegenError,
 )
 from repro import native
@@ -103,9 +103,9 @@ def _assert_identical(ref, sim, backend):
     assert np.array_equal(ref._values, sim._values), backend
     assert np.array_equal(ref.sram_reads, sim.sram_reads), backend
     assert np.array_equal(ref.sram_writes, sim.sram_writes), backend
-    assert len(ref._toggle_planes) == len(sim._toggle_planes)
-    for p_ref, p_sim in zip(ref._toggle_planes, sim._toggle_planes):
-        assert np.array_equal(p_ref, p_sim), backend
+    assert ref._plane_count == sim._plane_count, backend
+    assert np.array_equal(ref._toggle_arena[:ref._plane_count],
+                          sim._toggle_arena[:sim._plane_count]), backend
 
 
 class TestResolveBackend:
@@ -295,10 +295,10 @@ class TestArtifactCache:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         netlist = _small_netlist()
         schedule = build_schedule(netlist)
-        cold = build_kernel(netlist, "c")
+        cold = build_kernel("c")
         assert cold.backend == "c" and not cold.from_cache
         reset_cache_stats()
-        warm = build_kernel(netlist, "c")
+        warm = build_kernel("c")
         assert warm.backend == "c" and warm.from_cache
         assert warm.compile_seconds < cold.compile_seconds
         assert get_registry().value("cache.glso.hits") >= 1
@@ -314,8 +314,8 @@ class TestArtifactCache:
     def test_netlists_share_one_glso_entry(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         small, counter = _small_netlist(), _small_netlist(_CounterDesign)
-        first = build_kernel(small, "c")
-        second = build_kernel(counter, "c")
+        first = build_kernel("c")
+        second = build_kernel("c")
         assert not first.from_cache and second.from_cache
         entries = [name for root, _dirs, files in os.walk(tmp_path)
                    if "glso" in root.split(os.sep) for name in files]
@@ -340,14 +340,14 @@ class TestArtifactCache:
         # rebuild, never a stale .so load of the old source
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         netlist = _small_netlist()
-        build_kernel(netlist, "c")
+        build_kernel("c")
         key = kernel_cache_key()
         edited = glcodegen.kernel_source() + "\n/* edited */\n"
         monkeypatch.setattr(glcodegen, "kernel_source", lambda: edited)
         assert kernel_cache_key() != key
-        rebuilt = build_kernel(netlist, "c")
+        rebuilt = build_kernel("c")
         assert rebuilt.backend == "c" and not rebuilt.from_cache
-        assert build_kernel(netlist, "c").from_cache
+        assert build_kernel("c").from_cache
 
     @needs_cc
     def test_stale_so_regenerates_with_counter(self, tmp_path,
@@ -355,14 +355,14 @@ class TestArtifactCache:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         netlist = _small_netlist()
         schedule = build_schedule(netlist)
-        build_kernel(netlist, "c")
+        build_kernel("c")
         key = kernel_cache_key()
         get_cache().put("glso", key,
                         {"so": b"\x7fELF not actually a shared object"})
         native.reset_warnings()
         before = get_registry().value("cache.glso.stale") or 0
         with pytest.warns(RuntimeWarning, match="failed to load"):
-            kernel = build_kernel(netlist, "c")
+            kernel = build_kernel("c")
         assert kernel.backend == "c" and not kernel.from_cache
         assert get_registry().value("cache.glso.stale") == before + 1
         assert cache_stats()["glso.stale"] >= 1
@@ -385,7 +385,7 @@ class TestArtifactCache:
         netlist = _small_netlist()
         circuit = elaborate(_KernelDesign())
         for _attempt in ("cold", "warm"):
-            build_kernel(netlist, "c")
+            build_kernel("c")
             try:
                 compile_circuit_c(circuit)
             except native.ToolchainUnavailable:
@@ -401,7 +401,7 @@ class TestFallbackLadder:
         native.reset_warnings()
         before = get_registry().value("glcodegen.c_fallbacks") or 0
         with pytest.warns(RuntimeWarning, match="unavailable"):
-            kernel = build_kernel(netlist, "c", use_cache=False)
+            kernel = build_kernel("c", use_cache=False)
         assert kernel is None
         assert get_registry().value("glcodegen.c_fallbacks") == \
             before + 1
@@ -413,64 +413,67 @@ class TestFallbackLadder:
         monkeypatch.setenv("REPRO_CC", "/nonexistent/cc")
         netlist = _small_netlist()
         native.reset_warnings()
-        kernel = build_kernel(netlist, "auto", use_cache=False)
+        kernel = build_kernel("auto", use_cache=False)
         assert kernel is None
         assert not [w for w in recwarn
                     if "unavailable" in str(w.message)]
 
     def test_interp_requests_no_kernel(self):
         netlist = _small_netlist()
-        assert build_kernel(netlist, "interp") is None
+        assert build_kernel("interp") is None
 
-    def test_wide_sram_falls_back_to_interp(self):
-        # the HDL caps words at 64 bits, so widen the synthesized macro:
-        # its stores become per-lane Python int lists
+    def test_wide_sram_rejected_by_schedule(self):
+        # the HDL caps words at 64 bits, so widen the synthesized macro
+        # by hand: no backend holds such words, and the schedule must
+        # refuse the netlist rather than truncate them
         netlist = _small_netlist()
-        macro = netlist.srams[0]
-        macro.width = 72
-        schedule = build_schedule(netlist)
-        native.reset_warnings()
-        with pytest.warns(RuntimeWarning, match="72 bits wide"):
-            sim = BatchedGateLevelSimulator(netlist, lanes=3,
-                                            schedule=schedule,
-                                            backend="c")
-        assert sim.backend == "interp"
-        ref = BatchedGateLevelSimulator(netlist, lanes=3,
-                                        schedule=schedule)
-        contents = [(1 << 71) | i for i in range(macro.depth)]
-        for s in (ref, sim):
-            s.load_sram(macro.name, contents)
-        _drive([ref, sim], cycles=10)
-        _assert_identical(ref, sim, "wide")
+        netlist.srams[0].width = 72
+        with pytest.raises(GateSimError, match="72 bits wide"):
+            build_schedule(netlist)
+        for backend in BACKENDS:
+            with pytest.raises(GateSimError, match="72 bits wide"):
+                BatchedGateLevelSimulator(netlist, lanes=3,
+                                          backend=backend)
 
 
-def _whole_trace_stim(netlist, lanes, cycles=24, seed=11,
-                      force_window=None):
-    """Random inputs as a PackedStimulus plus per-cycle poke lists for
-    the step-by-step reference loop.  ``force_window`` = (lo, hi,
-    value) installs complete force segments on cycles [lo, hi)."""
+def _random_inputs(lanes, cycles=24, seed=11):
+    """Per-cycle ``(d, we)`` lists of per-lane input values."""
     rng = random.Random(seed)
-    mask = (1 << lanes) - 1 if lanes < 64 else (1 << 64) - 1
-    d_nets = np.array(netlist.inputs["d"], dtype=np.int64)
-    we_nets = np.array(netlist.inputs["we"], dtype=np.int64)
-    stim = PackedStimulus(cycles)
-    per_cycle = []
-    for t in range(cycles):
-        d = [rng.randrange(256) for _ in range(lanes)]
-        we = [rng.randrange(2) for _ in range(lanes)]
-        stim.add_poke(t, d_nets, mask, pack_lane_words(d, len(d_nets)))
-        stim.add_poke(t, we_nets, mask,
-                      pack_lane_words(we, len(we_nets)))
-        per_cycle.append((d, we))
+    return [([rng.randrange(256) for _ in range(lanes)],
+             [rng.randrange(2) for _ in range(lanes)])
+            for _ in range(cycles)]
+
+
+def _whole_trace_stim(netlist, per_cycle, expected, force_window=None):
+    """``per_cycle`` inputs and ``expected`` per-lane ``acc`` outputs
+    as one PackedStimulus, built the way replay builds it: pokes and
+    checks by :func:`lane_ops`, flat force segments for
+    ``force_window`` = (lo, hi, value) on cycles [lo, hi)."""
+    cycles, lanes = len(per_cycle), len(per_cycle[0][0])
+    inputs = np.array(per_cycle, dtype=np.uint64).transpose(2, 0, 1)
+    pokes, _, _ = lane_ops(inputs, np.ones(inputs.shape, dtype=bool),
+                           [netlist.inputs["d"], netlist.inputs["we"]])
+    outputs = np.array(expected, dtype=np.uint64).T[:, :, None]
+    checks, check_cycle, _ = lane_ops(
+        outputs, np.ones(outputs.shape, dtype=bool),
+        [netlist.outputs["acc"]])
+    flat = {f"poke_{k}": v for k, v in pokes.items()}
+    flat.update({f"check_{k}": v for k, v in checks.items()})
     if force_window is not None:
         lo, hi, value = force_window
         nets = np.array(netlist.preserved_nets["probe"], dtype=np.int64)
-        words = pack_lane_words([value] * lanes, len(nets))
-        vals = words & np.uint64(mask)
-        masks = np.full(len(nets), np.uint64(mask), dtype=np.uint64)
-        for t in range(lo, hi):
-            stim.set_forces(t, nets, masks, vals)
-    return stim, per_cycle
+        mask = np.uint64((1 << lanes) - 1)
+        vals = pack_lane_words([value] * lanes, len(nets)) & mask
+        counts = np.array([len(nets) if lo <= t < hi else 0
+                           for t in range(cycles)], dtype=np.int64)
+        flat.update(
+            force_counts=counts, force_off=np.cumsum(counts) - counts,
+            force_nets=np.tile(nets, hi - lo),
+            force_masks=np.full(len(nets) * (hi - lo), mask,
+                                dtype=np.uint64),
+            force_vals=np.tile(vals, hi - lo))
+    return PackedStimulus.from_flat(
+        cycles, flat, [(int(t), "acc") for t in check_cycle])
 
 
 def _reference_run(netlist, schedule, lanes, per_cycle,
@@ -510,15 +513,11 @@ class TestRunCycles:
         netlist.preserved_nets["probe"] = list(netlist.outputs["acc"])
         schedule = build_schedule(netlist)
         window = (8, 16, 0x3C)
-        stim, per_cycle = _whole_trace_stim(netlist, lanes,
-                                            force_window=window)
+        per_cycle = _random_inputs(lanes)
         ref, expected = _reference_run(netlist, schedule, lanes,
                                        per_cycle, force_window=window)
-        acc_nets = np.array(netlist.outputs["acc"], dtype=np.int64)
-        mask = (1 << lanes) - 1 if lanes < 64 else (1 << 64) - 1
-        for t, vals in enumerate(expected):
-            stim.add_check(t, "acc", acc_nets, mask,
-                           pack_lane_words(vals, len(acc_nets)))
+        stim = _whole_trace_stim(netlist, per_cycle, expected,
+                                 force_window=window)
         interp = BatchedGateLevelSimulator(netlist, lanes=lanes,
                                            schedule=schedule)
         sim = BatchedGateLevelSimulator(netlist, lanes=lanes,
@@ -535,17 +534,14 @@ class TestRunCycles:
         lanes = 5
         netlist = _small_netlist()
         schedule = build_schedule(netlist)
-        stim, per_cycle = _whole_trace_stim(netlist, lanes, seed=7)
+        per_cycle = _random_inputs(lanes, seed=7)
         _ref, expected = _reference_run(netlist, schedule, lanes,
                                         per_cycle)
         corrupt = {(5, 2), (12, 0), (12, 2), (20, 4)}
-        acc_nets = np.array(netlist.outputs["acc"], dtype=np.int64)
-        mask = (1 << lanes) - 1
-        for t, vals in enumerate(expected):
-            vals = [v ^ 1 if (t, lane) in corrupt else v
-                    for lane, v in enumerate(vals)]
-            stim.add_check(t, "acc", acc_nets, mask,
-                           pack_lane_words(vals, len(acc_nets)))
+        expected = [[v ^ 1 if (t, lane) in corrupt else v
+                     for lane, v in enumerate(vals)]
+                    for t, vals in enumerate(expected)]
+        stim = _whole_trace_stim(netlist, per_cycle, expected)
         want = [sum(1 for t, lane in corrupt if lane == i)
                 for i in range(lanes)]
         interp = BatchedGateLevelSimulator(netlist, lanes=lanes,
@@ -563,17 +559,12 @@ class TestRunCycles:
         lanes = 4
         netlist = _small_netlist()
         schedule = build_schedule(netlist)
-        stim, per_cycle = _whole_trace_stim(netlist, lanes, seed=9)
+        per_cycle = _random_inputs(lanes, seed=9)
         _ref, expected = _reference_run(netlist, schedule, lanes,
                                         per_cycle)
-        acc_nets = np.array(netlist.outputs["acc"], dtype=np.int64)
-        mask = (1 << lanes) - 1
-        for t, vals in enumerate(expected):
-            if t == 10:
-                vals = [v ^ 1 if lane in (1, 3) else v
-                        for lane, v in enumerate(vals)]
-            stim.add_check(t, "acc", acc_nets, mask,
-                           pack_lane_words(vals, len(acc_nets)))
+        expected[10] = [v ^ 1 if lane in (1, 3) else v
+                        for lane, v in enumerate(expected[10])]
+        stim = _whole_trace_stim(netlist, per_cycle, expected)
         stops = []
         for make_backend in ("interp", backend):
             sim = BatchedGateLevelSimulator(

@@ -10,7 +10,9 @@ import random
 
 import pytest
 
+from repro.core.replay import ReplayEngine
 from repro.hdl import Module, elaborate
+from repro.scan import ReplayableSnapshot, TraceLayout
 from repro.sim import RTLSimulator
 from repro.gatelevel import (
     synthesize, GateLevelSimulator, match_netlist, verify_equivalence,
@@ -207,3 +209,50 @@ class TestRetimedReplay:
             rtl.step()
             gl.step()
         assert mismatched
+
+
+def _captured_snapshots(circuit, n, length=12, seed=21):
+    """``n`` snapshots of one RTL run, each captured mid-stream with
+    its next ``length`` cycles of I/O recorded (as the FAME loop
+    records them)."""
+    layout = TraceLayout(
+        [(node.name, node.width) for node in circuit.inputs],
+        [(name, driver.width) for name, driver in circuit.outputs])
+    rtl = RTLSimulator(circuit)
+    rng = random.Random(seed)
+    snaps = []
+    for _ in range(n):
+        for _ in range(rng.randrange(5, 15)):
+            rtl.poke("x", rng.getrandbits(8))
+            rtl.poke("y", rng.getrandbits(8))
+            rtl.step()
+        snap = ReplayableSnapshot(rtl.cycle, rtl.snapshot(), length,
+                                  layout)
+        for _ in range(length):
+            rtl.poke("x", rng.getrandbits(8))
+            rtl.poke("y", rng.getrandbits(8))
+            rtl.step()
+            snap.record_cycle(list(rtl.input_values()),
+                              list(rtl.output_values()))
+        snap.seal()
+        snaps.append(snap)
+    return snaps
+
+
+class TestEngineWarmup:
+    """The replay engine's warm-up: one force segment per warm-up cycle
+    for every lane of a batch, on each backend (the C kernel where a
+    compiler exists), must rebuild the retimed pipeline's state."""
+
+    @pytest.mark.parametrize("backend", ["interp", "auto"])
+    def test_batched_replay_matches_rtl(self, backend):
+        circuit = elaborate(MacSystem())
+        engine = ReplayEngine(circuit, gl_backend=backend)
+        assert engine.flow.name_map.retimed
+        snaps = _captured_snapshots(circuit, 3)
+        # strict: a lane whose pipeline state is wrong raises
+        results = engine.replay_batch(snaps, strict=True)
+        assert [r.mismatches for r in results] == [0, 0, 0]
+        one_lane = [engine.replay(snap) for snap in snaps]
+        assert [r.power.total_w for r in results] == \
+            [r.power.total_w for r in one_lane]

@@ -155,15 +155,16 @@ class TestCampaign:
     def test_standard_campaign_all_detected_or_recovered(self,
                                                          towers_run):
         """Acceptance: the full battery — worker kill, worker stall,
-        transient error, snapshot/trace bit-flips, cache corruption,
-        journal corruption — every fault detected or recovered."""
+        transient error, worker death in bootstrap, snapshot/trace
+        bit-flips, cache corruption, journal corruption — every fault
+        detected or recovered."""
         verdicts = run_campaign(towers_run.engine,
                                 towers_run.snapshots,
                                 workers=2, timeout=4.0,
                                 backoff_base=0.05)
         assert set(verdicts) == {
             "worker-kill", "worker-stall", "worker-error",
-            "snapshot-bitflip", "trace-bitflip",
+            "bootstrap-death", "snapshot-bitflip", "trace-bitflip",
             "cache-corruption", "journal-corruption",
         }
         missed = {k: v for k, v in verdicts.items()
@@ -171,5 +172,6 @@ class TestCampaign:
         assert not missed, f"faults went unnoticed: {missed}"
         assert verdicts["worker-kill"] == "recovered"
         assert verdicts["worker-stall"] == "recovered"
+        assert verdicts["bootstrap-death"] == "recovered"
         assert verdicts["snapshot-bitflip"] == "detected"
         assert verdicts["trace-bitflip"] == "detected"

@@ -1,5 +1,9 @@
 """Integration tests for the full Strober methodology (Figures 2, 4, 5)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import (
@@ -137,3 +141,32 @@ class TestGrouping:
         assert soc_grouping("core.lsq2_sa") == "LSU"
         assert soc_grouping("core.regfile") == "Register File"
         assert soc_grouping("") == "Uncore"
+
+
+class TestEnergyEstimate:
+    def test_breakdown_order_independent_of_hash_seed(self):
+        # the breakdown lists groups in first-seen order over the
+        # replays, never in an order that follows string hashing
+        code = (
+            "from types import SimpleNamespace as NS\n"
+            "from repro.core.energy import estimate_energy\n"
+            "names = ['ROB', 'FPU', 'LSU', 'Uncore', 'L1 I-cache',\n"
+            "         'Issue Logic', 'Register File', 'Clock']\n"
+            "replays = [NS(power=NS(total_mw=1.0 + i, by_group={\n"
+            "    g: 1e-3 * (i + j) for j, g in enumerate(names[i:])}))\n"
+            "    for i in range(4)]\n"
+            "print(list(estimate_energy(replays, 1024, 128).breakdown))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        orders = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + \
+                env.get("PYTHONPATH", "")
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True,
+                                 check=True)
+            orders.append(out.stdout.strip())
+        assert orders[0] == orders[1] == str(
+            ["ROB", "FPU", "LSU", "Uncore", "L1 I-cache", "Issue Logic",
+             "Register File", "Clock"])
