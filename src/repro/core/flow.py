@@ -418,20 +418,23 @@ def _run_strober(design, workload, *, sample_size, replay_length,
                 journal_file = RunJournal(journal).open()
                 if resume is None:
                     journal_file.reset()
-                    journal_file.append(TYPE_META, run_key)
+                    # Resume trusts none of these records until SIM
+                    # lands, so they share one fsync.
+                    records = [(TYPE_META, run_key)]
                     for i, snapshot in enumerate(snapshots):
                         if snapshot.checksum is None:
                             snapshot.seal()
-                        journal_file.append(TYPE_SNAPSHOT,
-                                            {"index": i,
-                                             "snapshot": snapshot})
-                    journal_file.append(TYPE_SIM, {
+                        records.append((TYPE_SNAPSHOT,
+                                        {"index": i,
+                                         "snapshot": snapshot}))
+                    records.append((TYPE_SIM, {
                         "cycles": result.cycles,
                         "instret": result.instret,
                         "exit_code": result.exit_code,
                         "dram_counters": result.memory.counters,
                         "n_snapshots": len(snapshots),
-                    })
+                    }))
+                    journal_file.append_many(records)
 
         with tracer.span("phase.flow", cat="phase") as flow_span:
             engine = get_replay_engine(design, freq_hz=config.freq_hz,

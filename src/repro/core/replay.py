@@ -121,17 +121,26 @@ def load_levelized_schedule(flow):
         return build_schedule(flow.netlist)
 
 
+def _batch_layout(snapshot):
+    """What every snapshot of one batch shares: trace length and port
+    orders (a trace holder without orders batches by length alone)."""
+    return (len(snapshot.input_trace),
+            getattr(snapshot, "input_order", None),
+            getattr(snapshot, "output_order", None))
+
+
 def plan_replay_batches(snapshots, lanes, order=None, ramp=None):
     """Pack snapshot indices into bit-lane batches following ``order``.
 
     ``order`` is a sequence of snapshot positions (a permutation, or a
     strict subset for incremental re-sampling) giving the dispatch
     order, natural order over all snapshots when ``None``; batches
-    group *adjacent-in-order* indices sharing one trace length, at most
-    ``lanes`` per batch.  With ``ramp`` the lane limit grows instead:
-    the first batch holds at most ``ramp`` snapshots and each later
-    batch twice as many as the one before, up to ``lanes`` — so a
-    stream stopped early has replayed little past its stop.
+    group *adjacent-in-order* indices sharing one trace length and one
+    pair of port orders, at most ``lanes`` per batch.  With ``ramp`` the
+    lane limit grows instead: the first batch holds at most ``ramp``
+    snapshots and each later batch twice as many as the one before, up
+    to ``lanes`` — so a stream stopped early has replayed little past
+    its stop.
     """
     if not 1 <= lanes <= MAX_LANES:
         raise ValueError(f"lanes must be in 1..{MAX_LANES}, got {lanes}")
@@ -141,16 +150,16 @@ def plan_replay_batches(snapshots, lanes, order=None, ramp=None):
     limit = lanes if ramp is None else max(1, min(int(ramp), lanes))
     batches = []
     current = []
-    current_len = None
+    current_layout = None
     for i in order:
-        n_cycles = len(snapshots[i].input_trace)
+        layout = _batch_layout(snapshots[i])
         if current and (len(current) >= limit
-                        or n_cycles != current_len):
+                        or layout != current_layout):
             batches.append(current)
             current = []
             limit = min(limit * 2, lanes)
         current.append(i)
-        current_len = n_cycles
+        current_layout = layout
     if current:
         batches.append(current)
     return batches
@@ -242,23 +251,10 @@ def run_asic_flow(circuit, verify=False, verify_cycles=24,
     return flow
 
 
-def _lane_columns(snapshots, names, n_cycles, inputs):
-    """``(lanes, cycles, len(names))`` uint64 values of the named columns
-    of each snapshot's input (or output) matrix, and a boolean array of
-    the same shape marking where each lane carries them (a column missing
-    from a lane's port order is absent every cycle)."""
-    values = np.zeros((len(snapshots), n_cycles, len(names)),
-                      dtype=np.uint64)
-    carried = np.zeros((len(snapshots), 1, len(names)), dtype=bool)
-    for lane, snapshot in enumerate(snapshots):
-        order = snapshot.input_order if inputs else snapshot.output_order
-        index = resolve_order(order).index
-        have = [i for i, name in enumerate(names) if name in index]
-        cols = [index[names[i]] for i in have]
-        matrix = snapshot.inputs if inputs else snapshot.outputs
-        values[lane][:, have] = matrix[:n_cycles, cols]
-        carried[lane, 0, have] = True
-    return values, np.broadcast_to(carried, values.shape)
+def _lane_columns(matrices, columns=slice(None)):
+    """``(lanes, cycles, columns)``: the ``columns`` of a batch's I/O
+    matrices, which share one port order."""
+    return np.stack(matrices)[..., columns]
 
 
 def _port_nets(table, names, kind):
@@ -266,14 +262,6 @@ def _port_nets(table, names, kind):
     if missing:
         raise ReplayError(f"no {kind} port {missing[0]!r}")
     return [table[name] for name in names]
-
-
-def _union_names(orders):
-    """Names of several port orders, first-seen order."""
-    names = {}
-    for order in orders:
-        names.update(dict.fromkeys(resolve_order(order).names))
-    return list(names)
 
 
 class _CheckMeta:
@@ -416,24 +404,25 @@ class ReplayEngine:
     def _pack_main_stimulus(self, snapshots):
         """Pack a batch's I/O matrices into one :class:`PackedStimulus`.
 
-        Pokes are lane-masked input scatters (a lane whose port order
-        lacks a port leaves it undriven); checks
-        compare each lane's outputs against its own trace.  The lanes'
-        matrices are bit-transposed whole, with numpy.
+        Pokes drive every lane on every input port the batch's input
+        order carries (a port it lacks stays undriven); checks compare
+        each lane's outputs against its own trace.  The lanes' matrices
+        are bit-transposed whole, with numpy.
         """
         netlist = self.flow.netlist
         n_cycles = snapshots[0].recorded
-        carried = set(_union_names({s.input_order for s in snapshots}))
-        ports = [port for port in self._port_names if port in carried]
-        values, present = _lane_columns(snapshots, ports, n_cycles, True)
-        pokes, _, _ = lane_ops(values, present,
+        index = resolve_order(snapshots[0].input_order).index
+        ports = [port for port in self._port_names if port in index]
+        values = _lane_columns([s.inputs for s in snapshots],
+                               [index[port] for port in ports])
+        pokes, _, _ = lane_ops(values, np.ones(values.shape, dtype=bool),
                                _port_nets(netlist.inputs, ports, "input"))
 
-        names = _union_names(dict.fromkeys(s.output_order
-                                           for s in snapshots))
-        values, present = _lane_columns(snapshots, names, n_cycles, False)
+        names = resolve_order(snapshots[0].output_order).names
+        values = _lane_columns([s.outputs for s in snapshots])
         checks, cycle, column = lane_ops(
-            values, present, _port_nets(netlist.outputs, names, "output"))
+            values, np.ones(values.shape, dtype=bool),
+            _port_nets(netlist.outputs, names, "output"))
 
         flat = {f"poke_{k}": v for k, v in pokes.items()}
         flat.update({f"check_{k}": v for k, v in checks.items()})
@@ -449,8 +438,8 @@ class ReplayEngine:
         against its own I/O trace, and each lane's exact activity feeds
         its own power analysis.  Results are bit-identical for any lane
         count and backend, in snapshot order.  Every snapshot in a
-        batch must share one trace length (see
-        :func:`plan_replay_batches`).
+        batch must share one trace length and one pair of port orders
+        (see :func:`plan_replay_batches`).
         """
         snapshots = list(snapshots)
         n = len(snapshots)
@@ -470,9 +459,10 @@ class ReplayEngine:
         n = len(snapshots)
         for snapshot in snapshots:
             snapshot.validate()
-        if len({s.recorded for s in snapshots}) != 1:
-            raise ValueError(
-                "snapshots in one batch must share a trace length")
+        if len({(s.recorded, s.input_order, s.output_order)
+                for s in snapshots}) != 1:
+            raise ValueError("snapshots in one batch must share a trace "
+                             "length and port orders")
         t0 = time.perf_counter()
         netlist = self.flow.netlist
         gl = self._sim(n)

@@ -118,6 +118,8 @@ class Fame1Simulator:
         self.replay_length = replay_length
         self.sample_size = sample_size
         self.scan_spec = build_scan_chain_spec(circuit, scan_width)
+        # host cycles one state readout charges (Trec), fixed per circuit
+        self._readout_cycles = self.scan_spec.readout_cycles()
         self.host_freq_hz = host_freq_hz
         self.io_stall_period = io_stall_period
         self.io_stall_cycles = io_stall_cycles
@@ -173,9 +175,8 @@ class Fame1Simulator:
             layout=self._trace_layout,
             perf_counters=self._last_outputs,
         )
-        readout = self.scan_spec.readout_cycles()
-        self.stats.snapshot_host_cycles += readout
-        self.stats.host_cycles += readout
+        self.stats.snapshot_host_cycles += self._readout_cycles
+        self.stats.host_cycles += self._readout_cycles
         self.stats.record_count += 1
         elapsed = time.perf_counter() - t0
         self.stats.snapshot_wall_seconds += elapsed

@@ -331,7 +331,8 @@ def run_service_campaign(design="rocket_mini", workload="towers", *,
 
     The acceptance bar, executable: under every service-level fault —
     a client that vanishes mid-job, a poisoned compiled kernel, a
-    worker SIGKILL storm, a disk that fills mid-write, a daemon killed
+    worker SIGKILL storm, a worker that dies before its bootstrap, a
+    disk that fills mid-write, a daemon killed
     and restarted mid-queue — every job either completes with results
     **bit-identical** to a clean serial run (digest equality) or fails
     with a typed error.  Never a hang (every wait is bounded), never a
@@ -423,6 +424,19 @@ def run_service_campaign(design="rocket_mini", workload="towers", *,
         return ("recovered" if ladder_ok and all(map(good, jobs))
                 else "missed")
 
+    def bootstrap_death():
+        # A replay worker dies before reading its engine payload.  The
+        # daemon is threaded, so its pools spawn and the death lands as
+        # a crash the supervisor absorbs by respawning.
+        with harness("bootstrap") as h:
+            with h.client(timeout=timeout + 60) as client:
+                job_id = client.submit(
+                    workers=2, faults=[{"kind": "bootstrap-death"}],
+                    **spec)
+                job = client.wait(job_id, timeout_s=timeout)
+        return ("recovered" if good(job) and job["crashes"] >= 1
+                else "missed")
+
     def enospc():
         # Disk fills mid-write on a stone-cold cache: every artifact
         # write dies, the job completes anyway, and no partial entry
@@ -507,6 +521,7 @@ def run_service_campaign(design="rocket_mini", workload="towers", *,
         attempt("client-disconnect", client_disconnect)
         attempt("poisoned-glso", poisoned_glso)
         attempt("worker-kill-storm", kill_storm)
+        attempt("bootstrap-death", bootstrap_death)
         attempt("enospc", enospc)
         if include_restart:
             attempt("daemon-restart", daemon_restart)

@@ -8,9 +8,12 @@ record::
     <4s magic "RPJ1"> <u8 type> <u32 payload_len> <u32 crc32(payload)>
     <payload: pickle>
 
-Each ``append`` is flushed and ``fsync``'d before returning, so after a
-crash the journal contains every record that was reported complete plus
-at most one torn tail.  :func:`read_journal` verifies the frame and CRC
+Each ``append`` (or ``append_many`` batch) is flushed and ``fsync``'d
+before returning, so after a crash the journal contains every record
+that was reported complete plus at most one torn tail.  A fresh run
+writes META, its snapshots and SIM as one batch: resume ignores them
+unless SIM landed, so one fsync for all of them loses nothing.
+:func:`read_journal` verifies the frame and CRC
 of every record; a truncated or corrupted *tail* is dropped (and
 physically truncated off the file) with a warning rather than a crash —
 exactly the recovery an interrupted writer needs.
@@ -66,7 +69,7 @@ class JournalError(Exception):
 
 
 class RunJournal:
-    """Append-only record log; one fsync per record."""
+    """Append-only record log; one fsync per append call."""
 
     def __init__(self, path):
         self.path = path
@@ -92,21 +95,31 @@ class RunJournal:
 
     def append(self, rtype, obj):
         """Durably append one record (flush + fsync before returning)."""
+        self.append_many([(rtype, obj)])
+
+    def append_many(self, records):
+        """Durably append ``(rtype, obj)`` records: write them all, then
+        one flush + fsync.  After a crash before the fsync,
+        :func:`read_journal` keeps the records before the first damaged
+        one, whatever order the OS wrote the pages back in."""
         if self._f is None:
             self.open()
-        try:
-            payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            raise JournalError(
-                f"journal record of type {rtype} is not picklable: "
-                f"{exc}") from exc
         from ..obs import get_registry
-        get_registry().counter("journal.records").inc()
-        get_registry().counter("journal.bytes").inc(
-            _HEADER.size + len(payload))
-        self._f.write(_HEADER.pack(MAGIC, rtype, len(payload),
-                                   zlib.crc32(payload)))
-        self._f.write(payload)
+        registry = get_registry()
+        for rtype, obj in records:
+            try:
+                payload = pickle.dumps(obj,
+                                       protocol=pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                raise JournalError(
+                    f"journal record of type {rtype} is not picklable: "
+                    f"{exc}") from exc
+            registry.counter("journal.records").inc()
+            registry.counter("journal.bytes").inc(
+                _HEADER.size + len(payload))
+            self._f.write(_HEADER.pack(MAGIC, rtype, len(payload),
+                                       zlib.crc32(payload)))
+            self._f.write(payload)
         self._f.flush()
         os.fsync(self._f.fileno())
 

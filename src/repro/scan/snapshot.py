@@ -22,6 +22,12 @@ every replay.  A snapshot whose bits were corrupted in transit (worker
 pickling, the on-disk run journal, a fault-injection campaign) is
 therefore *detected* up front instead of silently contributing a wrong
 power number.
+
+The columnar ``v3`` tuple is the only wire format.  Pickles of the
+pre-columnar ``v1``/``v2`` dict-trace formats raise
+:class:`SnapshotError`; a run journal holding them reads as damaged at
+its first snapshot record, so the run reruns fresh (bit-identical, as
+its seed is part of the journal's identity).
 """
 
 from __future__ import annotations
@@ -38,11 +44,11 @@ class SnapshotError(Exception):
     pass
 
 
-# Wire-format version tags accepted by __setstate__.  "v1" predates the
-# integrity checksum; "v2" appends it; both keep per-cycle dict traces
-# and are converted to the columnar "v3" on load.
+# Wire-format version tag accepted by __setstate__.  The per-cycle
+# dict traces of "v1"/"v2" are gone: a journal holding them fails to
+# decode at its first snapshot record, so its run reruns fresh.
 PICKLE_VERSION = "v3"
-_KNOWN_VERSIONS = ("v1", "v2", "v3")
+_KNOWN_VERSIONS = ("v3",)
 
 _HEADER = struct.Struct("<qqqqQQQ")
 
@@ -73,13 +79,9 @@ class ReplayableSnapshot:
     ``inputs`` / ``outputs`` are preallocated ``(replay_length, ports)``
     matrices in the port orders named by ``input_order`` /
     ``output_order``; :meth:`record_cycle` fills one row of each per
-    target cycle, or a block of rows per quiet segment.
-
-    ``orders`` is ``None`` for a captured snapshot: its orders are the
-    circuit's, which every simulator, name map and replay engine
-    declares.  A snapshot converted from a v1/v2 pickle takes its orders
-    from dict key order, so it keeps the ``(registers, inputs, outputs)``
-    name tuples here and its pickle carries them to other processes.
+    target cycle, or a block of rows per quiet segment.  Its orders
+    are the circuit's, which every simulator, name map and replay
+    engine declares, so all snapshots of one design share one layout.
     """
 
     def __init__(self, cycle, state, replay_length, layout,
@@ -93,7 +95,6 @@ class ReplayableSnapshot:
                                dtype=layout.input_dtype)
         self.outputs = np.zeros((replay_length, len(layout.outputs)),
                                 dtype=layout.output_dtype)
-        self.orders = None
         self.recorded = 0
         self.perf_counters = dict(perf_counters or {})
         self.checksum = None               # set by seal()
@@ -193,14 +194,15 @@ class ReplayableSnapshot:
 
     # Snapshots are the unit of work shipped to replay worker processes
     # and stored in run journals; their pickled form is an explicit,
-    # versioned tuple of raw buffers.
+    # versioned tuple of raw buffers.  Its last slot held the name
+    # orders of snapshots converted from v1/v2 and is always None now.
     def __getstate__(self):
         return (PICKLE_VERSION, self.cycle, self.state, self.replay_length,
                 self.recorded, self.input_order, self.inputs.dtype.str,
                 self.inputs.shape[1], self.inputs.tobytes(),
                 self.output_order, self.outputs.dtype.str,
                 self.outputs.shape[1], self.outputs.tobytes(),
-                self.perf_counters, self.checksum, self.orders)
+                self.perf_counters, self.checksum, None)
 
     def __setstate__(self, state):
         tag = state[0] if isinstance(state, tuple) and state else None
@@ -209,80 +211,21 @@ class ReplayableSnapshot:
                 f"unknown snapshot pickle version {tag!r} (supported: "
                 f"{', '.join(_KNOWN_VERSIONS)}); the snapshot came from an "
                 f"incompatible repro version or was corrupted")
-        if tag != "v3":
-            self._from_dict_traces(state)
-            return
         (_v, self.cycle, self.state, self.replay_length, self.recorded,
          self.input_order, in_dtype, n_in, in_raw,
          self.output_order, out_dtype, n_out, out_raw,
-         self.perf_counters, self.checksum, self.orders) = state
+         self.perf_counters, self.checksum, orders) = state
+        if orders is not None:
+            raise SnapshotError(
+                f"snapshot at cycle {self.cycle} was converted from a "
+                f"pre-v3 pickle; those formats are no longer read")
         rows = self.replay_length
         self.inputs = _matrix(in_raw, in_dtype, rows, n_in)
         self.outputs = _matrix(out_raw, out_dtype, rows, n_out)
-        if self.orders is not None:
-            for names in self.orders:
-                name_order(names)
-
-    def _from_dict_traces(self, state):
-        """Convert a v1/v2 tuple (per-cycle dict traces) to this layout.
-
-        A port missing from a cycle's dict held its previous value (0
-        before its first appearance, as after a gate-level reset), so
-        its column is forward-filled.  A v2 checksum is verified against the old encoding first; a
-        mismatch leaves the converted snapshot failing :meth:`validate`,
-        as the v2 snapshot would have.
-        """
-        if state[0] == "v1":
-            (_v, cycle, sim_state, replay_length, input_trace,
-             output_trace, perf_counters) = state
-            checksum = None
-        else:
-            (_v, cycle, sim_state, replay_length, input_trace,
-             output_trace, perf_counters, checksum) = state
-        layout = TraceLayout(_port_widths(input_trace),
-                             _port_widths(output_trace))
-        self.__init__(cycle, sim_state, replay_length, layout,
-                      perf_counters)
-        in_names, out_names = layout.inputs.names, layout.outputs.names
-        held = dict.fromkeys(in_names, 0)
-        for inputs, outputs in zip(input_trace, output_trace):
-            held.update(inputs)
-            self.record_cycle([held[name] for name in in_names],
-                              [outputs.get(name, 0) for name in out_names])
-        self.orders = (sim_state.reg_paths, in_names, out_names)
-        if checksum is not None:
-            intact = checksum == _v2_checksum(
-                cycle, replay_length, sim_state, input_trace, output_trace)
-            self.seal()
-            if not intact:
-                self.checksum ^= 0xFFFFFFFF
 
 
 def _matrix(raw, dtype, rows, columns):
     return np.frombuffer(raw, dtype=dtype).reshape(rows, columns).copy()
-
-
-def _port_widths(trace):
-    """``(name, width)`` of each port of a dict trace, in first-seen
-    order; the width is that of the largest recorded value."""
-    widths = {}
-    for row in trace:
-        for name, value in row.items():
-            widths[name] = max(widths.get(name, 1), int(value).bit_length())
-    return list(widths.items())
-
-
-def _v2_checksum(cycle, replay_length, state, input_trace, output_trace):
-    """The v2 checksum: CRC over ``repr`` of the sorted dict layout."""
-    regs = state.reg_dict()
-    mems = {path: words.tolist() for path, words in state.mems.items()}
-    h = zlib.crc32(repr((cycle, replay_length)).encode())
-    h = zlib.crc32(repr(sorted(regs.items())).encode(), h)
-    h = zlib.crc32(repr(sorted(mems.items())).encode(), h)
-    h = zlib.crc32(
-        repr([sorted(d.items()) for d in input_trace]).encode(), h)
-    return zlib.crc32(
-        repr([sorted(d.items()) for d in output_trace]).encode(), h)
 
 
 __all__ = ["ReplayableSnapshot", "SnapshotError", "TraceLayout"]

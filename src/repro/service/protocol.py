@@ -71,7 +71,7 @@ class ServiceError(Exception):
 # this is rejected at admission.
 SPEC_VERSION = 2
 
-_FAULT_KINDS = ("kill", "stall", "error")
+_FAULT_KINDS = ("kill", "stall", "error", "bootstrap-death")
 _FAULT_KEYS = frozenset({"kind", "index", "times", "seconds",
                          "exit_code"})
 

@@ -10,6 +10,10 @@ of replayable snapshots) carry only its 64-bit fingerprint.  Anything
 holding the names - the RTL simulator, the formal name map, the replay
 engine - interns them with :func:`name_order`, after which
 :func:`resolve_order` maps a fingerprint back to names.
+
+States pickle as this columnar tuple only; the ``(regs dict, mems
+dict, cycle)`` layout of pre-v3 snapshots is not read, so a run
+journal holding one reruns fresh.
 """
 
 from __future__ import annotations
@@ -95,22 +99,6 @@ class SimState:
         self.mems = mems
         self.cycle = cycle
 
-    @classmethod
-    def from_dicts(cls, regs, mems, cycle=0):
-        """Build a state from ``{path: int}`` registers and ``{path:
-        [int]}`` memories (the pre-columnar layout); dict order is the
-        register order, and each memory gets the narrowest dtype that
-        holds its largest word."""
-        order = name_order(regs)
-        values = np.array(list(regs.values()), dtype=np.uint64)
-        arrays = {}
-        for path, words in mems.items():
-            words = list(words)
-            top = max(words, default=0)
-            arrays[path] = np.array(words, dtype=mem_dtype(
-                max(int(top).bit_length(), 1)))
-        return cls(values, order.fingerprint, arrays, cycle)
-
     @property
     def reg_paths(self):
         return resolve_order(self.reg_order).names
@@ -134,8 +122,7 @@ class SimState:
 
     # __slots__ classes need explicit state hooks to pickle under every
     # protocol; snapshots embed a SimState and cross process boundaries.
-    # Buffers travel as raw bytes; a 3-tuple is the pre-columnar
-    # (regs dict, mems dict, cycle) layout of v1/v2 snapshots.
+    # Buffers travel as raw bytes.
     def __getstate__(self):
         return ("c", self.reg_order, self.reg_values.tobytes(),
                 tuple((path, words.dtype.str, words.tobytes())
@@ -143,11 +130,10 @@ class SimState:
                 self.cycle)
 
     def __setstate__(self, state):
-        if len(state) == 3:
-            legacy = SimState.from_dicts(*state)
-            for name in SimState.__slots__:
-                setattr(self, name, getattr(legacy, name))
-            return
+        if len(state) != 5:
+            from ..scan.snapshot import SnapshotError
+            raise SnapshotError("pre-v3 snapshot state layout; those "
+                                "formats are no longer read")
         _tag, self.reg_order, regs, mems, self.cycle = state
         self.reg_values = np.frombuffer(regs, dtype=np.uint64).copy()
         self.mems = {path: np.frombuffer(raw, dtype=dtype).copy()

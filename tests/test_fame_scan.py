@@ -260,6 +260,22 @@ class TestFame1Simulator:
         fame.run(max_cycles=500)
         assert fame.modeled_sim_seconds() >= 0.5
 
+    @pytest.mark.parametrize("design, seed, sample_size, golden", [
+        ("rocket_mini", 3, 16, (42, 198072)),
+        ("boom-1w_mini", 5, 8, (32, 155680)),
+    ])
+    def test_snapshot_host_cycles_golden(self, design, seed, sample_size,
+                                         golden):
+        """Each capture charges the circuit's full scan readout (Trec)."""
+        from repro.core import run_strober
+        run = run_strober(design, "towers", sample_size=sample_size,
+                          replay_length=32, seed=seed)
+        fame = run.result.fame
+        stats = fame.stats
+        assert (stats.record_count, stats.snapshot_host_cycles) == golden
+        assert stats.snapshot_host_cycles == \
+            stats.record_count * fame.scan_spec.readout_cycles()
+
 
 class TestSnapshotObject:
     LAYOUT = TraceLayout([("a", 8)], [("b", 8)])

@@ -69,7 +69,7 @@ class TestSnapshotWireFormat:
         assert clone.checksum == snapshot.checksum
         clone.validate()
 
-    def test_v1_pickles_still_load(self, towers_run):
+    def test_v1_pickles_are_rejected(self, towers_run):
         snapshot = towers_run.snapshots[0]
         inputs, outputs = zip(*(snapshot.cycle_io(t)
                                 for t in range(snapshot.recorded)))
@@ -77,10 +77,8 @@ class TestSnapshotWireFormat:
                     snapshot.replay_length, list(inputs), list(outputs),
                     snapshot.perf_counters)
         clone = ReplayableSnapshot.__new__(ReplayableSnapshot)
-        clone.__setstate__(v1_state)
-        assert clone.checksum is None
-        assert clone.cycle == snapshot.cycle
-        clone.validate()
+        with pytest.raises(SnapshotError, match="'v1'"):
+            clone.__setstate__(v1_state)
 
     def test_unknown_version_rejected_with_clear_error(self):
         clone = ReplayableSnapshot.__new__(ReplayableSnapshot)

@@ -217,6 +217,62 @@ class TestRunStroberResume:
         assert _energy_key(resumed.energy) == _energy_key(baseline.energy)
 
 
+class TestPrefixWrite:
+    """A fresh run writes META, its snapshots and SIM with one fsync:
+    resume trusts none of them until SIM lands, so any damage before
+    SIM's end must read as an unfinished run and rerun fresh."""
+
+    def test_one_fsync_for_the_records_before_results(self, tmp_path,
+                                                      monkeypatch):
+        import sys
+        import repro.robust.journal as journal_mod
+        real_fsync = os.fsync
+        calls = []
+
+        def counting(fd):
+            if sys._getframe(1).f_globals["__name__"] == \
+                    journal_mod.__name__:
+                calls.append(fd)
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        run = run_strober(**RUN_KW, journal=str(tmp_path / "run.journal"))
+        # reset + the META/SNAPSHOT/SIM batch + one per RESULT
+        assert len(calls) == 2 + len(run.snapshots)
+
+    def test_damage_before_sim_end_reruns_fresh(self, baseline, tmp_path):
+        import random
+        import warnings
+        from repro.robust.journal import _HEADER
+        jpath = str(tmp_path / "run.journal")
+        run_strober(**RUN_KW, journal=jpath)
+        with open(jpath, "rb") as f:
+            data = f.read()
+        offset = 0
+        for rtype, _obj in read_journal(jpath):
+            offset += _HEADER.size + _HEADER.unpack_from(data, offset)[2]
+            if rtype == TYPE_SIM:
+                break
+        sim_end = offset
+        cuts = sorted({0, 1, sim_end - 1,
+                       *random.Random(7).sample(range(sim_end), 4)})
+        for cut in cuts:
+            for mode in ("truncate", "garble"):
+                if mode == "truncate":
+                    damaged = data[:cut]
+                else:
+                    damaged = bytearray(data)
+                    damaged[cut] ^= 0x5A
+                with open(jpath, "wb") as f:
+                    f.write(damaged)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    again = run_strober(**RUN_KW, journal=jpath)
+                assert not again.timings["resumed_sim"], (mode, cut)
+                assert _energy_key(again.energy) == \
+                    _energy_key(baseline.energy), (mode, cut)
+
+
 class TestForwardCompatibility:
     """Records from newer layers — the service's job records, or types
     not invented yet — must never break run-journal resume."""

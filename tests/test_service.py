@@ -509,5 +509,5 @@ class TestChaosCampaign:
         verdicts = run_service_campaign(timeout=300.0)
         assert set(verdicts) == {
             "client-disconnect", "poisoned-glso", "worker-kill-storm",
-            "enospc", "daemon-restart"}
+            "bootstrap-death", "enospc", "daemon-restart"}
         assert all(v == "recovered" for v in verdicts.values()), verdicts

@@ -1,20 +1,20 @@
-"""Columnar v3 snapshots: integrity over raw buffers, v1/v2 conversion,
-journal resume from old snapshots, nothing held after a run, and the
-C RTL simulator's bulk state exports and cache key
-(repro.scan.snapshot, repro.sim.state, repro.sim.cbackend)."""
+"""Columnar v3 snapshots: integrity over raw buffers, v1/v2 pickles
+rejected and their journals rerun fresh, one port layout per replay
+batch, nothing held after a run, and the C RTL simulator's bulk state
+exports and cache key (repro.scan.snapshot, repro.sim.state,
+repro.sim.cbackend)."""
 
 import copyreg
 import gc
 import os
 import pickle
 import weakref
-import zlib
 
 import numpy as np
 import pytest
 
 from repro.core import run_strober
-from repro.core.replay import ReplayEngine
+from repro.core.replay import ReplayEngine, plan_replay_batches
 from repro.fame import Endpoint, Fame1Simulator
 from repro.gatelevel import lane_ops, pack_lane_words
 from repro import native
@@ -23,7 +23,9 @@ from repro.robust.journal import (
     TYPE_RESULT, TYPE_SNAPSHOT, RunJournal, read_journal,
 )
 from repro.parallel.cache import get_cache
-from repro.scan.snapshot import ReplayableSnapshot, SnapshotError
+from repro.scan.snapshot import (
+    ReplayableSnapshot, SnapshotError, TraceLayout,
+)
 from repro.sim import RTLSimulator, cbackend
 from repro.sim.state import SimState
 
@@ -59,66 +61,28 @@ class _Legacy:
         return copyreg.__newobj__, (self.cls,), self.state
 
 
-def _dict_layout(snapshot, reverse=False, sparse=False):
-    """(state, input_trace, output_trace) in the v1/v2 dict layout.
-
-    ``reverse`` writes every dict in reverse key order (orders no
-    simulator declares); ``sparse`` leaves out an input whose value did
-    not change since the previous cycle (0 before its first entry), as
-    an endpoint that did not drive it produced.
-    """
-    def keyed(row):
-        return dict(reversed(row.items())) if reverse else row
-
+def _old_fields(snapshot, version):
+    """A v1/v2 ``__setstate__`` tuple of the same window: per-cycle
+    dict traces, a ``(regs, mems, cycle)`` state and, for v2, a
+    checksum slot."""
     state = _Legacy(SimState, (
-        keyed(snapshot.state.reg_dict()),
+        snapshot.state.reg_dict(),
         {path: words.tolist()
          for path, words in snapshot.state.mems.items()},
         snapshot.state.cycle))
     inputs, outputs = zip(*(snapshot.cycle_io(t)
                             for t in range(snapshot.recorded)))
-    if sparse:
-        held, changed = {}, []
-        for row in inputs:
-            changed.append({name: value for name, value in row.items()
-                            if held.get(name, 0) != value})
-            held.update(row)
-        inputs = changed
-    return (state, [keyed(row) for row in inputs],
-            [keyed(row) for row in outputs])
-
-
-def _old_checksum(snapshot, input_trace, output_trace):
-    """The v2 checksum: CRC over ``repr`` of the sorted dicts."""
-    mems = {path: words.tolist()
-            for path, words in snapshot.state.mems.items()}
-    h = zlib.crc32(repr((snapshot.cycle, snapshot.replay_length)).encode())
-    h = zlib.crc32(repr(sorted(snapshot.state.reg_dict().items())).encode(),
-                   h)
-    h = zlib.crc32(repr(sorted(mems.items())).encode(), h)
-    h = zlib.crc32(repr([sorted(d.items()) for d in input_trace]).encode(),
-                   h)
-    return zlib.crc32(
-        repr([sorted(d.items()) for d in output_trace]).encode(), h)
-
-
-def _old_fields(snapshot, version, checksum_delta=0, **layout):
-    """A v1/v2 ``__setstate__`` tuple of the same window."""
-    state, inputs, outputs = _dict_layout(snapshot, **layout)
     fields = (version, snapshot.cycle, state, snapshot.replay_length,
-              inputs, outputs, dict(snapshot.perf_counters))
-    if version == "v2":
-        fields += (_old_checksum(snapshot, inputs, outputs)
-                   + checksum_delta,)
-    return fields
+              list(inputs), list(outputs), dict(snapshot.perf_counters))
+    return fields + ((0,) if version == "v2" else ())
 
 
-def _old_pickle(snapshot, version, checksum_delta=0, **layout):
-    return pickle.dumps(_Legacy(ReplayableSnapshot, _old_fields(
-        snapshot, version, checksum_delta, **layout)))
+def _old_pickle(snapshot, version):
+    return pickle.dumps(_Legacy(ReplayableSnapshot,
+                                _old_fields(snapshot, version)))
 
 
-def _rewrite_as_v2(path, drop_results, reverse=False):
+def _rewrite_as_v2(path, drop_results):
     """Rewrite a run journal with its snapshots in the v2 layout, and
     with the results of odd-indexed snapshots dropped if asked."""
     records = read_journal(path)
@@ -128,11 +92,26 @@ def _rewrite_as_v2(path, drop_results, reverse=False):
         if rtype == TYPE_SNAPSHOT:
             obj = {"index": obj["index"],
                    "snapshot": _Legacy(ReplayableSnapshot, _old_fields(
-                       obj["snapshot"], "v2", reverse=reverse))}
+                       obj["snapshot"], "v2"))}
         elif rtype == TYPE_RESULT and drop_results and obj["index"] % 2:
             continue
         journal.append(rtype, obj)
     journal.close()
+
+
+def _reordered(snapshot):
+    """The same sealed window with both port orders reversed."""
+    layout = TraceLayout(
+        [(name, 32) for name in reversed(snapshot.input_names)],
+        [(name, 32) for name in reversed(snapshot.output_names)])
+    clone = ReplayableSnapshot(snapshot.cycle, snapshot.state,
+                               snapshot.replay_length, layout,
+                               snapshot.perf_counters)
+    clone.inputs[:] = snapshot.inputs[:, ::-1]
+    clone.outputs[:] = snapshot.outputs[:, ::-1]
+    clone.recorded = snapshot.recorded
+    clone.seal()
+    return clone
 
 
 class TestIntegrity:
@@ -171,61 +150,56 @@ class TestIntegrity:
 
 class TestOldFormats:
     @pytest.mark.parametrize("version", ["v1", "v2"])
-    def test_old_pickle_replays_bit_identically(self, towers_run, version):
-        engine = towers_run.engine
-        originals = towers_run.snapshots[:3]
-        clones = [pickle.loads(_old_pickle(s, version)) for s in originals]
-        for clone, snap in zip(clones, originals):
-            assert clone.validate()
-            assert (clone.checksum is None) == (version == "v1")
-            assert clone.state.reg_dict() == snap.state.reg_dict()
-            assert np.array_equal(clone.output_trace, snap.output_trace)
-        want = [_power_key(r)
-                for r in engine.replay_all(originals, batch_lanes=3)]
-        assert [_power_key(r) for r in engine.replay_all(
-            clones, batch_lanes=3)] == want
-        assert [_power_key(engine.replay(c)) for c in clones] == want
+    def test_old_pickle_is_rejected(self, towers_run, version):
+        with pytest.raises(SnapshotError, match="pre-v3"):
+            pickle.loads(_old_pickle(towers_run.snapshots[0], version))
 
-    def test_corrupt_v2_stays_corrupt(self, towers_run):
-        clone = pickle.loads(_old_pickle(towers_run.snapshots[0], "v2",
-                                         checksum_delta=1))
-        with pytest.raises(SnapshotError, match="integrity"):
-            clone.validate()
+    def test_converted_v3_tuple_is_rejected(self, towers_run):
+        """A v3 tuple whose last slot carries name orders came from a
+        converted v1/v2 snapshot."""
+        snapshot = towers_run.snapshots[0]
+        state = snapshot.__getstate__()
+        assert state[-1] is None
+        orders = (snapshot.state.reg_paths, snapshot.input_names,
+                  snapshot.output_names)
+        clone = ReplayableSnapshot.__new__(ReplayableSnapshot)
+        with pytest.raises(SnapshotError, match="pre-v3"):
+            clone.__setstate__(state[:-1] + (orders,))
 
     @pytest.mark.parametrize("drop_results", [False, True])
-    def test_journal_of_v2_snapshots_resumes(self, towers_run, tmp_path,
-                                             drop_results):
+    def test_journal_of_v2_snapshots_reruns_fresh(self, towers_run,
+                                                  tmp_path, drop_results):
         path = str(tmp_path / "run.rpj")
-        first = run_strober(**TOWERS, journal=path)
+        run_strober(**TOWERS, journal=path)
         _rewrite_as_v2(path, drop_results)
-        again = run_strober(**TOWERS, journal=path)
-        expected = len(first.snapshots) // 2 if drop_results \
-            else len(first.snapshots)
-        assert again.timings["resumed_replays"] == expected
-        assert again.result.resumed
-        assert again.energy.epi_nj == first.energy.epi_nj
+        with pytest.warns(RuntimeWarning, match="undecodable record"):
+            again = run_strober(**TOWERS, journal=path)
+        assert again.timings["resumed_replays"] == 0
+        assert not getattr(again.result, "resumed", False)
+        assert again.energy == towers_run.energy
         assert [_power_key(r) for r in again.replays] == \
-            [_power_key(r) for r in first.replays]
+            [_power_key(r) for r in towers_run.replays]
+        resumed = run_strober(**TOWERS, journal=path)
+        assert resumed.timings["resumed_replays"] == len(again.snapshots)
+        assert resumed.energy == towers_run.energy
 
-    def test_reordered_v2_journal_resumes_in_spawned_workers(
-            self, tmp_path, monkeypatch):
-        """Orders taken from dict key order are known only where the
-        snapshot was converted; its pickle carries them to a worker
-        that shares no memory with the parent."""
-        path = str(tmp_path / "run.rpj")
-        first = run_strober(**TOWERS, journal=path)
-        _rewrite_as_v2(path, drop_results=True, reverse=True)
-        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        again = run_strober(**TOWERS, journal=path, workers=2)
-        assert again.health.healthy, again.health.summary()
-        assert again.timings["resumed_replays"] == len(first.snapshots) // 2
-        converted = again.snapshots[0]
-        assert converted.orders is not None
-        assert converted.input_names == \
-            tuple(reversed(first.snapshots[0].input_names))
-        assert again.energy.epi_nj == first.energy.epi_nj
-        assert [_power_key(r) for r in again.replays] == \
-            [_power_key(r) for r in first.replays]
+
+class TestMixedLayouts:
+    def test_two_layouts_replay_in_separate_batches(self, towers_run):
+        engine = towers_run.engine
+        originals = towers_run.snapshots[:4]
+        mixed = [originals[0], originals[1], _reordered(originals[2]),
+                 _reordered(originals[3])]
+        assert plan_replay_batches(mixed, 64) == [[0, 1], [2, 3]]
+        want = [_power_key(engine.replay(s)) for s in originals]
+        assert [_power_key(engine.replay(s)) for s in mixed] == want
+        assert [_power_key(r) for r in engine.replay_all(mixed)] == want
+
+    def test_mixed_batch_is_refused(self, towers_run):
+        snapshots = towers_run.snapshots
+        with pytest.raises(ValueError, match="port orders"):
+            towers_run.engine.replay_batch(
+                [snapshots[0], _reordered(snapshots[1])])
 
 
 def test_lane_ops_match_the_per_lane_packing_loop():
@@ -300,19 +274,6 @@ class TestUndrivenPorts:
                                         batch_lanes=len(sparse_snaps))
             assert [_power_key(r) for r in batched] == \
                 [_power_key(r) for r in scalar]
-
-    def test_sparse_v2_trace_is_forward_filled(self, sparse_snaps):
-        engine = ReplayEngine(elaborate(_Accumulate()))
-        for snap in sparse_snaps:
-            fields = _old_fields(snap, "v2", sparse=True)
-            assert any(len(row) < 2 for row in fields[4])
-            clone = pickle.loads(pickle.dumps(
-                _Legacy(ReplayableSnapshot, fields)))
-            assert clone.validate()
-            for t in range(snap.recorded):
-                assert clone.cycle_io(t) == snap.cycle_io(t)
-            assert _power_key(engine.replay(clone)) == \
-                _power_key(engine.replay(snap))
 
 
 class TestNothingHeld:
