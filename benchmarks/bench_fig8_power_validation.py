@@ -2,7 +2,8 @@
 
 For each of the six microbenchmarks, the *true* average power comes
 from simulating the entire execution on the gate level (the thing
-Strober avoids); repeated sampling runs then give estimates whose 99%
+Strober avoids), driven by the run's whole I/O trace in the snapshots'
+columnar layout; repeated sampling runs then give estimates whose 99%
 error bounds are compared against the actual error — the paper's key
 accuracy validation.
 
@@ -15,7 +16,7 @@ import time
 
 import pytest
 
-from repro.core import run_strober, get_replay_engine
+from repro.core import run_strober
 from repro.isa.programs import MICROBENCHMARKS
 
 from _common import emit, fmt_table
@@ -52,8 +53,9 @@ def test_fig8_power_validation(benchmark, workers):
                     workers=workers,
                     record_full_io=(rep == 0))
                 if rep == 0:
-                    engine = get_replay_engine("rocket_mini")
-                    truth, mism = engine.replay_full_trace(
+                    # the run's own engine: the truth and the estimate
+                    # share one flow and one frequency
+                    truth, mism = run.engine.replay_full_trace(
                         run.result.fame.full_io_trace)
                     assert mism == 0, name
                 runs.append(run)

@@ -7,6 +7,10 @@ VPI-style bulk loader (IV-C2), load SRAM contents, then drive the
 recorded input trace while verifying every output token against the
 recorded output trace.  The collected switching activity feeds the
 power-analysis tool.
+
+Snapshot batches and the whole-run ground truth (Figure 8) share one
+I/O format, ``(cycles, ports)`` matrices in a trace layout's port
+orders, and one packer, :meth:`ReplayEngine._pack_io`.
 """
 
 from __future__ import annotations
@@ -251,12 +255,6 @@ def run_asic_flow(circuit, verify=False, verify_cycles=24,
     return flow
 
 
-def _lane_columns(matrices, columns=slice(None)):
-    """``(lanes, cycles, columns)``: the ``columns`` of a batch's I/O
-    matrices, which share one port order."""
-    return np.stack(matrices)[..., columns]
-
-
 def _port_nets(table, names, kind):
     missing = [name for name in names if name not in table]
     if missing:
@@ -401,33 +399,24 @@ class ReplayEngine:
             "force_vals": np.array(vals, dtype=np.uint64) & active,
         })
 
-    def _pack_main_stimulus(self, snapshots):
-        """Pack a batch's I/O matrices into one :class:`PackedStimulus`.
-
-        Pokes drive every lane on every input port the batch's input
-        order carries (a port it lacks stays undriven); checks compare
-        each lane's outputs against its own trace.  The lanes' matrices
-        are bit-transposed whole, with numpy.
-        """
+    def _pack_io(self, input_order, inputs, output_order, outputs):
+        """``(lanes, cycles, ports)`` input and output values in the
+        name orders ``input_order`` / ``output_order`` as one
+        :class:`PackedStimulus`: pokes drive every lane on every input
+        port the order carries (a port it lacks stays undriven), checks
+        compare each lane's outputs against its own values."""
         netlist = self.flow.netlist
-        n_cycles = snapshots[0].recorded
-        index = resolve_order(snapshots[0].input_order).index
+        index = input_order.index
         ports = [port for port in self._port_names if port in index]
-        values = _lane_columns([s.inputs for s in snapshots],
-                               [index[port] for port in ports])
-        pokes, _, _ = lane_ops(values, np.ones(values.shape, dtype=bool),
+        pokes, _, _ = lane_ops(inputs[..., [index[port] for port in ports]],
                                _port_nets(netlist.inputs, ports, "input"))
-
-        names = resolve_order(snapshots[0].output_order).names
-        values = _lane_columns([s.outputs for s in snapshots])
+        names = output_order.names
         checks, cycle, column = lane_ops(
-            values, np.ones(values.shape, dtype=bool),
-            _port_nets(netlist.outputs, names, "output"))
-
+            outputs, _port_nets(netlist.outputs, names, "output"))
         flat = {f"poke_{k}": v for k, v in pokes.items()}
         flat.update({f"check_{k}": v for k, v in checks.items()})
         return PackedStimulus.from_flat(
-            n_cycles, flat, _CheckMeta(cycle, column, names))
+            inputs.shape[1], flat, _CheckMeta(cycle, column, names))
 
     def replay_batch(self, snapshots, strict=True):
         """Replay up to :data:`MAX_LANES` snapshots bit-parallel.
@@ -470,7 +459,11 @@ class ReplayEngine:
         # what this simulator ran before (serial loop vs fresh worker).
         gl.full_reset()
         warm = self._pack_warm_stimulus(snapshots)
-        main = self._pack_main_stimulus(snapshots)
+        first = snapshots[0]
+        main = self._pack_io(resolve_order(first.input_order),
+                             np.stack([s.input_trace for s in snapshots]),
+                             resolve_order(first.output_order),
+                             np.stack([s.output_trace for s in snapshots]))
         # Retimed warm-up, all lanes at once: force each block's inputs
         # from its history registers, block-major and latency-
         # descending (IV-C3), packed into per-cycle force segments.
@@ -719,58 +712,31 @@ class ReplayEngine:
                 on_result(i, result)
         return out
 
-    def replay_full_trace(self, io_trace, from_reset=True, strict=False):
+    def replay_full_trace(self, io_trace):
         """Ground-truth run: replay an *entire* execution's I/O trace on
         gate level from reset (no state loading needed — gate-level reset
         state equals RTL reset state).  This is the slow full-benchmark
         gate-level simulation the Figure 8 validation compares against.
 
-        ``io_trace`` is a list of (inputs, outputs) dicts per cycle.  It
-        runs on the engine's one-lane simulator, packed into stimulus
-        windows of :data:`_TRACE_WINDOW` cycles.
-        Returns ``(PowerReport, mismatches)``.
+        ``io_trace`` is ``(layout, inputs, outputs)``, a
+        :class:`~repro.scan.TraceLayout` and the run's ``(cycles,
+        inputs)`` / ``(cycles, outputs)`` matrices in its column orders,
+        as :attr:`~repro.fame.Fame1Simulator.full_io_trace` holds them.
+        It runs on the engine's one-lane simulator, packed by
+        :meth:`_pack_io` into stimulus windows of :data:`_TRACE_WINDOW`
+        cycles.  Returns ``(PowerReport, mismatches)``.
         """
+        layout, inputs, outputs = io_trace
         gl = self._sim(1)
-        if from_reset:
-            gl.full_reset()
+        gl.full_reset()
         gl.clear_activity()
-        io_trace = list(io_trace)
         mismatches = 0
-        for start in range(0, len(io_trace), _TRACE_WINDOW):
-            stim = self._pack_trace(io_trace[start:start + _TRACE_WINDOW])
-            try:
-                mismatches += int(gl.run_cycles(stim=stim,
-                                                strict=strict)[0])
-            except StimulusMismatch as exc:
-                raise ReplayError(
-                    f"full-trace mismatch on output {exc.name}") from exc
+        for start in range(0, len(inputs), _TRACE_WINDOW):
+            window = slice(start, start + _TRACE_WINDOW)
+            stim = self._pack_io(layout.inputs, inputs[None, window],
+                                 layout.outputs, outputs[None, window])
+            mismatches += int(gl.run_cycles(stim=stim)[0])
         power = analyze_power(self.flow.netlist, gl.activity(0),
                               self.flow.placement, freq_hz=self.freq_hz,
                               grouping=self.grouping)
         return power, mismatches
-
-    def _pack_trace(self, io_trace):
-        """One lane's ``(inputs, outputs)`` dicts as a
-        :class:`PackedStimulus`: a port absent from a cycle's dict is
-        neither driven nor checked that cycle."""
-        netlist = self.flow.netlist
-        outputs = list(netlist.outputs)
-        flat = {}
-        for kind, side, names, table, what in (
-                ("poke", 0, self._port_names, netlist.inputs, "input"),
-                ("check", 1, outputs, netlist.outputs, "output")):
-            values = np.zeros((1, len(io_trace), len(names)),
-                              dtype=np.uint64)
-            present = np.zeros(values.shape, dtype=bool)
-            for t, cycle in enumerate(io_trace):
-                row = cycle[side]
-                for p, name in enumerate(names):
-                    if name in row:
-                        values[0, t, p] = row[name]
-                        present[0, t, p] = True
-            ops, op_cycle, op_column = lane_ops(
-                values, present, _port_nets(table, names, what))
-            flat.update({f"{kind}_{k}": v for k, v in ops.items()})
-        # op_cycle/op_column are the check ops' (the loop's last kind)
-        return PackedStimulus.from_flat(
-            len(io_trace), flat, _CheckMeta(op_cycle, op_column, outputs))

@@ -5,6 +5,11 @@ FAME1-transformed target, services its I/O through host endpoints
 (memory timing model, HTIF), and captures replayable RTL snapshots via
 reservoir sampling at replay-window boundaries.
 
+Every target cycle goes through one stepper, ``_advance``: a ticked
+cycle is a one-cycle step, an idle stretch one multi-cycle step.  With
+``record_full_io`` it also keeps the whole run's I/O in the snapshots'
+columnar layout, the ground truth's stimulus (Figure 8).
+
 Host-time accounting follows the paper's Section IV-E model: the target
 stalls while a snapshot is scanned out (``Trec``), and every
 ``io_stall_period`` target cycles the host/FPGA communication costs
@@ -22,6 +27,13 @@ from ..sampling import ReservoirSampler
 from ..scan.chains import build_scan_chain_spec
 from ..scan.snapshot import ReplayableSnapshot, TraceLayout
 from .transform import fame1_transform, is_fame1, HOST_ENABLE
+
+
+def _grown(matrix, used, rows):
+    """``matrix`` with ``rows`` rows, the first ``used`` copied over."""
+    out = np.empty((rows, matrix.shape[1]), dtype=matrix.dtype)
+    out[:used] = matrix[:used]
+    return out
 
 
 class Endpoint:
@@ -140,20 +152,24 @@ class Fame1Simulator:
         ports = [(i, node.name, node.width)
                  for i, node in enumerate(circuit.inputs)
                  if node.name != HOST_ENABLE]
-        self._in_cols = [i for i, _, _ in ports]
+        self._in_cols = np.array([i for i, _, _ in ports], dtype=np.int64)
         self._trace_layout = TraceLayout(
             [(name, width) for _, name, width in ports],
             [(name, driver.width) for name, driver in circuit.outputs])
         self._out_index = {name: i
                            for i, (name, _) in enumerate(circuit.outputs)}
-        # output rows of one quiet segment, for the pending snapshots
-        # (a segment never crosses a replay window boundary) and the
-        # full I/O trace
+        # output rows of one step, for the pending snapshots (a step
+        # never crosses a replay window boundary) and the full I/O trace
         self._rows = np.zeros((replay_length, len(circuit.outputs)),
                               dtype=np.uint64)
         self._last_outputs = {}
         self.record_full_io = False
-        self.full_io_trace = []     # (inputs, outputs) per target cycle
+        # full_io_trace: the first _full_cycles rows of these
+        self._full_inputs = np.empty((0, len(ports)),
+                                     self._trace_layout.input_dtype)
+        self._full_outputs = np.empty((0, len(circuit.outputs)),
+                                      self._trace_layout.output_dtype)
+        self._full_cycles = 0
         # how run() spent the target cycles: one step_target call each,
         # or inside quiet segments
         self.python_cycles = 0
@@ -183,66 +199,15 @@ class Fame1Simulator:
         self._pending.append(snapshot)
         return snapshot
 
-    def step_target(self):
-        """Advance the target by exactly one cycle."""
-        inputs = {}
-        for endpoint in self.endpoints:
-            produced = endpoint.tick(self._last_outputs)
-            if produced:
-                inputs.update(produced)
-        sim = self.sim
-        sim.poke_all(inputs)
-        sim.step()
-        outputs = sim.peek_all()
-        self._last_outputs = outputs
+    def _advance(self, inputs, limit, wake):
+        """Poke ``inputs`` and step the target up to ``limit`` cycles.
 
-        if self._pending:
-            # One row per direction from the simulator's live vectors; an
-            # undriven port holds the value the RTL saw there, so replay
-            # poking every column reproduces it.
-            live = sim.input_values()
-            in_row = [live[i] for i in self._in_cols]
-            out_row = sim.output_values()
-            for snapshot in self._pending:
-                snapshot.record_cycle(in_row, out_row)
-            if self._pending[0].complete:
-                self._pending = [s for s in self._pending
-                                 if not s.complete]
-        if self.record_full_io:
-            self.full_io_trace.append((inputs, outputs))
-
-        self.stats.target_cycles += 1
-        self.stats.host_cycles += 1
-        if (self.io_stall_period
-                and self.stats.target_cycles % self.io_stall_period == 0):
-            self.stats.host_cycles += self.io_stall_cycles
-            self.stats.io_stall_host_cycles += self.io_stall_cycles
-
-        if (self.sampler is not None
-                and self.stats.target_cycles % self.replay_length == 0):
-            self.sampler.offer(make_item=self._capture_snapshot)
-        return outputs
-
-    def _step_quiet(self, limit):
-        """Run the next cycles as one quiet segment of at most ``limit``
-        cycles, if every endpoint promises one (:meth:`Endpoint.quiet`).
-
-        Returns the number of cycles stepped: 0 when some endpoint must
-        be ticked this cycle.  The segment ends early on a wake output,
-        at the end of an endpoint's promise, and at the next replay
-        window boundary, so a capture still follows its cycle.
+        The step ends early before a cycle in which an output indexed
+        in ``wake`` is nonzero, and at the next replay window boundary,
+        so a capture still follows its cycle.  Every stepped cycle's
+        I/O rows go to the pending snapshots and the full I/O trace,
+        its host time to ``self.stats``.  Returns the cycles stepped.
         """
-        inputs = {}
-        wake = set()
-        for endpoint in self.endpoints:
-            promise = endpoint.quiet(self._last_outputs)
-            if promise is None:
-                return 0
-            token, wake_outputs, bound = promise
-            inputs.update(token)
-            wake.update(wake_outputs)
-            if bound is not None:
-                limit = min(limit, bound)
         stats = self.stats
         if self.sampler is not None:
             limit = min(limit, self.replay_length
@@ -253,29 +218,27 @@ class Fame1Simulator:
             limit = min(limit, len(rows))
         sim = self.sim
         sim.poke_all(inputs)
-        k = sim.step(limit, sorted(self._out_index[name] for name in wake
-                                   if name in self._out_index), rows)
+        k = sim.step(limit, wake, rows)
         if k == 0:
             # a wake output already raised in the live vector (a reused
             # simulator's last outputs before the first cycle of a run)
             return 0
+        self._last_outputs = sim.peek_all()
 
-        if self._pending:
-            live = sim.input_values()
-            in_row = [live[i] for i in self._in_cols]
+        if rows is not None:
+            # The input row is the simulator's live vector: an undriven
+            # port holds the value the RTL saw there, so replay poking
+            # every column reproduces it.
+            in_row = np.asarray(sim.input_values(),
+                                dtype=np.uint64)[self._in_cols]
+            out_rows = rows[:k]
             for snapshot in self._pending:
-                snapshot.record_cycle(in_row, rows[:k])
-            if self._pending[0].complete:
+                snapshot.record_cycle(in_row, out_rows)
+            if self._pending and self._pending[0].complete:
                 self._pending = [s for s in self._pending
                                  if not s.complete]
-        if self.record_full_io:
-            names = list(self._out_index)
-            self.full_io_trace.extend(
-                (dict(inputs), dict(zip(names, row)))
-                for row in rows[:k].tolist())
-        for endpoint in self.endpoints:
-            endpoint.skip(k)
-        self._last_outputs = sim.peek_all()
+            if self.record_full_io:
+                self._record_full(in_row, out_rows)
 
         before = stats.target_cycles
         stats.target_cycles += k
@@ -288,8 +251,60 @@ class Fame1Simulator:
         if (self.sampler is not None
                 and stats.target_cycles % self.replay_length == 0):
             self.sampler.offer(make_item=self._capture_snapshot)
-        self.quiet_segments += 1
-        self.quiet_cycles += k
+        return k
+
+    def _record_full(self, in_row, out_rows):
+        """Append rows to the full I/O trace, doubling its matrices when
+        they are full (64 Ki rows at first)."""
+        n, k = self._full_cycles, len(out_rows)
+        if n + k > len(self._full_inputs):
+            size = max(2 * n + k, 1 << 16)
+            self._full_inputs, self._full_outputs = (
+                _grown(m, n, size)
+                for m in (self._full_inputs, self._full_outputs))
+        self._full_inputs[n:n + k] = in_row
+        self._full_outputs[n:n + k] = out_rows
+        self._full_cycles = n + k
+
+    def step_target(self):
+        """Advance the target by exactly one cycle, ticking every
+        endpoint."""
+        inputs = {}
+        for endpoint in self.endpoints:
+            produced = endpoint.tick(self._last_outputs)
+            if produced:
+                inputs.update(produced)
+        self._advance(inputs, 1, ())
+        return self._last_outputs
+
+    def _step_quiet(self, limit):
+        """Run the next cycles as one quiet segment of at most ``limit``
+        cycles, if every endpoint promises one (:meth:`Endpoint.quiet`).
+
+        Returns the number of cycles stepped: 0 when some endpoint must
+        be ticked this cycle.  The segment ends early on a wake output,
+        at the end of an endpoint's promise, and wherever
+        :meth:`_advance` ends a step.
+        """
+        inputs = {}
+        wake = set()
+        for endpoint in self.endpoints:
+            promise = endpoint.quiet(self._last_outputs)
+            if promise is None:
+                return 0
+            token, wake_outputs, bound = promise
+            inputs.update(token)
+            wake.update(wake_outputs)
+            if bound is not None:
+                limit = min(limit, bound)
+        k = self._advance(inputs, limit, sorted(
+            self._out_index[name] for name in wake
+            if name in self._out_index))
+        if k:
+            for endpoint in self.endpoints:
+                endpoint.skip(k)
+            self.quiet_segments += 1
+            self.quiet_cycles += k
         return k
 
     def run(self, max_cycles, stop_fn=None, progress_fn=None,
@@ -349,6 +364,15 @@ class Fame1Simulator:
             if snapshot.checksum is None:
                 snapshot.seal()
         return out
+
+    @property
+    def full_io_trace(self):
+        """``(layout, inputs, outputs)``: the snapshots'
+        :class:`TraceLayout` and the ``(cycles, inputs)`` / ``(cycles,
+        outputs)`` matrices recorded with ``record_full_io``."""
+        n = self._full_cycles
+        return (self._trace_layout, self._full_inputs[:n],
+                self._full_outputs[:n])
 
     def sampling_overhead_seconds(self):
         return self.stats.snapshot_wall_seconds

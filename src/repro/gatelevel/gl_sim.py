@@ -32,8 +32,9 @@ A whole replay trace reaches :meth:`BatchedGateLevelSimulator
 .run_cycles` as one :class:`PackedStimulus`: flat numpy arrays of
 lane-masked pokes, output checks and per-cycle force segments, the
 layout the native kernel reads and the interpreter walks.  Replay
-builds them in bulk (:func:`lane_ops` for a batch's I/O, force segments
-for the retimed warm-up); the per-cycle ``poke``/``eval``/``peek``/
+builds them in bulk (:func:`lane_ops` for a batch's I/O, one op per
+cycle and port driving every lane; force segments for the retimed
+warm-up); the per-cycle ``poke``/``eval``/``peek``/
 ``step`` methods remain for co-simulation and as the stepped reference
 that the whole-trace path is tested against.
 """
@@ -259,16 +260,15 @@ def pack_lane_bits(bits):
 _UNPACK_BYTES = 1 << 18
 
 
-def lane_ops(values, present, port_nets):
+def lane_ops(values, port_nets):
     """Flat poke/check op arrays from per-lane port values.
 
     ``values`` is a ``(lanes, cycles, ports)`` unsigned array and
-    ``present`` a boolean array of the same shape marking the lanes that
-    drive (or check) each port each cycle; ``port_nets[p]`` lists port
-    ``p``'s nets, LSB first.  One op is emitted per (cycle, port) with a
-    non-empty lane mask, in cycle-major, port-minor order.  Returns the
-    ``counts/masks/off/cnt/nets/words`` arrays of :attr:`PackedStimulus
-    .flat` (unprefixed) plus each op's cycle and port index.
+    ``port_nets[p]`` lists port ``p``'s nets, LSB first.  One op per
+    (cycle, port) drives (or checks) every lane, in cycle-major,
+    port-minor order.  Returns the ``counts/masks/off/cnt/nets/words``
+    arrays of :attr:`PackedStimulus.flat` (unprefixed) plus each op's
+    cycle and port index.
     """
     lanes, n_cycles, n_ports = values.shape
     widths = np.array([len(nets) for nets in port_nets], dtype=np.int64)
@@ -286,24 +286,18 @@ def lane_ops(values, present, port_nets):
                              bitorder="little")[..., :top]
         words[c0:c0 + step] = pack_lane_bits(
             np.ascontiguousarray(bits.transpose(0, 1, 3, 2)))
-    masks = pack_lane_bits(np.ascontiguousarray(present.transpose(1, 2, 0)))
-    cycle, port = np.nonzero(masks)
+    cycle, port = np.divmod(np.arange(n_cycles * n_ports), max(1, n_ports))
     cnt = widths[port]
-    off = np.cumsum(cnt) - cnt
-    # bit j of op k sits at flat word (cycle*ports + port)*top + j
-    within = np.arange(int(cnt.sum()), dtype=np.int64) - np.repeat(off, cnt)
-    starts = np.cumsum(widths) - widths
-    all_nets = (np.concatenate([np.asarray(n, dtype=np.int64)
-                                for n in port_nets])
-                if n_ports else np.zeros(0, dtype=np.int64))
+    all_nets = np.array([net for nets in port_nets for net in nets],
+                        dtype=np.int64)
     return {
-        "counts": np.bincount(cycle, minlength=n_cycles).astype(np.int64),
-        "masks": masks[cycle, port],
-        "off": off,
+        "counts": np.full(n_cycles, n_ports, dtype=np.int64),
+        "masks": np.full(len(port), (1 << lanes) - 1, dtype=np.uint64),
+        "off": np.cumsum(cnt) - cnt,
         "cnt": cnt,
-        "nets": all_nets[np.repeat(starts[port], cnt) + within],
-        "words": words.reshape(-1)[
-            np.repeat((cycle * n_ports + port) * top, cnt) + within],
+        "nets": np.tile(all_nets, n_cycles),
+        # bits 0..width-1 of each (cycle, port), port-major
+        "words": words[:, np.arange(top) < widths[:, None]].reshape(-1),
     }, cycle, port
 
 

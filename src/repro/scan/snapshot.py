@@ -78,10 +78,10 @@ class ReplayableSnapshot:
 
     ``inputs`` / ``outputs`` are preallocated ``(replay_length, ports)``
     matrices in the port orders named by ``input_order`` /
-    ``output_order``; :meth:`record_cycle` fills one row of each per
-    target cycle, or a block of rows per quiet segment.  Its orders
-    are the circuit's, which every simulator, name map and replay
-    engine declares, so all snapshots of one design share one layout.
+    ``output_order``; :meth:`record_cycle` fills a block of rows per
+    step of the FAME loop (one row for a ticked cycle).  Its orders are
+    the circuit's, which every simulator, name map and replay engine
+    declares, so all snapshots of one design share one layout.
     """
 
     def __init__(self, cycle, state, replay_length, layout,
@@ -107,23 +107,19 @@ class ReplayableSnapshot:
         return self.recorded >= self.replay_length
 
     def record_cycle(self, inputs, outputs):
-        """Write one cycle's input and output rows (port order); cycles
-        beyond the window are ignored.
+        """Write recorded rows (port order); cycles beyond the window
+        are ignored.
 
-        ``outputs`` may also be a ``(k, outputs)`` block of ``k``
-        cycles' rows, with ``inputs`` the one row held through them.
+        ``outputs`` is one cycle's row or a ``(k, outputs)`` block of
+        ``k`` cycles' rows, and ``inputs`` the one input row held
+        through them.
         """
+        outputs = np.atleast_2d(outputs)
         t = self.recorded
-        if getattr(outputs, "ndim", 1) == 2:
-            end = min(t + len(outputs), self.replay_length)
-            if end > t:
-                self.inputs[t:end] = inputs
-                self.outputs[t:end] = outputs[:end - t]
-                self.recorded = end
-        elif t < self.replay_length:
-            self.inputs[t] = inputs
-            self.outputs[t] = outputs
-            self.recorded = t + 1
+        end = min(t + len(outputs), self.replay_length)
+        self.inputs[t:end] = inputs
+        self.outputs[t:end] = outputs[:end - t]
+        self.recorded = end
 
     # -- reading -------------------------------------------------------------
 

@@ -198,6 +198,13 @@ def soc_run():
     return run
 
 
+def _trace_key(trace):
+    layout, inputs, outputs = trace
+    return (layout.inputs.fingerprint, layout.outputs.fingerprint,
+            inputs.dtype.str, inputs.tolist(),
+            outputs.dtype.str, outputs.tolist())
+
+
 def outcome(result):
     stats = {k: v for k, v in result.stats.as_dict().items()
              if "wall" not in k}
@@ -205,7 +212,7 @@ def outcome(result):
         "stats": stats,
         "snapshots": [(s.cycle, s.checksum, s.perf_counters)
                       for s in result.snapshots],
-        "full_io_trace": result.fame.full_io_trace,
+        "full_io_trace": _trace_key(result.fame.full_io_trace),
         "requests": (result.memory.requests, result.memory.read_requests,
                      result.memory.write_requests),
         "dram": result.memory.counters,

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -81,6 +82,39 @@ class TestSampledPowerAccuracy:
         # the bound itself is statistical; require the actual error to be
         # small and comparable to the computed bound
         assert actual_error < max(3 * estimate.relative_error_bound, 0.15)
+
+
+class TestFullIoTrace:
+    def test_recording_does_not_perturb_the_run(self):
+        kwargs = dict(sample_size=8, replay_length=32, seed=3)
+        plain = run_strober("rocket_mini", "towers", **kwargs)
+        traced = run_strober("rocket_mini", "towers",
+                             record_full_io=True, **kwargs)
+
+        def stats(run):
+            return {k: v for k, v in run.result.stats.as_dict().items()
+                    if "wall" not in k}
+
+        assert stats(traced) == stats(plain)
+        assert [(s.cycle, s.checksum) for s in traced.snapshots] == \
+            [(s.cycle, s.checksum) for s in plain.snapshots]
+        assert traced.energy == plain.energy
+        layout, inputs, outputs = plain.result.fame.full_io_trace
+        assert len(inputs) == len(outputs) == 0
+
+        layout, inputs, outputs = traced.result.fame.full_io_trace
+        assert inputs.shape == (traced.cycles, len(layout.inputs))
+        assert outputs.shape == (traced.cycles, len(layout.outputs))
+        assert inputs.dtype == layout.input_dtype
+        assert outputs.dtype == layout.output_dtype
+        # each snapshot's window is a slice of the whole-run trace
+        for snapshot in traced.snapshots:
+            assert snapshot.input_order == layout.inputs.fingerprint
+            assert snapshot.output_order == layout.outputs.fingerprint
+            window = slice(snapshot.cycle,
+                           snapshot.cycle + snapshot.replay_length)
+            assert np.array_equal(snapshot.inputs, inputs[window])
+            assert np.array_equal(snapshot.outputs, outputs[window])
 
 
 class TestStroberCompiler:
