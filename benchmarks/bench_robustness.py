@@ -22,13 +22,15 @@ import time
 
 from repro.core import get_circuits, get_replay_engine
 from repro.isa.programs import MICROBENCHMARKS
-from repro.robust import FaultPlan, FaultSpec, replay_supervised, run_campaign
+from repro.robust import FaultPlan, FaultSpec, run_campaign
+from repro.robust import supervisor
 from repro.targets.soc import run_workload
 
 from _common import emit, fmt_table, save_json
 
 
-def test_robustness(benchmark, workers, trace_dir):
+def test_robustness(benchmark, workers, trace_dir, monkeypatch):
+    monkeypatch.setattr(supervisor, "_BACKOFF_BASE_S", 0.05)
     circuit, _ = get_circuits("rocket_mini")
     sample = run_workload(circuit, MICROBENCHMARKS["towers"](n=7),
                           max_cycles=2_000_000, mem_latency=20,
@@ -40,11 +42,11 @@ def test_robustness(benchmark, workers, trace_dir):
     n_workers = max(2, min(workers, len(snaps)))
 
     def supervised(fault_plan=None, timeout=60.0):
-        return replay_supervised(
-            engine.flow, snaps, workers=n_workers,
-            port_names=engine._port_names, grouping=engine.grouping,
-            freq_hz=engine.freq_hz, timeout=timeout, backoff_base=0.05,
-            fault_plan=fault_plan, serial_engine=engine)
+        # one snapshot per batch, so the kill's index is its own dispatch
+        results = engine.replay_all(snaps, workers=n_workers,
+                                    batch_lanes=1, timeout=timeout,
+                                    fault_plan=fault_plan)
+        return results, engine.last_health
 
     def measure():
         times = {}
@@ -87,7 +89,7 @@ def test_robustness(benchmark, workers, trace_dir):
 
     campaign_t0 = time.perf_counter()
     verdicts = run_campaign(engine, snaps, workers=n_workers,
-                            timeout=5.0, backoff_base=0.05)
+                            timeout=5.0)
     campaign_s = time.perf_counter() - campaign_t0
 
     overhead = times["supervised_s"] / max(times["serial_s"], 1e-9)

@@ -183,10 +183,8 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
                 max_cycles=2_000_000, backend="auto", seed=0,
                 confidence=0.99, workload_kwargs=None, strict_replay=True,
                 record_full_io=False, workers=1, journal=None,
-                replay_timeout=None, replay_retries=2, batch_lanes=None,
-                gl_backend=None, debug=False,
-                trace=None, tracer=None,
-                serial_gl_backend=None, fault_plan=None,
+                batch_lanes=None, gl_backend=None, debug=False,
+                trace=None, tracer=None, fault_plan=None,
                 target_rel_error=None, min_sample=None, max_sample=None):
     """The headline API: energy-evaluate ``workload`` on ``design``.
 
@@ -210,10 +208,13 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
     That isolates crashes and hangs in the gate-level kernel; it does
     not make replay faster, because one process replays a 64-lane
     batch on the C kernel in less time than a pool takes to start.
-    Supervised runs use ``replay_timeout`` seconds per snapshot and
-    ``replay_retries`` attempts before the in-process fallback, and the
-    resulting :class:`~repro.robust.ReplayHealthReport` lands on the
-    returned run's ``health`` field.
+    A batch whose workers keep failing replays in-process on the
+    interpreter (the kernel is the suspect, and the backends are
+    bit-identical).  ``$REPRO_REPLAY_TIMEOUT`` overrides the
+    per-snapshot deadline and ``$REPRO_START_METHOD`` the workers'
+    start method.  The resulting
+    :class:`~repro.robust.ReplayHealthReport` lands on the returned
+    run's ``health`` field.
 
     Every circuit transform runs through the pass pipeline
     (:mod:`repro.passes`): the FAME1 decoupling on the simulator
@@ -247,10 +248,7 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
     ``tracer`` supplies an externally-owned :class:`~repro.obs.Tracer`
     instead of the one this call would create — the job service passes
     one per job with an ``on_span`` subscriber so its ``/status``
-    endpoint can stream run phases live.  ``serial_gl_backend`` forces
-    the supervisor's in-process fallback engine onto that backend
-    (the service passes ``"interp"`` so a poisoned C kernel is
-    never executed in the daemon process).  ``fault_plan`` is the
+    endpoint can stream run phases live.  ``fault_plan`` is the
     fault-injection harness hook (:class:`repro.robust.FaultPlan`):
     it deliberately sabotages chosen replay dispatches and exists so
     chaos campaigns can drive sabotage through the public API.
@@ -297,10 +295,8 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
                 workload_kwargs=workload_kwargs,
                 strict_replay=strict_replay,
                 record_full_io=record_full_io, workers=workers,
-                journal=journal, replay_timeout=replay_timeout,
-                replay_retries=replay_retries, batch_lanes=batch_lanes,
+                journal=journal, batch_lanes=batch_lanes,
                 gl_backend=gl_backend, debug=debug, tracer=tracer,
-                serial_gl_backend=serial_gl_backend,
                 fault_plan=fault_plan,
                 target_rel_error=target_rel_error,
                 min_sample=min_sample, max_sample=max_sample)
@@ -325,8 +321,7 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
 def _run_strober(design, workload, *, sample_size, replay_length,
                  max_cycles, backend, seed, confidence, workload_kwargs,
                  strict_replay, record_full_io, workers, journal,
-                 replay_timeout, replay_retries, batch_lanes, gl_backend,
-                 debug, tracer, serial_gl_backend=None,
+                 batch_lanes, gl_backend, debug, tracer,
                  fault_plan=None, target_rel_error=None,
                  min_sample=None, max_sample=None):
     """The traced flow body; ``tracer`` is already installed."""
@@ -470,10 +465,9 @@ def _run_strober(design, workload, *, sample_size, replay_length,
             # the moment the target interval is met.
             for idx, replay_result in engine.replay_stream(
                     snapshots, strict=strict_replay, workers=workers,
-                    timeout=replay_timeout, max_retries=replay_retries,
                     batch_lanes=batch_lanes, fault_plan=fault_plan,
-                    serial_gl_backend=serial_gl_backend, order=order,
-                    cancel=cancel, ramp=controller.min_sample):
+                    order=order, cancel=cancel,
+                    ramp=controller.min_sample):
                 done[idx] = replay_result
                 if journal_file is not None:
                     journal_file.append(TYPE_RESULT,

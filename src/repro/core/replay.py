@@ -523,13 +523,13 @@ class ReplayEngine:
 
     def replay_stream(self, snapshots, strict=True, workers=1,
                       timeout=None, max_retries=2, fault_plan=None,
-                      batch_lanes=None, serial_gl_backend=None,
-                      order=None, cancel=None, ramp=1):
+                      batch_lanes=None, order=None, cancel=None, ramp=1):
         """Stream replays: a generator of ``(index, result)`` pairs.
 
-        The streaming core of :meth:`replay_all`.  Batches are
-        dispatched incrementally and each completed replay is yielded
-        in *completion* order, labelled with the snapshot's position in
+        The streaming core of :meth:`replay_all`, and the only way into
+        the supervised worker pool.  Batches are dispatched
+        incrementally and each completed replay is yielded in
+        *completion* order, labelled with the snapshot's position in
         ``snapshots`` — the original index travels with the result, so
         out-of-order completion under a multi-worker pool can never be
         attributed to the wrong snapshot.
@@ -550,25 +550,19 @@ class ReplayEngine:
         ``batch_lanes`` (see :func:`plan_replay_batches`), so a stop
         lands close to where one-snapshot dispatch would put it.
 
-        Arguments are validated here, eagerly; the returned generator
-        is lazy.  Supervised runs (``workers`` > 1) that lose their
-        worker pool mid-stream (e.g. a worker-init failure) degrade to
-        in-process serial replay of the *remaining* snapshots only —
-        results already yielded stay credited and are not re-replayed.
-        Other parameters are as :meth:`replay_all`.
+        Arguments are validated and the batches planned here, eagerly,
+        once; the returned generator is lazy.  ``workers`` > 1 hands
+        the engine and that plan to the supervisor
+        (:func:`repro.robust.supervisor.supervise`), with the pool
+        clamped to the number of batches.  A supervised run that loses
+        its pool (an unpicklable payload, a worker-init failure)
+        replays the plan's *remaining* batches in-process on this
+        engine — results already yielded stay credited.  Other
+        parameters are as :meth:`replay_all`.
         """
         snapshots = list(snapshots)
         self.last_health = None
-        if batch_lanes is None:
-            batch_lanes = MAX_LANES
-        batch_lanes = int(batch_lanes)
-        if not 1 <= batch_lanes <= MAX_LANES:
-            raise ValueError(
-                f"batch_lanes must be in 1..{MAX_LANES}, got {batch_lanes}")
-        if workers is None:
-            import os
-            workers = os.cpu_count() or 1
-        workers = max(1, min(int(workers), len(snapshots) or 1))
+        batch_lanes = MAX_LANES if batch_lanes is None else int(batch_lanes)
         if order is not None:
             order = [int(i) for i in order]
             if len(set(order)) != len(order):
@@ -576,14 +570,18 @@ class ReplayEngine:
                     "order contains duplicate snapshot indices")
             if any(not 0 <= i < len(snapshots) for i in order):
                 raise ValueError("order index out of range")
-        ramp = None if cancel is None else ramp
-        if workers == 1:
-            return self._stream_serial(snapshots, strict, batch_lanes,
-                                       order, cancel, ramp)
+        plan = plan_replay_batches(snapshots, batch_lanes, order=order,
+                                   ramp=None if cancel is None else ramp)
+        if workers is None:
+            import os
+            workers = os.cpu_count() or 1
+        if int(workers) <= 1:
+            return self._stream_in_process(snapshots, plan, strict,
+                                           batch_lanes, cancel)
         return self._stream_supervised(
-            snapshots, strict, workers, timeout, max_retries,
-            fault_plan, batch_lanes, serial_gl_backend, order, cancel,
-            ramp)
+            snapshots, plan, strict, batch_lanes, cancel,
+            workers=min(int(workers), len(plan)), timeout=timeout,
+            max_retries=max_retries, fault_plan=fault_plan)
 
     def _replay_in_process(self, snapshots, strict, batches, cancel):
         for batch in batches:
@@ -593,73 +591,53 @@ class ReplayEngine:
                 [snapshots[i] for i in batch], strict=strict)
             yield from zip(batch, batch_results)
 
-    def _stream_serial(self, snapshots, strict, batch_lanes, order,
-                       cancel, ramp):
+    def _stream_in_process(self, snapshots, plan, strict, batch_lanes,
+                           cancel):
         with get_tracer().span("replay.all", cat="replay", workers=1,
                                batch_lanes=batch_lanes,
                                snapshots=len(snapshots)):
-            batches = plan_replay_batches(snapshots, batch_lanes,
-                                          order=order, ramp=ramp)
-            yield from self._replay_in_process(snapshots, strict,
-                                               batches, cancel)
+            yield from self._replay_in_process(snapshots, strict, plan,
+                                               cancel)
 
-    def _stream_supervised(self, snapshots, strict, workers, timeout,
-                           max_retries, fault_plan, batch_lanes,
-                           serial_gl_backend, order, cancel, ramp):
+    def _stream_supervised(self, snapshots, plan, strict, batch_lanes,
+                           cancel, *, workers, timeout, max_retries,
+                           fault_plan):
         from ..parallel import ParallelReplayError
-        from ..robust.supervisor import (
-            replay_supervised_stream, ReplayHealthReport)
-        tracer = get_tracer()
-        report = ReplayHealthReport()
-        # When the caller demands a specific fallback backend and
-        # this engine runs a different one, the supervisor must
-        # build its own fallback engine instead of reusing this
-        # one (whose kernel is exactly what the caller distrusts).
-        serial_self = (serial_gl_backend is None
-                       or serial_gl_backend == self.backend_used)
-        with tracer.span("replay.all", cat="replay", workers=workers,
-                         batch_lanes=batch_lanes,
-                         snapshots=len(snapshots)) as span:
+        from ..robust.supervisor import ReplayHealthReport, supervise
+        report = ReplayHealthReport(batch_lanes=batch_lanes)
+        with get_tracer().span("replay.all", cat="replay", workers=workers,
+                               batch_lanes=batch_lanes,
+                               snapshots=len(snapshots)) as span:
             done = set()
             try:
-                for idx, result in replay_supervised_stream(
-                        self.flow, snapshots, workers=workers,
-                        port_names=self._port_names,
-                        grouping=self.grouping, freq_hz=self.freq_hz,
-                        strict=strict, timeout=timeout,
+                for idx, result in supervise(
+                        self, snapshots, plan, workers=workers,
+                        report=report, strict=strict, timeout=timeout,
                         max_retries=max_retries, fault_plan=fault_plan,
-                        serial_engine=self if serial_self else None,
-                        batch_lanes=batch_lanes,
-                        gl_backend=self.gl_backend,
-                        serial_gl_backend=serial_gl_backend,
-                        order=order, cancel=cancel, report=report,
-                        ramp=ramp):
+                        cancel=cancel):
                     done.add(idx)
                     yield idx, result
-                self.last_health = report
-                span.set(healthy=report.healthy,
-                         incidents=len(report.incidents))
-                if report.cancelled:
-                    span.set(cancelled=report.cancelled)
-                if not report.healthy:
-                    warnings.warn(report.summary(), RuntimeWarning)
             except ParallelReplayError as exc:
                 span.set(serial_fallback=True)
                 warnings.warn(f"parallel replay unavailable ({exc}); "
                               "falling back to serial", RuntimeWarning)
-                positions = (order if order is not None
-                             else range(len(snapshots)))
-                remaining = [i for i in positions if i not in done]
+                remaining = ([i for i in batch if i not in done]
+                             for batch in plan)
                 yield from self._replay_in_process(
-                    snapshots, strict,
-                    plan_replay_batches(snapshots, batch_lanes,
-                                        order=remaining),
+                    snapshots, strict, [b for b in remaining if b],
                     cancel)
+                return
+            self.last_health = report
+            span.set(healthy=report.healthy,
+                     incidents=len(report.incidents))
+            if report.cancelled:
+                span.set(cancelled=report.cancelled)
+            if not report.healthy:
+                warnings.warn(report.summary(), RuntimeWarning)
 
     def replay_all(self, snapshots, strict=True, workers=1,
                    on_result=None, timeout=None, max_retries=2,
-                   fault_plan=None, batch_lanes=None,
-                   serial_gl_backend=None):
+                   fault_plan=None, batch_lanes=None):
         """Replay every snapshot; optionally across worker processes.
 
         Thin collecting wrapper over :meth:`replay_stream`: consumes
@@ -684,29 +662,24 @@ class ReplayEngine:
 
         Multi-worker runs go through the supervised pool
         (:mod:`repro.robust.supervisor`): crashed or hung workers are
-        respawned, their batches retried with exponential backoff
+        respawned and their batches retried with exponential backoff
         (``max_retries`` attempts, per-snapshot ``timeout`` seconds
-        scaled to the batch), and stragglers degrade to in-process
-        serial replay.  The resulting
+        scaled to the batch).  A batch whose retries run out replays
+        in-process on the interpreter: the kernel is the suspect, and
+        the backends are bit-identical.  The resulting
         :class:`~repro.robust.ReplayHealthReport` lands on
         ``self.last_health``.  ``on_result(index, result)`` fires as
         each replay completes — the hook the crash-safe run journal
-        uses to persist progress incrementally.
-
-        ``serial_gl_backend`` overrides the gate-level backend of the
-        supervisor's last-resort in-process fallback engine.  The job
-        service passes ``"interp"``: when workers keep dying under the
-        C kernel, the kernel itself is suspect, and the
-        supervising process must not execute it in-process (backends
-        are bit-identical, so only the speed changes).
+        uses to persist progress incrementally.  ``fault_plan`` (a
+        :class:`repro.robust.FaultPlan`) sabotages chosen worker
+        dispatches; it exists for the fault-injection harness.
         """
         snapshots = list(snapshots)
         out = [None] * len(snapshots)
         for i, result in self.replay_stream(
                 snapshots, strict=strict, workers=workers,
                 timeout=timeout, max_retries=max_retries,
-                fault_plan=fault_plan, batch_lanes=batch_lanes,
-                serial_gl_backend=serial_gl_backend):
+                fault_plan=fault_plan, batch_lanes=batch_lanes):
             out[i] = result
             if on_result is not None:
                 on_result(i, result)

@@ -1,7 +1,8 @@
 """Parallel execution layer: replay-pool plumbing + on-disk artifact cache.
 
 * :class:`CancelToken`, :class:`ParallelReplayError` — shared by the
-  streaming replay scheduler and the supervised worker pool
+  streaming replay scheduler (``ReplayEngine.replay_stream``, the one
+  way into the worker pool) and the supervised pool it drives
   (:mod:`repro.robust.supervisor`, the paper's "each replay is
   independent" observation, used here for crash isolation);
 * :class:`ArtifactCache` — content-addressed, checksummed disk cache of

@@ -1,15 +1,16 @@
 """Shared pieces of multi-process snapshot replay.
 
 The paper notes snapshot replays are embarrassingly parallel (each
-replay is independent, Section IV-C).  The worker pool itself is the
-*supervised* pool in :mod:`repro.robust.supervisor`
-(:func:`~repro.robust.supervisor.replay_supervised`): each worker
-builds its replay engine once from the pickled :class:`AsicFlow`
-payload, and a supervisor imposes per-batch deadlines, respawns crashed
-workers, retries with exponential backoff, and degrades to in-process
-serial replay when retries are exhausted.  This module holds what the
-pool and its callers share: the payload error, the cancel token, and
-the start-method choice.
+replay is independent, Section IV-C); here that buys crash isolation,
+not speed.  ``ReplayEngine.replay_stream(workers=N)`` is the only way
+into the worker pool, the *supervised* pool of
+:mod:`repro.robust.supervisor` (:func:`~repro.robust.supervisor.supervise`):
+each worker rebuilds the replay engine once from the pickled
+:class:`AsicFlow` payload, and a supervisor imposes per-batch
+deadlines, respawns crashed workers, retries with exponential backoff,
+and replays a batch in-process on the interpreter when its retries are
+exhausted.  This module holds what the pool and its callers share: the
+payload error, the cancel token, and the start-method choice.
 """
 
 from __future__ import annotations
@@ -60,19 +61,17 @@ class CancelToken:
 _ENV_START_METHOD = "REPRO_START_METHOD"
 
 
-def _pick_context(start_method=None):
+def _pick_context():
     """Resolve the multiprocessing start method for replay workers.
 
-    Priority: explicit ``start_method`` argument, then the
-    ``$REPRO_START_METHOD`` environment override, then a platform
-    default.  The default prefers ``fork`` (cheap: workers inherit the
-    parent's loaded modules and compiled evaluators) — but only while
-    the parent process is single-threaded.  Forking a threaded parent
-    can deadlock the child on locks held by threads that do not exist
-    after the fork, so threaded parents fall back to ``spawn``.
+    ``$REPRO_START_METHOD`` wins when set; otherwise the default prefers
+    ``fork`` (cheap: workers inherit the parent's loaded modules and
+    compiled evaluators) — but only while the parent process is
+    single-threaded.  Forking a threaded parent can deadlock the child
+    on locks held by threads that do not exist after the fork, so
+    threaded parents fall back to ``spawn``.
     """
-    if start_method is None:
-        start_method = os.environ.get(_ENV_START_METHOD) or None
+    start_method = os.environ.get(_ENV_START_METHOD) or None
     methods = multiprocessing.get_all_start_methods()
     if start_method is None:
         if "fork" in methods and threading.active_count() == 1:

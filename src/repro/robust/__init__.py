@@ -7,10 +7,12 @@ cache introduce failure classes the serial in-process path never had —
 hung or crashed workers, truncated cache entries, corrupted snapshot
 state — and this package makes them either *detected* or *recovered*:
 
-* :mod:`repro.robust.supervisor` — a supervised worker pool with
-  per-snapshot timeouts, crash detection, retry with exponential
-  backoff, and graceful degradation to in-process serial replay; every
-  recovery action lands in a structured :class:`ReplayHealthReport`.
+* :mod:`repro.robust.supervisor` — the supervised worker pool behind
+  ``ReplayEngine.replay_stream(workers=N)``: per-snapshot timeouts,
+  crash detection, retry with exponential backoff, and graceful
+  degradation to in-process replay on the interpreter; every recovery
+  action lands in a structured :class:`ReplayHealthReport`
+  (``engine.last_health``).
 * :mod:`repro.robust.journal` — an append-only, checksummed, fsync'd
   run journal that lets an interrupted ``run_strober`` resume from the
   last good record instead of restarting the FAME simulation and all
@@ -22,8 +24,8 @@ state — and this package makes them either *detected* or *recovered*:
 """
 
 from .supervisor import (
-    ReplayHealthReport, ReplayIncident, replay_supervised,
-    replay_supervised_stream, default_replay_timeout, default_init_grace,
+    ReplayHealthReport, ReplayIncident, default_replay_timeout,
+    default_init_grace,
 )
 from .journal import (
     RunJournal, JournalError, read_journal,
@@ -37,8 +39,7 @@ from .faultinject import (
 )
 
 __all__ = [
-    "ReplayHealthReport", "ReplayIncident", "replay_supervised",
-    "replay_supervised_stream",
+    "ReplayHealthReport", "ReplayIncident",
     "default_replay_timeout", "default_init_grace",
     "RunJournal", "JournalError", "read_journal",
     "TYPE_META", "TYPE_SNAPSHOT", "TYPE_SIM", "TYPE_RESULT",

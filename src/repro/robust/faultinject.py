@@ -13,9 +13,10 @@ fallback, journal tail repair).
 Two halves:
 
 * **Worker sabotage** — :class:`FaultSpec` / :class:`FaultPlan` plug
-  into :func:`repro.robust.supervisor.replay_supervised`; the plan is
-  consumed supervisor-side, so a snapshot whose dispatch was sabotaged
-  is not re-faulted on retry (modelling transient faults).  Workers
+  into the supervised pool through ``ReplayEngine.replay_all(...,
+  workers=N, fault_plan=plan)``; the plan is consumed supervisor-side,
+  so a snapshot whose dispatch was sabotaged is not re-faulted on
+  retry (modelling transient faults).  Workers
   are killed, stalled or made to raise mid-replay, or killed during
   bootstrap before they have read their engine payload.
 * **Data corruption** — :func:`flip_snapshot_bit`,
@@ -216,17 +217,30 @@ def _result_key(result):
             tuple(sorted(result.power.by_group.items())))
 
 
-def run_campaign(engine, snapshots, workers=2, timeout=10.0,
-                 backoff_base=0.05):
+@contextlib.contextmanager
+def _setenv(name, value):
+    """Set one environment variable for the duration, then restore it."""
+    previous = os.environ.get(name)
+    os.environ[name] = value
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = previous
+
+
+def run_campaign(engine, snapshots, workers=2, timeout=10.0):
     """Run the standard fault battery; returns ``{fault: verdict}``.
 
     Every verdict must be ``"recovered"`` (the run completed with
     results identical to a clean run and the incident on the health
     report) or ``"detected"`` (the run refused to produce a number).
     Anything else — a silent wrong answer, a hang — shows up as
-    ``"missed"`` and is a robustness bug.
+    ``"missed"`` and is a robustness bug.  Supervised legs replay one
+    snapshot per batch, so each fault's index is its own dispatch.
     """
-    from .supervisor import replay_supervised
     from .journal import RunJournal, read_journal, TYPE_META
     from ..core.replay import ReplayError
     from ..scan.snapshot import SnapshotError
@@ -236,17 +250,14 @@ def run_campaign(engine, snapshots, workers=2, timeout=10.0,
                 for r in engine.replay_all(snapshots, workers=1)]
     verdicts = {}
 
-    def supervised(snaps, plan=None, start_method=None):
-        return replay_supervised(
-            engine.flow, snaps, workers=workers,
-            port_names=engine._port_names, grouping=engine.grouping,
-            freq_hz=engine.freq_hz, strict=True, timeout=timeout,
-            backoff_base=backoff_base, fault_plan=plan,
-            serial_engine=engine, start_method=start_method)
+    def supervised(snaps, plan=None):
+        results = engine.replay_all(snaps, workers=workers, batch_lanes=1,
+                                    timeout=timeout, fault_plan=plan)
+        return results, engine.last_health
 
-    def expect_recovery(name, plan, start_method=None):
+    def expect_recovery(name, plan):
         try:
-            results, health = supervised(snapshots, plan, start_method)
+            results, health = supervised(snapshots, plan)
         except Exception:
             verdicts[name] = "missed"
             return
@@ -263,9 +274,9 @@ def run_campaign(engine, snapshots, workers=2, timeout=10.0,
                     FaultPlan([FaultSpec("error", index=0)]))
     # spawned, not forked: a forked child can die before the pool
     # dispatches its first task, which leaves no incident to recover
-    expect_recovery("bootstrap-death",
-                    FaultPlan([FaultSpec("bootstrap-death")]),
-                    start_method="spawn")
+    with _setenv("REPRO_START_METHOD", "spawn"):
+        expect_recovery("bootstrap-death",
+                        FaultPlan([FaultSpec("bootstrap-death")]))
 
     def expect_detection(name, snaps, exc_types):
         try:
@@ -442,21 +453,16 @@ def run_service_campaign(design="rocket_mini", workload="towers", *,
         # write dies, the job completes anyway, and no partial entry
         # is left live.
         fresh_cache = os.path.join(root, "enospc-cache")
-        previous = os.environ.get("REPRO_CACHE_DIR")
-        os.environ["REPRO_CACHE_DIR"] = fresh_cache
-        clear_caches()
-        try:
-            with enospc_cache_writes():
-                with harness("enospc") as h:
-                    with h.client(timeout=timeout + 60) as client:
-                        job_id = client.submit(**spec)
-                        job = client.wait(job_id, timeout_s=timeout)
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = previous
+        with _setenv("REPRO_CACHE_DIR", fresh_cache):
             clear_caches()
+            try:
+                with enospc_cache_writes():
+                    with harness("enospc") as h:
+                        with h.client(timeout=timeout + 60) as client:
+                            job_id = client.submit(**spec)
+                            job = client.wait(job_id, timeout_s=timeout)
+            finally:
+                clear_caches()
         leftovers = [name for _, _, files in os.walk(fresh_cache)
                      for name in files if name.endswith(".pkl")]
         return ("recovered" if good(job) and not leftovers

@@ -5,7 +5,11 @@ The bare ``pool.map`` fan-out had three failure modes that either hung
 fault: a worker that crashes (OOM-killed, segfault in a native
 extension), a worker that hangs (deadlocked fork, runaway replay), and
 a worker that raises a spurious one-off exception.  This supervisor
-replaces it with an explicitly managed set of worker processes:
+replaces it with an explicitly managed set of worker processes.
+:meth:`repro.core.replay.ReplayEngine.replay_stream` (``workers`` > 1)
+is the only way in: it plans the batches and hands them, with the
+engine itself, to :func:`supervise`.
+
 
 * each snapshot gets a wall-clock deadline derived from its replay
   length (overridable per call or via ``$REPRO_REPLAY_TIMEOUT``); the
@@ -20,8 +24,9 @@ replaces it with an explicitly managed set of worker processes:
   a batch of simultaneously-killed workers does not respawn and
   re-dispatch in lockstep;
 * a snapshot that exhausts its retries degrades gracefully to an
-  in-process serial replay, so one poisoned worker environment cannot
-  sink the run;
+  in-process replay on the interpreter (the kernel is the suspect, and
+  the backends are bit-identical), so one poisoned worker environment
+  cannot sink the run;
 * deterministic verification failures (strict-mode ``ReplayError``
   mismatches, ``SnapshotError`` integrity failures) are *never*
   retried: they are the detection machinery firing, and they propagate
@@ -53,9 +58,10 @@ _INIT_GRACE_S = 300.0
 
 _WaitSelector = getattr(selectors, "PollSelector", selectors.SelectSelector)
 
-# Full-jitter retry delays (and nothing else) come from this generator;
-# it is module-level so tests can seed it deterministically.
+# Full-jitter retry delays (and nothing else) come from this generator
+# and this base; both are module-level so tests can pin them.
 _BACKOFF_RNG = random.Random()
+_BACKOFF_BASE_S = 0.25
 
 
 def default_replay_timeout(replay_length):
@@ -344,7 +350,7 @@ class _Worker:
                 self._outbox[0] = buf[n:]
 
     def dispatch(self, tidx, snaps, strict, fault, timeout, attempt,
-                 init_grace=0.0):
+                 grace):
         self.task = tidx
         self.attempt = attempt
         self.task_timeout = timeout
@@ -353,8 +359,8 @@ class _Worker:
         # deadline by the init grace so that cost is not charged to the
         # batch.  The deadline is re-armed to the plain timeout the
         # moment the ready message is drained.
-        grace = 0.0 if self.ready else init_grace
-        self.deadline = time.monotonic() + timeout + grace
+        self.deadline = (time.monotonic() + timeout
+                         + (0.0 if self.ready else grace))
         self._send((tidx, snaps, strict, fault))
 
     # ---- incoming results (non-blocking, parent side) ----
@@ -449,126 +455,65 @@ class _Worker:
                 pass
 
 
-def replay_supervised_stream(flow, snapshots, *, workers, port_names,
-                             grouping=None, freq_hz=None, strict=True,
-                             start_method=None, timeout=None,
-                             max_retries=2, backoff_base=0.25,
-                             fault_plan=None, serial_engine=None,
-                             batch_lanes=1, gl_backend=None,
-                             serial_gl_backend=None, init_grace=None,
-                             order=None, cancel=None, report=None,
-                             ramp=None):
-    """Stream supervised replays: yields ``(index, result)`` pairs.
+def supervise(engine, snapshots, tasks, *, workers, report, strict,
+              timeout, max_retries, fault_plan, cancel):
+    """Replay ``tasks`` on ``workers`` supervised processes; yields
+    ``(index, result)`` pairs in completion order.
 
-    The streaming core of :func:`replay_supervised`.  Batches are
-    dispatched incrementally and each completed replay is yielded *in
-    completion order* as ``(index, result)`` where ``index`` is the
-    snapshot's position in ``snapshots`` — the original index travels
-    with the result, so an out-of-order completion can never be
-    attributed to the wrong snapshot.
+    :meth:`repro.core.replay.ReplayEngine.replay_stream` is the one
+    caller: it validates the arguments and plans ``tasks``, a list of
+    lane-batches, each a list of positions in ``snapshots`` (see
+    :func:`repro.core.replay.plan_replay_batches`).  Every worker
+    rebuilds ``engine`` from its flow, ports, grouping, frequency and
+    backend.  A batch is the unit of dispatch, deadline, retry and
+    fallback; the per-snapshot ``timeout`` (``None``:
+    :func:`default_replay_timeout`) scales with its size, and a worker
+    still initializing gets :func:`default_init_grace` on top.
 
-    ``order`` — optional sequence of snapshot positions giving the
-    dispatch order; may be a strict subset, in which case only those
-    snapshots are replayed.  This is how the adaptive sampling
-    controller replays in confidence-driven order (and how incremental
-    journal re-sampling replays only the missing snapshots).  Default:
-    natural order over all snapshots, batched exactly as the
-    historical path.
+    ``cancel`` (a :class:`repro.parallel.CancelToken`) stops dispatch
+    once set: results that already arrived are still yielded, in-flight
+    batches are abandoned (counted in ``report.cancelled``) and the
+    workers are shut down politely, so cancellation is no crash.
 
-    ``cancel`` — optional :class:`repro.parallel.CancelToken`.  Once
-    set, no further batches are dispatched; results that already
-    arrived are still yielded, in-flight batches are *abandoned*
-    (counted in ``report.cancelled``), and the pool is torn down
-    politely — workers get the shutdown sentinel and a join grace
-    before any kill, so cancellation does not register as a crash.
+    ``fault_plan`` (a :class:`repro.robust.FaultPlan`) sabotages chosen
+    dispatches for the fault-injection harness, matched on a batch's
+    first snapshot.
 
-    ``report`` — optional :class:`ReplayHealthReport` to fill in;
-    supplied by callers that need live/after-the-fact access to the
-    health counters while consuming the stream.
-
-    ``ramp`` — optional first batch size: batches then double up to
-    ``batch_lanes`` (see :func:`repro.core.replay.plan_replay_batches`),
-    so a cancelled stream abandons little past its stop.
-
-    Argument validation (and the :class:`ParallelReplayError` for an
-    unpicklable payload) happens eagerly, before the first
-    ``next()`` — callers that fall back to serial on that error never
-    start a generator.  Other parameters are as
-    :func:`replay_supervised`.
+    Raises :class:`ParallelReplayError` when the engine cannot be
+    shipped to workers or a worker fails to initialize; the caller
+    replays the remaining tasks in-process.
     """
     from ..obs import get_tracer, get_registry
     tracer = get_tracer()
     registry = get_registry()
+    report.total_snapshots = sum(len(task) for task in tasks)
+    report.workers = workers
+    if not tasks:
+        return
     # Worker-side capture costs pickling traffic per task; only ask
     # for it when the current tracer wants a distributed trace.
     trace_workers = tracer.enabled and tracer.distributed
-
-    snapshots = list(snapshots)
-    n = len(snapshots)
-    if report is None:
-        report = ReplayHealthReport()
-    report.total_snapshots = n
-    report.batch_lanes = max(1, int(batch_lanes))
-    if order is None:
-        positions = None
-    else:
-        positions = [int(i) for i in order]
-        if len(set(positions)) != len(positions):
-            raise ValueError("order contains duplicate snapshot indices")
-        if any(not 0 <= i < n for i in positions):
-            raise ValueError("order index out of range")
-        report.total_snapshots = len(positions)
-    if n == 0 or positions == []:
-        return iter(())
     try:
-        payload = pickle.dumps((flow, list(port_names), grouping,
-                                freq_hz, trace_workers, gl_backend,
+        payload = pickle.dumps((engine.flow, engine._port_names,
+                                engine.grouping, engine.freq_hz,
+                                trace_workers, engine.gl_backend,
                                 dict(tracer.correlation)),
                                protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise ParallelReplayError(
             f"replay payload is not picklable: {exc}") from exc
-    from ..core.replay import plan_replay_batches
-    tasks = plan_replay_batches(snapshots, max(1, int(batch_lanes)),
-                                order=positions, ramp=ramp)
-    n_tasks = len(tasks)
-    workers = max(1, min(int(workers), n_tasks))
     if timeout is None:
         timeout = default_replay_timeout(
             max(s.replay_length for s in snapshots))
-    if init_grace is None:
-        init_grace = default_init_grace()
-    report.workers = workers
     report.timeout_seconds = timeout
+    init_grace = default_init_grace()
 
-    return _supervise_stream(
-        flow, snapshots, payload, tasks, workers=workers,
-        port_names=port_names, grouping=grouping, freq_hz=freq_hz,
-        strict=strict, start_method=start_method, timeout=timeout,
-        max_retries=max_retries, backoff_base=backoff_base,
-        fault_plan=fault_plan, serial_engine=serial_engine,
-        gl_backend=gl_backend, serial_gl_backend=serial_gl_backend,
-        init_grace=init_grace, cancel=cancel, report=report,
-        tracer=tracer, registry=registry)
-
-
-def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
-                      port_names, grouping, freq_hz, strict,
-                      start_method, timeout, max_retries, backoff_base,
-                      fault_plan, serial_engine, gl_backend,
-                      serial_gl_backend, init_grace, cancel, report,
-                      tracer, registry):
-    """Generator body of :func:`replay_supervised_stream` (validated).
-
-    ``tasks`` is a list of lane-batches, each a list of snapshot
-    indices in the order worker results come back in.
-    """
     from ..core.replay import ReplayError
     from ..scan.snapshot import SnapshotError
 
     n_tasks = len(tasks)
 
-    ctx = _pick_context(start_method)
+    ctx = _pick_context()
 
     def _spawn():
         fault = (fault_plan.pick_bootstrap()
@@ -591,16 +536,21 @@ def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
     waiting = []                   # (eligible_monotonic_time, task index)
     done = 0
     events = deque()               # (index, result) awaiting yield
+    fallback = None
 
-    def _get_serial_engine():
-        nonlocal serial_engine
-        if serial_engine is None:
-            from ..core.replay import ReplayEngine
-            serial_engine = ReplayEngine.from_flow(
-                flow, port_names=port_names, grouping=grouping,
-                freq_hz=freq_hz,
-                gl_backend=serial_gl_backend or gl_backend)
-        return serial_engine
+    def _fallback_engine():
+        # Workers that died max_retries + 1 times make the kernel the
+        # suspect: the last resort runs on the interpreter, which is
+        # bit-identical, and never on the parent's own C kernel.
+        nonlocal fallback
+        if fallback is None:
+            fallback = engine
+            if engine.backend_used != "interp":
+                fallback = type(engine).from_flow(
+                    engine.flow, port_names=engine._port_names,
+                    grouping=engine.grouping, freq_hz=engine.freq_hz,
+                    gl_backend="interp")
+        return fallback
 
     def _complete(tidx, batch_results, serial=False):
         nonlocal done
@@ -637,9 +587,10 @@ def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
                           attempts[tidx],
                           _batch_detail(
                               tidx,
-                              "retries exhausted; replaying in-process"))
+                              "retries exhausted; replaying in-process "
+                              "on interp"))
             _complete(tidx,
-                      _get_serial_engine().replay_batch(
+                      _fallback_engine().replay_batch(
                           [snapshots[i] for i in tasks[tidx]],
                           strict=strict),
                       serial=True)
@@ -650,7 +601,7 @@ def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
             # make simultaneously-killed workers respawn and
             # re-dispatch in lockstep — hitting whatever killed them
             # (memory spike, cache stampede) all at once again.
-            cap = backoff_base * (2 ** (attempts[tidx] - 1))
+            cap = _BACKOFF_BASE_S * (2 ** (attempts[tidx] - 1))
             delay = _BACKOFF_RNG.uniform(0.0, cap)
             waiting.append((time.monotonic() + delay, tidx))
 
@@ -680,8 +631,7 @@ def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
                     # Deadline scales with the batch's snapshot count.
                     w.dispatch(tidx, [snapshots[i] for i in indices],
                                strict, fault, timeout * len(indices),
-                               attempts[tidx] + 1,
-                               init_grace=init_grace)
+                               attempts[tidx] + 1, init_grace)
 
             # Sleep until some worker has bytes for us or can take
             # more of its buffered payload (or the poll tick elapses),
@@ -790,63 +740,3 @@ def _supervise_stream(flow, snapshots, payload, tasks, *, workers,
                 w.shutdown()
             else:
                 w.kill()
-
-
-def replay_supervised(flow, snapshots, *, workers, port_names,
-                      grouping=None, freq_hz=None, strict=True,
-                      start_method=None, timeout=None, max_retries=2,
-                      backoff_base=0.25, fault_plan=None, on_result=None,
-                      serial_engine=None, batch_lanes=1, gl_backend=None,
-                      serial_gl_backend=None, init_grace=None):
-    """Replay ``snapshots`` under supervision; order-preserving.
-
-    Returns ``(results, ReplayHealthReport)``.  ``on_result(index,
-    result)`` fires as each replay completes (in completion order, with
-    the snapshot's position in ``snapshots``) — the hook the crash-safe
-    run journal uses to persist progress incrementally.
-
-    This is the collecting wrapper over
-    :func:`replay_supervised_stream`, which dispatches batches
-    incrementally and yields each result as it completes; streaming
-    consumers (the adaptive sampling controller) use the generator
-    directly.
-
-    ``batch_lanes`` > 1 packs snapshots into bit-lane batches (see
-    :func:`repro.core.replay.plan_replay_batches`): the unit of
-    dispatch, deadline, retry, and serial fallback becomes the batch,
-    with the per-snapshot ``timeout`` scaled by each batch's size.
-    With the default of 1 every batch is a single snapshot and the
-    semantics are exactly the historical per-snapshot ones.
-
-    ``fault_plan`` (a :class:`repro.robust.FaultPlan`) deliberately
-    sabotages chosen dispatches; it exists for the fault-injection
-    harness and is consumed supervisor-side so a retried snapshot is
-    not re-faulted once the plan is exhausted.  Faults are matched on
-    the batch's first snapshot.
-
-    ``serial_engine`` is the engine used for last-resort in-process
-    replays; built lazily from ``flow`` when not supplied.
-    ``serial_gl_backend`` overrides the gate-level backend of that
-    lazily-built engine — the job service passes ``"interp"`` so the
-    in-process fallback never executes a possibly-poisoned C kernel
-    inside the supervising process (backends are bit-identical,
-    so the results are unchanged).  ``init_grace`` (seconds, default
-    :func:`default_init_grace`) is the extra deadline headroom granted
-    while a worker is still paying its one-time engine-init cost.
-    """
-    snapshots = list(snapshots)
-    report = ReplayHealthReport()
-    results = [None] * len(snapshots)
-    for idx, result in replay_supervised_stream(
-            flow, snapshots, workers=workers, port_names=port_names,
-            grouping=grouping, freq_hz=freq_hz, strict=strict,
-            start_method=start_method, timeout=timeout,
-            max_retries=max_retries, backoff_base=backoff_base,
-            fault_plan=fault_plan, serial_engine=serial_engine,
-            batch_lanes=batch_lanes, gl_backend=gl_backend,
-            serial_gl_backend=serial_gl_backend, init_grace=init_grace,
-            report=report):
-        results[idx] = result
-        if on_result is not None:
-            on_result(idx, result)
-    return results, report

@@ -418,8 +418,8 @@ class StroberService:
         The thread gets its own single-slot executor so a
         deadline-abandoned attempt strands *its* thread, not a shared
         pool — the queue keeps moving no matter how wedged the
-        abandoned work is.  The in-process serial fallback is pinned
-        to ``interp``: the daemon never executes a possibly-poisoned
+        abandoned work is.  The supervisor's in-process fallback runs
+        on ``interp``, so the daemon never executes a possibly-poisoned
         compiled kernel in its own process on the recovery path.
 
         Attempts hold their design's lock for the duration of the run:
@@ -448,9 +448,8 @@ class StroberService:
                 return run_strober(
                     spec.design, spec.workload,
                     journal=self._run_journal_path(job.id),
-                    gl_backend=backend, serial_gl_backend="interp",
-                    fault_plan=plan, tracer=tracer, trace=trace_path,
-                    **kwargs)
+                    gl_backend=backend, fault_plan=plan, tracer=tracer,
+                    trace=trace_path, **kwargs)
 
         loop = asyncio.get_running_loop()
         pool = ThreadPoolExecutor(max_workers=1,

@@ -52,6 +52,10 @@ class RTLSimulator:
                                    dtype=np.uint64)
         #: the register order of every :class:`SimState` this captures
         self.reg_order = name_order(reg.path for reg in self._reg_list)
+        # the last row buffer step() wrote and its address: a caller
+        # passes the same buffer every step, and ``ctypes.data`` costs
+        # about as much as a cycle
+        self._rows = self._rows_addr = None
         self.cycle = 0
         self.reset()
 
@@ -171,10 +175,12 @@ class RTLSimulator:
         if wake and not all(0 <= w < len(self._out) for w in wake):
             raise ValueError(f"wake index out of range: {list(wake)}")
         if self._lib is not None:
+            if rows is not None and rows is not self._rows:
+                self._rows, self._rows_addr = rows, rows.ctypes.data
             stepped = self._lib.run_quiet(
                 self._in, self._out, n,
                 (ctypes.c_int64 * len(wake))(*wake) if wake else None,
-                len(wake), None if rows is None else rows.ctypes.data)
+                len(wake), None if rows is None else self._rows_addr)
         else:
             cycle_fn = self._cycle
             inp, out, regs, mems = (self._in, self._out, self._regs,

@@ -17,8 +17,7 @@ from repro.core import (
 from repro.core.replay import ReplayEngine, ReplayError
 from repro.hdl import Module, elaborate, circuit_fingerprint
 from repro.gatelevel import GateLevelSimulator
-from repro.parallel import ArtifactCache, ParallelReplayError
-from repro.robust.supervisor import replay_supervised
+from repro.parallel import ArtifactCache, CancelToken
 from repro.sim import RTLSimulator
 
 
@@ -63,21 +62,47 @@ class TestParallelReplay:
         with pytest.raises(ReplayError):
             engine.replay_all([snaps[0], bad, snaps[2]], workers=2)
 
-    def test_unpicklable_grouping_falls_back_to_serial(self, towers_run):
-        engine = towers_run.engine
-        snaps = list(towers_run.snapshots)[:2]
-        fancy = ReplayEngine.from_flow(
+    @staticmethod
+    def _unpicklable(engine):
+        return ReplayEngine.from_flow(
             engine.flow, port_names=engine._port_names,
             grouping=lambda origin: "all", freq_hz=engine.freq_hz)
-        with pytest.raises(ParallelReplayError):
-            replay_supervised(fancy.flow, snaps, workers=2,
-                              port_names=fancy._port_names,
-                              grouping=fancy.grouping)
-        with pytest.warns(RuntimeWarning):
+
+    def test_unpicklable_grouping_falls_back_to_serial(self, towers_run):
+        fancy = self._unpicklable(towers_run.engine)
+        snaps = list(towers_run.snapshots)[:2]
+        with pytest.warns(RuntimeWarning, match="not picklable"):
             results = fancy.replay_all(snaps, workers=2)
         assert len(results) == 2
+        assert fancy.last_health is None
         # "(io)" is the driverless-net bucket power analysis adds itself
         assert set(results[0].power.by_group) <= {"all", "(io)"}
+
+    def test_unpicklable_fallback_keeps_the_ramped_plan(self, towers_run,
+                                                        monkeypatch):
+        """The in-process fallback replays the batches the stream
+        planned, ramp included, not a re-planned full-width set."""
+        fancy = self._unpicklable(towers_run.engine)
+        snaps = list(towers_run.snapshots)
+        sizes = []
+        replay_batch = ReplayEngine.replay_batch
+
+        def recording(self, snapshots, strict=True):
+            sizes.append(len(snapshots))
+            return replay_batch(self, snapshots, strict=strict)
+
+        monkeypatch.setattr(ReplayEngine, "replay_batch", recording)
+        serial = list(fancy.replay_stream(snaps, workers=1,
+                                          cancel=CancelToken(), ramp=1))
+        serial_sizes, sizes[:] = list(sizes), []
+        with pytest.warns(RuntimeWarning, match="not picklable"):
+            pooled = list(fancy.replay_stream(snaps, workers=2,
+                                              cancel=CancelToken(), ramp=1))
+        assert serial_sizes == [1, 2, 4, 1]
+        assert sizes == serial_sizes
+        assert [i for i, _ in pooled] == [i for i, _ in serial]
+        assert [_power_key(r) for _, r in pooled] == \
+            [_power_key(r) for _, r in serial]
 
     def test_empty_snapshot_list(self, towers_run):
         assert towers_run.engine.replay_all([], workers=4) == []
@@ -261,11 +286,6 @@ class TestStartMethodSelection:
         from repro.parallel.pool import _pick_context
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
         assert _pick_context().get_start_method() == "spawn"
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        from repro.parallel.pool import _pick_context
-        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        assert _pick_context("fork").get_start_method() == "fork"
 
     def test_bogus_env_value_is_a_clear_error(self, monkeypatch):
         from repro.parallel.pool import _pick_context

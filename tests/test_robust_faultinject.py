@@ -4,6 +4,7 @@ truncate-and-warn) — never silently absorbed
 (repro.robust.faultinject)."""
 
 import copy
+import os
 import pickle
 
 import pytest
@@ -151,15 +152,18 @@ class TestWorkerFaultPlan:
 
 class TestCampaign:
     def test_standard_campaign_all_detected_or_recovered(self,
-                                                         towers_run):
+                                                         towers_run,
+                                                         monkeypatch):
         """Acceptance: the full battery — worker kill, worker stall,
         transient error, worker death in bootstrap, snapshot/trace
         bit-flips, cache corruption, journal corruption — every fault
         detected or recovered."""
+        from repro.robust import supervisor
+        monkeypatch.setattr(supervisor, "_BACKOFF_BASE_S", 0.05)
+        monkeypatch.delenv("REPRO_START_METHOD", raising=False)
         verdicts = run_campaign(towers_run.engine,
                                 towers_run.snapshots,
-                                workers=2, timeout=4.0,
-                                backoff_base=0.05)
+                                workers=2, timeout=4.0)
         assert set(verdicts) == {
             "worker-kill", "worker-stall", "worker-error",
             "bootstrap-death", "snapshot-bitflip", "trace-bitflip",
@@ -173,3 +177,5 @@ class TestCampaign:
         assert verdicts["bootstrap-death"] == "recovered"
         assert verdicts["snapshot-bitflip"] == "detected"
         assert verdicts["trace-bitflip"] == "detected"
+        # the bootstrap-death leg's spawn override is that leg's only
+        assert "REPRO_START_METHOD" not in os.environ

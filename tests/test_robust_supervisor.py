@@ -1,6 +1,7 @@
 """Supervised replay pool: per-snapshot timeouts, crash detection and
 respawn, retry with backoff, graceful serial fallback, and the
-structured health report (repro.robust.supervisor)."""
+structured health report (repro.robust.supervisor), driven through
+its one entry point, ``ReplayEngine.replay_all(..., workers=N)``."""
 
 import copy
 import time
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 from repro.core import run_strober
-from repro.core.replay import ReplayError
+from repro.core.replay import ReplayEngine, ReplayError
 from repro.robust import (
     FaultPlan, FaultSpec, ReplayHealthReport, default_init_grace,
-    default_replay_timeout, replay_supervised,
+    default_replay_timeout,
 )
+from repro.robust import supervisor as supervisor_mod
 from repro.scan.snapshot import SnapshotError
 
 
@@ -34,14 +36,18 @@ def serial_baseline(towers_run):
                                               workers=1))
 
 
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    monkeypatch.setattr(supervisor_mod, "_BACKOFF_BASE_S", 0.05)
+
+
 def _supervised(engine, snaps, **kwargs):
+    """One snapshot per batch, so a fault index is its own dispatch."""
     kwargs.setdefault("timeout", 60.0)
-    kwargs.setdefault("backoff_base", 0.05)
-    workers = kwargs.pop("workers", 2)
-    return replay_supervised(
-        engine.flow, snaps, workers=workers,
-        port_names=engine._port_names, grouping=engine.grouping,
-        freq_hz=engine.freq_hz, serial_engine=engine, **kwargs)
+    kwargs.setdefault("workers", 2)
+    kwargs.setdefault("batch_lanes", 1)
+    results = engine.replay_all(snaps, **kwargs)
+    return results, engine.last_health
 
 
 class TestHappyPath:
@@ -141,6 +147,35 @@ class TestRetriesAndFallback:
         assert any(i.kind == "serial-fallback" for i in health.incidents)
         assert "recovered" in health.summary()
 
+    def test_exhausted_retries_replay_on_interp(self, towers_run,
+                                                serial_baseline,
+                                                monkeypatch):
+        """A C engine's batch whose workers all failed replays on the
+        interpreter, not on the parent's own (suspect) kernel."""
+        engine = towers_run.engine
+        if engine.backend_used != "c":
+            pytest.skip("needs the C kernel (no C compiler found)")
+        # only this process's replays land here: forked workers append
+        # to their own copies of the list
+        in_process = []
+        replay_batch = ReplayEngine.replay_batch
+
+        def recording(self, snapshots, strict=True):
+            in_process.append((self.backend_used, len(snapshots)))
+            return replay_batch(self, snapshots, strict=strict)
+
+        monkeypatch.setattr(ReplayEngine, "replay_batch", recording)
+        plan = FaultPlan([FaultSpec("kill", index=0, times=99)])
+        results, health = _supervised(engine, list(towers_run.snapshots),
+                                      fault_plan=plan, max_retries=0)
+        assert _keys(results) == serial_baseline
+        assert in_process == [("interp", 1)]
+        fallback = [i for i in health.incidents
+                    if i.kind == "serial-fallback"]
+        assert len(fallback) == 1
+        assert fallback[0].snapshot_index == 0
+        assert "interp" in fallback[0].detail
+
 
 class TestFatalErrors:
     def test_strict_mismatch_is_not_retried(self, towers_run):
@@ -161,10 +196,11 @@ class TestFatalErrors:
 
 
 class TestStartMethods:
-    def test_spawn_workers_end_to_end(self, towers_run, serial_baseline):
+    def test_spawn_workers_end_to_end(self, towers_run, serial_baseline,
+                                      monkeypatch):
+        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
         results, health = _supervised(towers_run.engine,
-                                      list(towers_run.snapshots)[:2],
-                                      start_method="spawn")
+                                      list(towers_run.snapshots)[:2])
         assert _keys(results) == serial_baseline[:2]
         assert health.healthy
 
@@ -214,8 +250,6 @@ class TestRetryJitter:
         """Retry spacing is drawn uniformly from [0, base * 2**k]: the
         recording RNG must see a zero lower bound and doubling caps —
         fixed delays would respawn killed workers in lockstep."""
-        from repro.robust import supervisor as supervisor_mod
-
         draws = []
 
         class _Recorder:
@@ -242,14 +276,15 @@ class TestInitGrace:
         assert default_init_grace() == pytest.approx(12.5)
 
     def test_tight_deadline_not_charged_for_worker_startup(
-            self, towers_run, serial_baseline):
+            self, towers_run, serial_baseline, monkeypatch):
         """A per-batch timeout far below spawn-and-import cost must not
         fire while workers initialize: the ready handshake re-arms the
         deadline once the one-time engine cost is paid."""
+        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
+        monkeypatch.setenv("REPRO_REPLAY_INIT_GRACE", "120")
         results, health = _supervised(towers_run.engine,
                                       list(towers_run.snapshots)[:3],
-                                      timeout=2.0, start_method="spawn",
-                                      init_grace=120.0)
+                                      timeout=2.0)
         assert _keys(results) == serial_baseline[:3]
         assert health.timeouts == 0
         assert health.healthy
