@@ -76,7 +76,7 @@ def test_ablation_scan_width(benchmark):
     from repro.scan import build_scan_chain_spec
 
     def run_all():
-        circuit, _ = get_circuits("rocket_mini")
+        circuit = get_circuits("rocket_mini").simulator_circuit
         return {w: build_scan_chain_spec(circuit, w).readout_cycles()
                 for w in (8, 16, 32, 64)}
 

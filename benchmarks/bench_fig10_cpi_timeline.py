@@ -16,7 +16,7 @@ INTERVAL = 512  # paper samples every 100M cycles; scaled run
 
 
 def test_fig10_cpi_timeline(benchmark):
-    circuit, _ = get_circuits("rocket_mini")
+    circuit = get_circuits("rocket_mini").simulator_circuit
     timeline = []
 
     def sample(fame):

@@ -28,7 +28,7 @@ def measure(circuit, array_bytes, latency):
 
 
 def test_fig7_dram_timing_validation(benchmark):
-    circuit, _ = get_circuits("rocket_mini")
+    circuit = get_circuits("rocket_mini").simulator_circuit
 
     def sweep():
         data = {}

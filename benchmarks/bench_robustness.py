@@ -31,7 +31,7 @@ from _common import emit, fmt_table, save_json
 
 def test_robustness(benchmark, workers, trace_dir, monkeypatch):
     monkeypatch.setattr(supervisor, "_BACKOFF_BASE_S", 0.05)
-    circuit, _ = get_circuits("rocket_mini")
+    circuit = get_circuits("rocket_mini").simulator_circuit
     sample = run_workload(circuit, MICROBENCHMARKS["towers"](n=7),
                           max_cycles=2_000_000, mem_latency=20,
                           backend="auto", sample_size=8,

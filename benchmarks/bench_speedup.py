@@ -46,7 +46,7 @@ def test_speedup_hierarchy(benchmark, workers):
             / (time.perf_counter() - t0)
 
         # FAME1 simulation of the Rocket SoC
-        circuit, _ = get_circuits("rocket_mini")
+        circuit = get_circuits("rocket_mini").simulator_circuit
         result = run_workload(circuit, source, max_cycles=2_000_000,
                               mem_latency=20, backend="auto")
         assert result.passed
@@ -73,7 +73,7 @@ def test_speedup_hierarchy(benchmark, workers):
     # worker-pool replay: serial vs parallel one-snapshot interpreted
     # replays of the same snapshot set (>=8 snapshots so the pool has
     # real work to split)
-    circuit, _ = get_circuits("rocket_mini")
+    circuit = get_circuits("rocket_mini").simulator_circuit
     sample = run_workload(circuit, MICROBENCHMARKS["towers"](n=7),
                           max_cycles=2_000_000, mem_latency=20,
                           backend="auto", sample_size=8,
@@ -149,7 +149,7 @@ def test_batched_replay_speedup(workers, batch_lanes):
     # two full-width batches' worth of snapshots, so the combined mode
     # has several batches per worker and task overhead amortizes
     n_snaps = max(2 * n_workers, 2 * lanes)
-    circuit, _ = get_circuits("rocket_mini")
+    circuit = get_circuits("rocket_mini").simulator_circuit
     sample = run_workload(circuit, MICROBENCHMARKS["towers"](n=7),
                           max_cycles=2_000_000, mem_latency=20,
                           backend="auto", sample_size=n_snaps,
@@ -363,7 +363,8 @@ def test_native_replay_speedup(batch_lanes):
             values = sim._values
             sim._count_toggles((values ^ sim._prev) & sim.active_mask)
             np.copyto(sim._prev, values)
-            sim._commit()
+            sim._commit_sram_writes()
+            sim._commit_dffs()
             sim.cycles += 1
 
     def native_run(sim, n):
@@ -460,7 +461,7 @@ def test_obs_overhead(batch_lanes, trace_dir):
         get_registry, set_tracer
 
     lanes = max(2, min(batch_lanes, 64))
-    circuit, _ = get_circuits("rocket_mini")
+    circuit = get_circuits("rocket_mini").simulator_circuit
     sample = run_workload(circuit, MICROBENCHMARKS["towers"](n=7),
                           max_cycles=2_000_000, mem_latency=20,
                           backend="auto", sample_size=2 * lanes,

@@ -26,7 +26,7 @@ SAMPLE_SIZE = 30
 
 
 def test_table3_simulation_performance(benchmark):
-    circuit, _ = get_circuits("boom-2w_mini")
+    circuit = get_circuits("boom-2w_mini").simulator_circuit
 
     def run_all():
         rows = []

@@ -22,7 +22,7 @@ BENCH_KWARGS = {"towers": {"n": 8}, "coremark_lite": {},
 
 
 def test_table4_coverage(benchmark, workers):
-    circuit, _ = get_circuits("rocket_mini")
+    circuit = get_circuits("rocket_mini").simulator_circuit
 
     def run_all():
         results = {}

@@ -16,7 +16,7 @@ import random
 
 from repro.hdl import Module, elaborate, mux
 from repro.fame import Fame1Simulator, Endpoint
-from repro.core import ReplayEngine, estimate_energy
+from repro.core import ReplayEngine, StroberCompiler, estimate_energy
 from repro.targets.common import PipelinedMultiplier
 
 
@@ -69,13 +69,15 @@ class StreamDriver(Endpoint):
 def main():
     print("custom accelerator through the Strober flow")
     print("=" * 60)
-    sim_circuit = elaborate(DotProductAccelerator(), name="dotp")
-    target_circuit = elaborate(DotProductAccelerator(), name="dotp")
+    # Figure 4: one source, a FAME1 simulator circuit with its scan
+    # spec and an untouched tapeout circuit
+    compiled = StroberCompiler(
+        lambda: elaborate(DotProductAccelerator(), name="dotp")).compile()
 
     # performance side: FAME1-simulate and sample snapshots
-    fame = Fame1Simulator(sim_circuit, [StreamDriver(seed=7)],
-                          sample_size=15, replay_length=48,
-                          backend="python", seed=2)
+    fame = Fame1Simulator(compiled.simulator_circuit,
+                          [StreamDriver(seed=7)], sample_size=15,
+                          replay_length=48, backend="python", seed=2)
     fame.run(max_cycles=6000)
     snaps = fame.snapshots
     print(f"simulated {fame.stats.target_cycles} cycles, captured "
@@ -83,7 +85,7 @@ def main():
           f"({fame.stats.record_count} recorded)")
 
     # energy side: synthesize, match, replay with MAC warm-up
-    engine = ReplayEngine(target_circuit)
+    engine = ReplayEngine(compiled.target_circuit)
     stats = engine.flow.netlist.stats()
     print(f"synthesized: {stats['gates']} gates, {stats['dffs']} DFFs")
     retimed = engine.flow.name_map.retimed

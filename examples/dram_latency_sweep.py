@@ -17,7 +17,7 @@ LATENCIES = [20, 50, 100]
 
 
 def main():
-    circuit, _ = get_circuits("rocket_mini")
+    circuit = get_circuits("rocket_mini").simulator_circuit
     print("pointer-chase load-to-load latency (cycles)")
     print(f"{'array':>8} | " + " | ".join(f"DRAM={lat:>3}" for lat in
                                           LATENCIES))

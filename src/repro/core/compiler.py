@@ -5,6 +5,9 @@ circuit with scan-chain instrumentation metadata and (b) the untouched
 "tapeout" circuit for the ASIC flow, keeping the two in sync (the paper
 builds both from the same Chisel source).
 
+:meth:`StroberCompiler.compile` is the one place a simulator circuit is
+FAME1-transformed and given its ``circuit.scan_spec``.
+
 The transform sequence runs through a
 :class:`~repro.passes.manager.PassManager`: FAME1 decoupling followed
 by scan-chain instrumentation (hardware insertion or metadata-only),
@@ -18,7 +21,7 @@ builds of the same design can never collide in the on-disk cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..fame.transform import Fame1TransformPass, is_fame1
 from ..scan.chains import ScanChainSpecPass, InsertScanChainsPass
@@ -33,7 +36,7 @@ class StroberCompileError(TypeError):
 class StroberOutput:
     """Everything Figure 4 emits for one design."""
 
-    simulator_circuit: object    # FAME1-transformed, for the FPGA side
+    simulator_circuit: object    # FAME1-transformed, carries scan_spec
     target_circuit: object       # plain RTL, for the gate-level side
     scan_spec: object            # chain layout + Trec cost model
     channels: dict               # FAME1 I/O channel metadata

@@ -2,7 +2,8 @@
 
 Ties the whole methodology together (Figures 2, 4, 5):
 
-1. build the design twice (FPGA-simulator circuit + tapeout circuit);
+1. compile the design (Figure 4): a FAME1 simulator circuit with its
+   scan spec, and an untouched tapeout circuit;
 2. run the workload on the FAME1 simulator, reservoir-sampling
    replayable snapshots;
 3. run the ASIC flow (synthesis, placement, formal matching) on the
@@ -25,16 +26,16 @@ import time
 import zlib
 from dataclasses import dataclass, field
 
-from ..targets.soc import run_workload
+from ..targets.soc import run_workload, _SIM_CACHE
 from ..isa.programs import ALL_PROGRAMS
-from ..fame.transform import Fame1TransformPass
 from ..obs import (
     Tracer, set_tracer, get_registry, export_chrome_trace,
     append_run_record,
 )
 from ..parallel.cache import get_cache
 from ..parallel.pool import CancelToken
-from ..passes import PassManager
+from ..passes import assert_well_formed
+from .compiler import StroberCompiler
 from .configs import get_config
 from .controller import AdaptiveSamplingController
 from .replay import ReplayEngine, asic_pipeline, build_asic_flow
@@ -95,15 +96,16 @@ def compute_run_key(design, workload, sample_size, replay_length,
     return hashlib.blake2b(ident.encode(), digest_size=6).hexdigest()
 
 
-_CIRCUIT_CACHE = {}
+_CIRCUIT_CACHE = {}  # design -> StroberOutput
 _ENGINE_CACHE = {}   # (design, freq_hz, gl_backend) -> ReplayEngine
 
 
 def clear_caches(disk=False):
-    """Empty the in-memory circuit/engine caches (and optionally the
-    on-disk artifact cache) so tests and long-running processes can
-    bound memory and force cold paths."""
+    """Empty the in-memory circuit/simulator/engine caches (and
+    optionally the on-disk artifact cache) so tests and long-running
+    processes can bound memory and force cold paths."""
     _CIRCUIT_CACHE.clear()
+    _SIM_CACHE.clear()
     _ENGINE_CACHE.clear()
     if disk:
         get_cache().clear()
@@ -114,16 +116,6 @@ def _soc_pipeline():
     attribution refinement, unit-level floorplanning, formal matching."""
     return asic_pipeline(refine_fn=refine_attribution,
                          cluster_fn=soc_grouping, name="asicflow-soc")
-
-
-def _sim_pipeline():
-    """The simulator-side instrumentation pipeline (FAME1 decoupling).
-
-    Scan-chain metadata is built inside the FAME1 simulator itself (it
-    owns the scan-width/readout cost model), so the host pipeline only
-    needs the decoupling transform.
-    """
-    return PassManager([Fame1TransformPass()], name="strober-sim")
 
 
 def _soc_asic_flow(circuit, use_cache=True, debug=False):
@@ -142,15 +134,13 @@ def _soc_asic_flow(circuit, use_cache=True, debug=False):
 
 
 def get_circuits(design):
-    """(simulator_circuit, target_circuit) for a named configuration.
-
-    Cached: the FAME1 transform happens lazily inside run_workload on
-    the simulator circuit; the target circuit stays untouched.
-    """
+    """The cached :class:`StroberCompiler` output of a named design: a
+    FAME1 ``simulator_circuit`` with its scan spec, and an untouched
+    ``target_circuit`` for the ASIC flow."""
     if design not in _CIRCUIT_CACHE:
         config = get_config(design)
-        _CIRCUIT_CACHE[design] = (config.build_circuit(),
-                                  config.build_circuit())
+        _CIRCUIT_CACHE[design] = StroberCompiler(
+            config.build_circuit).compile()
     return _CIRCUIT_CACHE[design]
 
 
@@ -171,7 +161,7 @@ def get_replay_engine(design, freq_hz=None, use_cache=True, debug=False,
     gl_backend = resolve_backend(gl_backend)
     key = (design, freq_hz, gl_backend)
     if key not in _ENGINE_CACHE:
-        _, target = get_circuits(design)
+        target = get_circuits(design).target_circuit
         flow = _soc_asic_flow(target, use_cache=use_cache, debug=debug)
         _ENGINE_CACHE[key] = ReplayEngine(
             target, flow=flow, grouping=soc_grouping, freq_hz=freq_hz,
@@ -217,12 +207,12 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
     run's ``health`` field.
 
     Every circuit transform runs through the pass pipeline
-    (:mod:`repro.passes`): the FAME1 decoupling on the simulator
+    (:mod:`repro.passes`): the FAME1/scan compile of the simulator
     circuit and the synthesis/placement/matching flow on the tapeout
-    circuit.  The per-pass wall-clock breakdown lands in the returned
-    run's ``timings`` (``sim_pipeline`` / ``asic_pipeline`` /
-    ``passes``); ``debug=True`` additionally runs the structural IR
-    verifier between passes.
+    circuit.  Their reports land in the returned run's ``timings``
+    (``sim_pipeline`` / ``asic_pipeline`` / ``passes``); ``debug=True``
+    additionally runs the structural IR verifier on the compiled
+    circuit and between the ASIC passes.
 
     ``journal`` names a crash-safe run journal file: the simulation
     outcome, every sampled snapshot, and every completed replay result
@@ -328,7 +318,9 @@ def _run_strober(design, workload, *, sample_size, replay_length,
     t0 = time.perf_counter()
     with tracer.span("phase.elaborate", cat="phase", design=design):
         config = get_config(design)
-        sim_circuit, _target = get_circuits(design)
+        circuits = get_circuits(design)
+        if debug:   # the compile is cached: check what this call runs
+            assert_well_formed(circuits.simulator_circuit)
         if workload in ALL_PROGRAMS:
             source = ALL_PROGRAMS[workload](**(workload_kwargs or {}))
             workload_name = workload
@@ -365,13 +357,12 @@ def _run_strober(design, workload, *, sample_size, replay_length,
             "max_sample": max_sample,
             # pipeline fingerprints: a journal written under different
             # transform pipelines must not be resumed
-            "pipelines": {"sim": _sim_pipeline().fingerprint(),
+            "pipelines": {"sim": circuits.fingerprint,
                           "asic": _soc_pipeline().fingerprint()},
         }
         resume = load_resume(journal, run_key)
 
     try:
-        sim_report = None
         with tracer.span("phase.sim", cat="phase",
                          resumed=resume is not None) as sim_span:
             if resume is not None:
@@ -380,10 +371,8 @@ def _run_strober(design, workload, *, sample_size, replay_length,
                                                  resume.snapshots)
                 rtl_backend = None      # no simulator ran
             else:
-                sim_ctx = _sim_pipeline().run(sim_circuit, debug=debug)
-                sim_report = sim_ctx.report
                 result = run_workload(
-                    sim_circuit, source,
+                    circuits.simulator_circuit, source,
                     max_cycles=max_cycles,
                     mem_latency=config.dram_latency,
                     line_words=config.line_words,
@@ -529,7 +518,7 @@ def _run_strober(design, workload, *, sample_size, replay_length,
                 "resumed_sim": resume is not None,
                 "resumed_replays": len(resume.results) if resume else 0,
             },
-            ("sim_pipeline", sim_report),
+            ("sim_pipeline", circuits.report),
             ("asic_pipeline", getattr(engine.flow, "pipeline_report",
                                       None)),
         ),
@@ -545,9 +534,8 @@ def _merge_timings(timings, *reports):
     per-pass wall-clock breakdown across every pipeline; each full
     report (IR deltas, fingerprints, stats) rides along under its
     label.  Tolerant by construction: a ``None`` report *anywhere* in
-    the list — a resumed simulation, a cache-hit ASIC flow (which
-    carries no report for this process's run), an old cached artifact
-    without one — contributes an explicit ``None`` under its label and
+    the list — a cache-hit ASIC flow (which carries no report for this
+    process's run), an old cached artifact without one — contributes an explicit ``None`` under its label and
     never stops later reports from being merged.
     """
     passes = {}

@@ -24,9 +24,8 @@ import numpy as np
 
 from ..sim import make_simulator
 from ..sampling import ReservoirSampler
-from ..scan.chains import build_scan_chain_spec
 from ..scan.snapshot import ReplayableSnapshot, TraceLayout
-from .transform import fame1_transform, is_fame1, HOST_ENABLE
+from .transform import is_fame1, HOST_ENABLE
 
 
 def _grown(matrix, used, rows):
@@ -34,6 +33,17 @@ def _grown(matrix, used, rows):
     out = np.empty((rows, matrix.shape[1]), dtype=matrix.dtype)
     out[:used] = matrix[:used]
     return out
+
+
+def compiled_scan_spec(circuit):
+    """The scan spec ``StroberCompiler`` attached; ValueError if none."""
+    spec = getattr(circuit, "scan_spec", None)
+    if spec is None or not is_fame1(circuit):
+        raise ValueError(
+            f"circuit {circuit.name!r} is not a compiled simulator "
+            "circuit: build it with StroberCompiler(build_fn).compile() "
+            "and pass the output's simulator_circuit")
+    return spec
 
 
 class Endpoint:
@@ -107,29 +117,26 @@ class Fame1Simulator:
     """Run a FAME1-transformed circuit against host endpoints.
 
     Args:
-        circuit: an elaborated Circuit; transformed in place unless it
-            already carries the FAME1 host-enable.
+        circuit: a ``StroberCompiler`` output's ``simulator_circuit``
+            (a plain circuit raises ``ValueError``).
         endpoints: list of :class:`Endpoint` whose ticks collectively
             drive every target input port.
         replay_length: L, the snapshot replay window in target cycles.
         sample_size: reservoir size n (None disables sampling).
-        scan_width: scan chain word width (cost model input).
         host_freq_hz: modeled FPGA host clock for time estimates.
         io_stall_period / io_stall_cycles: host/target communication
             overhead model.
     """
 
     def __init__(self, circuit, endpoints, replay_length=128,
-                 sample_size=None, seed=0, backend="auto", scan_width=32,
+                 sample_size=None, seed=0, backend="auto",
                  host_freq_hz=50e6, io_stall_period=256, io_stall_cycles=16,
                  sim=None):
-        if not is_fame1(circuit):
-            fame1_transform(circuit)
+        self.scan_spec = compiled_scan_spec(circuit)
         self.circuit = circuit
         self.endpoints = list(endpoints)
         self.replay_length = replay_length
         self.sample_size = sample_size
-        self.scan_spec = build_scan_chain_spec(circuit, scan_width)
         # host cycles one state readout charges (Trec), fixed per circuit
         self._readout_cycles = self.scan_spec.readout_cycles()
         self.host_freq_hz = host_freq_hz

@@ -10,7 +10,7 @@ live on the host platform (Section V-B).
 from __future__ import annotations
 
 from ..hdl import Module, mux, cat, const, elaborate
-from ..fame import Endpoint, Fame1Simulator
+from ..fame.simulator import Endpoint, Fame1Simulator, compiled_scan_spec
 from ..dram import make_memory_endpoint
 from ..isa import (
     assemble, MMIO_BASE, TOHOST_ADDR, PUTCHAR_ADDR, PERF_ADDR,
@@ -257,13 +257,13 @@ def _cached_sim(circuit, backend):
 def run_workload(circuit, source, max_cycles=2_000_000, mem_latency=20,
                  backend="auto", sample_size=None, replay_length=128,
                  seed=0, line_words=8, progress_fn=None,
-                 progress_interval=None, fame_kwargs=None,
-                 record_full_io=False):
+                 progress_interval=None, record_full_io=False):
     """Assemble ``source``, run it on the SoC circuit, return results.
 
-    The circuit is FAME1-transformed in place on first use; the memory
-    endpoint is preloaded with the program image.
+    ``circuit`` is a compiled ``simulator_circuit`` (``get_circuits``);
+    the memory endpoint is preloaded with the program image.
     """
+    compiled_scan_spec(circuit)     # before a simulator is built for it
     from ..obs import get_registry, get_tracer
     tracer = get_tracer()
     with tracer.span("fame.assemble", cat="fame"):
@@ -272,14 +272,10 @@ def run_workload(circuit, source, max_cycles=2_000_000, mem_latency=20,
                                   line_words=line_words)
     memory.load_words(0, program.as_word_list())
     htif = HtifEndpoint()
-    from ..fame.transform import fame1_transform, is_fame1
-    if not is_fame1(circuit):
-        fame1_transform(circuit)
     fame = Fame1Simulator(circuit, [memory, htif], backend=backend,
                           sample_size=sample_size,
                           replay_length=replay_length, seed=seed,
-                          sim=_cached_sim(circuit, backend),
-                          **(fame_kwargs or {}))
+                          sim=_cached_sim(circuit, backend))
     fame.record_full_io = record_full_io
     with tracer.span("fame.simulate", cat="fame",
                      backend=str(backend),

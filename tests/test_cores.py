@@ -27,7 +27,7 @@ class TestCoSimulation:
         source = ALL_PROGRAMS[program]()
         golden = GoldenModel(assemble(source))
         golden.run()
-        sim_circuit, _ = get_circuits(design)
+        sim_circuit = get_circuits(design).simulator_circuit
         result = run_workload(sim_circuit, source, max_cycles=1_000_000,
                               mem_latency=20, backend="auto")
         assert result.exit_code == (golden.exit_code >> 1), program
@@ -41,7 +41,7 @@ class TestMicroarchitecture:
         cpis = {}
         source = ALL_PROGRAMS["coremark_lite"]()
         for design in CORES:
-            circuit, _ = get_circuits(design)
+            circuit = get_circuits(design).simulator_circuit
             result = run_workload(circuit, source, max_cycles=1_000_000,
                                   mem_latency=20, backend="auto")
             assert result.passed
@@ -51,7 +51,7 @@ class TestMicroarchitecture:
 
     def test_boom2_reaches_superscalar_ipc(self):
         """A 2-wide OoO core must exceed IPC 1 on ALU-dense code."""
-        circuit, _ = get_circuits("boom-2w_mini")
+        circuit = get_circuits("boom-2w_mini").simulator_circuit
         result = run_workload(circuit, ALL_PROGRAMS["dgemm"](),
                               max_cycles=1_000_000, mem_latency=20,
                               backend="auto")
@@ -62,7 +62,7 @@ class TestMicroarchitecture:
         """The DRAM timing model must be visible in performance (Fig 7)."""
         source = ALL_PROGRAMS["pointer_chase"](array_bytes=16 * 1024,
                                                loads=64)
-        circuit, _ = get_circuits("rocket_mini")
+        circuit = get_circuits("rocket_mini").simulator_circuit
         cycles = {}
         for latency in (10, 80):
             result = run_workload(circuit, source, max_cycles=1_000_000,
@@ -99,14 +99,14 @@ class TestMicroarchitecture:
         golden = GoldenModel(assemble(source))
         golden.run()
         for design in CORES:
-            circuit, _ = get_circuits(design)
+            circuit = get_circuits(design).simulator_circuit
             result = run_workload(circuit, source, max_cycles=20000,
                                   mem_latency=20, backend="auto")
             assert result.exit_code == (golden.exit_code >> 1), design
 
     def test_perf_counters_sample_cpi(self):
         """gcc_phases must report distinct per-phase CPI (Fig 10 input)."""
-        circuit, _ = get_circuits("rocket_mini")
+        circuit = get_circuits("rocket_mini").simulator_circuit
         result = run_workload(circuit,
                               ALL_PROGRAMS["gcc_phases"](rounds=1),
                               max_cycles=1_000_000, mem_latency=20,

@@ -188,7 +188,7 @@ def soc_run():
     def run(design, program, backend, reference=False):
         key = (design, program, backend, reference)
         if key not in runs:
-            circuit, _ = get_circuits(design)
+            circuit = get_circuits(design).simulator_circuit
             with per_cycle_endpoints() if reference else nullcontext():
                 runs[key] = run_workload(
                     circuit, PROGRAMS[program](), backend=backend,
@@ -255,9 +255,9 @@ def test_loop_path_counters(backend):
     tracer = Tracer()
     prev = set_tracer(tracer)
     try:
-        result = run_workload(get_circuits("rocket_mini")[0], towers(),
-                              backend=backend, sample_size=4,
-                              replay_length=32, seed=1)
+        result = run_workload(
+            get_circuits("rocket_mini").simulator_circuit, towers(),
+            backend=backend, sample_size=4, replay_length=32, seed=1)
     finally:
         set_tracer(prev)
     fame = result.fame

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import StroberCompiler
 from repro.hdl import Module, elaborate
 from repro.sim import RTLSimulator
 from repro.fame import (
@@ -191,9 +192,27 @@ class _Stim(Endpoint):
 
 class TestFame1Simulator:
     def _build(self, **kwargs):
+        output = StroberCompiler(
+            lambda: elaborate(PipelinedAccumulator())).compile()
+        return Fame1Simulator(output.simulator_circuit, [_Stim()],
+                              backend="python", **kwargs)
+
+    def test_plain_circuit_raises(self):
+        """The FAME1 transform and scan spec are the compiler's work:
+        neither a plain nor a transformed-only circuit is accepted."""
         circuit = elaborate(PipelinedAccumulator())
-        return Fame1Simulator(circuit, [_Stim()], backend="python",
-                              **kwargs)
+        with pytest.raises(ValueError, match="StroberCompiler"):
+            Fame1Simulator(circuit, [_Stim()], backend="python")
+        fame1_transform(circuit)
+        with pytest.raises(ValueError, match="StroberCompiler"):
+            Fame1Simulator(circuit, [_Stim()], backend="python")
+
+    def test_scan_spec_is_the_compilers(self):
+        output = StroberCompiler(
+            lambda: elaborate(PipelinedAccumulator())).compile()
+        fame = Fame1Simulator(output.simulator_circuit, [_Stim()],
+                              backend="python")
+        assert fame.scan_spec is output.scan_spec
 
     def test_runs_and_counts_cycles(self):
         fame = self._build()

@@ -53,7 +53,7 @@ class TestVerilogBackend:
 
     def test_full_soc_emits(self):
         """The whole Rocket SoC must render without errors."""
-        _, target = get_circuits("rocket_mini")
+        target = get_circuits("rocket_mini").target_circuit
         text = emit_verilog(target, module_name="rocket_soc")
         assert text.count("endmodule") == 1
         assert len(text.splitlines()) > 500

@@ -387,7 +387,7 @@ class TestEndToEndTrace:
                     "energy_seconds"):
             assert run.timings[key] >= 0
         assert run.timings["replay_seconds"] > 0
-        assert any(name.startswith("strober-sim/")
+        assert any(name.startswith("strober-compile/")
                    for name in run.timings["passes"])
 
     def test_report_renders(self, traced_worker_run):

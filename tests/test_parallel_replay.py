@@ -205,13 +205,13 @@ class TestFingerprint:
             circuit_fingerprint(elaborate(_Pipeline()))
 
     def test_config_circuits_fingerprint_stable(self):
-        sim_circuit, target = get_circuits("rocket_mini")
+        target = get_circuits("rocket_mini").target_circuit
         from repro.core.configs import get_config
         rebuilt = get_config("rocket_mini").build_circuit()
         assert circuit_fingerprint(target) == circuit_fingerprint(rebuilt)
 
     def test_fingerprint_stable_across_processes(self):
-        _, target = get_circuits("rocket_mini")
+        target = get_circuits("rocket_mini").target_circuit
         code = (
             "from repro.core.configs import get_config\n"
             "from repro.hdl import circuit_fingerprint\n"

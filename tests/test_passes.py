@@ -379,7 +379,7 @@ class TestEnergyBitIdentical:
         assert repr(run.energy.epi_nj) == "0.07106067708299718"
         assert run.cycles == 2639
         # The per-pass timing breakdown landed in the run timings.
-        assert "strober-sim/fame1" in run.timings["passes"]
+        assert "strober-compile/fame1" in run.timings["passes"]
         assert "asicflow-soc/synthesis" in run.timings["passes"]
 
     def test_boom_mini_qsort_golden(self, tmp_path, monkeypatch):

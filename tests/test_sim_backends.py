@@ -171,7 +171,7 @@ def test_chunk_boundaries_match_python(design, monkeypatch):
     in a later chunk (through V[]) as well as in its own (as a local);
     both must agree with the Python backend on every cycle."""
     monkeypatch.setattr(cbackend, "_CHUNK", 3)
-    circuit, _ = get_circuits(design)
+    circuit = get_circuits(design).simulator_circuit
     py = RTLSimulator(circuit, backend="python")
     cc = RTLSimulator(circuit, backend="c")
     slots = int(re.search(r"static uint64_t V\[(\d+)\]",

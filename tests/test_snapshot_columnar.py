@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core import run_strober
+from repro.core import StroberCompiler, run_strober
 from repro.core.replay import ReplayEngine, plan_replay_batches
 from repro.fame import Endpoint, Fame1Simulator
 from repro.gatelevel import lane_ops, pack_lane_words
@@ -250,7 +250,8 @@ class _SparseDriver(Endpoint):
 
 @pytest.fixture(scope="module")
 def sparse_snaps():
-    fame = Fame1Simulator(elaborate(_Accumulate()), [_SparseDriver()],
+    output = StroberCompiler(lambda: elaborate(_Accumulate())).compile()
+    fame = Fame1Simulator(output.simulator_circuit, [_SparseDriver()],
                           replay_length=16, sample_size=6, seed=1,
                           backend="python")
     fame.run(max_cycles=400)

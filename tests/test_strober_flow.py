@@ -9,10 +9,12 @@ import pytest
 
 from repro.core import (
     run_strober, get_circuits, get_replay_engine, StroberCompiler,
+    clear_caches,
     strober_time, uarch_sim_time, gate_sim_time, PAPER_PARAMS,
     soc_grouping,
 )
 from repro.core.configs import get_config
+from repro.isa.programs import ALL_PROGRAMS
 from repro.targets.soc import run_workload
 from repro.sampling import estimate_mean
 
@@ -133,6 +135,53 @@ class TestStroberCompiler:
         output = StroberCompiler(config.build_circuit).compile()
         assert output.scan_spec.readout_cycles() > \
             output.scan_spec.readout_cycles(include_rams=False)
+
+    def test_get_circuits_is_the_compile(self):
+        output = get_circuits("rocket_mini")
+        assert output is get_circuits("rocket_mini")
+        assert output.simulator_circuit.scan_spec is output.scan_spec
+        assert output.fingerprint == StroberCompiler(
+            get_config("rocket_mini").build_circuit).pipeline_fingerprint()
+
+    def test_every_call_reports_the_compile(self):
+        """The compile ran once, and every run reports it: the FAME1
+        transform and the scan spec both ran, neither was skipped."""
+        for _ in range(2):
+            run = run_strober("rocket_mini", "towers", sample_size=2,
+                              replay_length=32, seed=1)
+            report = run.timings["sim_pipeline"]
+            assert report["pipeline"] == "strober-compile"
+            assert [(p["name"], p["skipped"]) for p in report["passes"]] \
+                == [("fame1", False), ("scan-spec", False)]
+            assert {"strober-compile/fame1", "strober-compile/scan-spec"} \
+                <= set(run.timings["passes"])
+
+    def test_run_workload_rejects_a_plain_circuit(self):
+        from repro.targets import soc
+        plain = get_config("rocket_mini").build_circuit()
+        with pytest.raises(ValueError, match="StroberCompiler"):
+            run_workload(plain, "ecall", backend="python")
+        assert all(key[0] != id(plain) for key in soc._SIM_CACHE)
+
+    def test_clear_caches_releases_compiled_simulators(self):
+        """Rounds of compile -> run -> clear_caches leave no simulator
+        (nor the circuit it holds) alive."""
+        import gc
+        import weakref
+        from repro.targets import soc
+        clear_caches()
+        alive = []
+        for _ in range(3):
+            circuit = get_circuits("rocket_mini").simulator_circuit
+            alive.append(weakref.ref(circuit))
+            result = run_workload(circuit, ALL_PROGRAMS["towers"](),
+                                  max_cycles=500)
+            assert result.cycles == 500
+            del circuit, result
+            clear_caches()
+            gc.collect()
+            assert not soc._SIM_CACHE
+            assert [ref() for ref in alive] == [None] * len(alive)
 
 
 class TestPerfModel:
