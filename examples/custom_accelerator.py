@@ -2,21 +2,23 @@
 
 The paper's generality claim: Strober applies to any RTL the hardware
 construction language can express — "including application-specific
-accelerators" — not just processors.  This example builds a small
-dot-product accelerator with a designer-annotated retimed MAC pipeline,
-pushes it through the complete flow (FAME1 transform, reservoir
-snapshot sampling, synthesis, formal matching, gate-level replay with
-retimed-unit warm-up), and reports its average power with a confidence
-interval.
+accelerators" — not just processors.  This example describes a small
+dot-product accelerator with a designer-annotated retimed MAC pipeline
+as one :class:`~repro.core.Design` (a build function plus the host
+endpoints of its workload) and runs it through the same ``run_strober``
+entry the SoC configurations use: FAME1 transform, reservoir snapshot
+sampling, synthesis, formal matching, gate-level replay with
+retimed-unit warm-up.  It reports the design's average power with a
+confidence interval.
 
     python examples/custom_accelerator.py
 """
 
 import random
 
-from repro.hdl import Module, elaborate, mux
-from repro.fame import Fame1Simulator, Endpoint
-from repro.core import ReplayEngine, StroberCompiler, estimate_energy
+from repro.hdl import Module, elaborate
+from repro.fame import Endpoint
+from repro.core import Design, run_strober
 from repro.targets.common import PipelinedMultiplier
 
 
@@ -66,40 +68,30 @@ class StreamDriver(Endpoint):
         return {"in_valid": 0, "a": 0, "b": 0, "clear": 0}
 
 
+# The design: a fresh circuit per call, and the host endpoints of each
+# workload it runs
+DOTP = Design(
+    "dot-product accelerator",
+    lambda: elaborate(DotProductAccelerator(), name="dotp"),
+    {"vector stream": lambda: [StreamDriver(seed=7)]})
+
+
 def main():
     print("custom accelerator through the Strober flow")
     print("=" * 60)
-    # Figure 4: one source, a FAME1 simulator circuit with its scan
-    # spec and an untouched tapeout circuit
-    compiled = StroberCompiler(
-        lambda: elaborate(DotProductAccelerator(), name="dotp")).compile()
-
-    # performance side: FAME1-simulate and sample snapshots
-    fame = Fame1Simulator(compiled.simulator_circuit,
-                          [StreamDriver(seed=7)], sample_size=15,
-                          replay_length=48, backend="python", seed=2)
-    fame.run(max_cycles=6000)
-    snaps = fame.snapshots
-    print(f"simulated {fame.stats.target_cycles} cycles, captured "
-          f"{len(snaps)} snapshots "
-          f"({fame.stats.record_count} recorded)")
-
-    # energy side: synthesize, match, replay with MAC warm-up
-    engine = ReplayEngine(compiled.target_circuit)
-    stats = engine.flow.netlist.stats()
+    run = run_strober(DOTP, "vector stream", sample_size=15,
+                      replay_length=48, max_cycles=6000, seed=2)
+    print(f"simulated {run.cycles} cycles, captured "
+          f"{len(run.snapshots)} snapshots "
+          f"({run.result.stats.record_count} recorded)")
+    stats = run.engine.flow.netlist.stats()
     print(f"synthesized: {stats['gates']} gates, {stats['dffs']} DFFs")
-    retimed = engine.flow.name_map.retimed
+    retimed = run.engine.flow.name_map.retimed
     print(f"retimed blocks: {[(b.prefix, b.latency) for b in retimed]}")
+    mismatches = sum(r.mismatches for r in run.replays)
+    print(f"replayed {len(run.replays)} snapshots, {mismatches} mismatches")
 
-    replays = engine.replay_all(snaps)
-    mismatches = sum(r.mismatches for r in replays)
-    print(f"replayed {len(replays)} snapshots, {mismatches} mismatches")
-
-    energy = estimate_energy(replays,
-                             total_cycles=fame.stats.target_cycles,
-                             replay_length=48,
-                             workload="vector stream",
-                             design="dot-product accelerator")
+    energy = run.energy
     print()
     print(f"average power: {energy.power} mW")
     for group, est in sorted(energy.breakdown.items(),

@@ -1,10 +1,10 @@
 """Strober core: the paper's primary contribution, end to end."""
 
 from .compiler import StroberCompiler, StroberOutput, StroberCompileError
-from .configs import DesignConfig, CONFIGS, get_config
+from .configs import DesignConfig, CONFIGS, get_config, Design
 from .replay import (
-    ReplayEngine, ReplayResult, ReplayError, AsicFlow, run_asic_flow,
-    asic_pipeline, build_asic_flow, plan_replay_batches,
+    ReplayEngine, ReplayResult, ReplayError, AsicFlow, asic_pipeline,
+    build_asic_flow, plan_replay_batches,
 )
 from .controller import (
     AdaptiveSamplingController, confidence_order,
@@ -23,10 +23,9 @@ from .flow import (
 
 __all__ = [
     "StroberCompiler", "StroberOutput", "StroberCompileError",
-    "DesignConfig", "CONFIGS", "get_config",
+    "DesignConfig", "CONFIGS", "get_config", "Design",
     "ReplayEngine", "ReplayResult", "ReplayError", "AsicFlow",
-    "run_asic_flow", "asic_pipeline", "build_asic_flow",
-    "plan_replay_batches",
+    "asic_pipeline", "build_asic_flow", "plan_replay_batches",
     "AdaptiveSamplingController", "confidence_order",
     "STOP_TARGET_MET", "STOP_EXHAUSTED", "STOP_MAX_SAMPLE",
     "EnergyEstimate", "estimate_energy",

@@ -1,14 +1,18 @@
 """End-to-end Strober flow: one call from design + workload to energy.
 
-Ties the whole methodology together (Figures 2, 4, 5):
+``design`` is a design description (:mod:`repro.core.configs`): a SoC
+configuration, named or not, or a :class:`~repro.core.configs.Design`
+for any other RTL.  Every description takes the same path through the
+whole methodology (Figures 2, 4, 5):
 
 1. compile the design (Figure 4): a FAME1 simulator circuit with its
    scan spec, and an untouched tapeout circuit;
-2. run the workload on the FAME1 simulator, reservoir-sampling
-   replayable snapshots;
-3. run the ASIC flow (synthesis, placement, formal matching) on the
-   tapeout circuit — or load it from the content-addressed artifact
-   cache when a prior process already paid that cost;
+2. run the workload on the FAME1 simulator (the description's
+   ``simulate``), reservoir-sampling replayable snapshots;
+3. run the description's ASIC pipeline (synthesis, placement, formal
+   matching) on the tapeout circuit — or load it from the
+   content-addressed artifact cache when a prior process already paid
+   that cost;
 4. replay every snapshot on gate level (optionally fanned out across a
    worker-process pool) and aggregate power with confidence intervals,
    DRAM power from the activity counters, and CPI/EPI.
@@ -23,11 +27,12 @@ import hashlib
 import json
 import math
 import time
-import zlib
 from dataclasses import dataclass, field
 
-from ..targets.soc import run_workload, _SIM_CACHE
-from ..isa.programs import ALL_PROGRAMS
+from ..targets.soc import _SIM_CACHE
+# Not called here (the SoC description's ``simulate`` calls it), but
+# still a name of this module: benchmarks/e2e/layers.py wraps it here.
+from ..targets.soc import run_workload  # noqa: F401
 from ..obs import (
     Tracer, set_tracer, get_registry, export_chrome_trace,
     append_run_record,
@@ -38,18 +43,17 @@ from ..passes import assert_well_formed
 from .compiler import StroberCompiler
 from .configs import get_config
 from .controller import AdaptiveSamplingController
-from .replay import ReplayEngine, asic_pipeline, build_asic_flow
+from .replay import ReplayEngine, build_asic_flow
 from .energy import estimate_energy
-from .attribution import refine_attribution, soc_grouping
 
 
 @dataclass
 class StroberRun:
     """Everything one flow invocation produced."""
 
-    design: str
+    design: str                  # the design description's name
     workload: str
-    result: object               # WorkloadResult (performance side)
+    result: object               # the description's simulate result
     replays: list
     energy: object               # EnergyEstimate
     engine: ReplayEngine
@@ -96,8 +100,8 @@ def compute_run_key(design, workload, sample_size, replay_length,
     return hashlib.blake2b(ident.encode(), digest_size=6).hexdigest()
 
 
-_CIRCUIT_CACHE = {}  # design -> StroberOutput
-_ENGINE_CACHE = {}   # (design, freq_hz, gl_backend) -> ReplayEngine
+_CIRCUIT_CACHE = {}  # description -> StroberOutput
+_ENGINE_CACHE = {}   # (description, freq_hz, gl_backend) -> ReplayEngine
 
 
 def clear_caches(disk=False):
@@ -111,46 +115,33 @@ def clear_caches(disk=False):
         get_cache().clear()
 
 
-def _soc_pipeline():
-    """The SoC ASIC pipeline: synthesis with functional-unit
-    attribution refinement, unit-level floorplanning, formal matching."""
-    return asic_pipeline(refine_fn=refine_attribution,
-                         cluster_fn=soc_grouping, name="asicflow-soc")
-
-
-def _soc_asic_flow(circuit, use_cache=True, debug=False):
-    """ASIC flow with functional-unit attribution and floorplanning.
-
-    Cached on disk under its own artifact kind (``asicflow-soc``); the
-    cache key composes the circuit fingerprint with the pipeline
-    fingerprint (covering the attribution refiner and floorplan
-    grouping), so the SoC flow's artifacts can never collide with the
-    generic :func:`~repro.core.replay.run_asic_flow` output — or with a
-    differently-parameterized pipeline — for the same circuit.
-    """
-    return build_asic_flow(circuit, manager=_soc_pipeline(),
-                           kind="asicflow-soc", use_cache=use_cache,
-                           debug=debug)
+def _describe(design):
+    """``design`` itself, or the configuration a name resolves to."""
+    return get_config(design) if isinstance(design, str) else design
 
 
 def get_circuits(design):
-    """The cached :class:`StroberCompiler` output of a named design: a
-    FAME1 ``simulator_circuit`` with its scan spec, and an untouched
-    ``target_circuit`` for the ASIC flow."""
-    if design not in _CIRCUIT_CACHE:
-        config = get_config(design)
-        _CIRCUIT_CACHE[design] = StroberCompiler(
-            config.build_circuit).compile()
-    return _CIRCUIT_CACHE[design]
+    """The cached :class:`StroberCompiler` output of a design
+    description or configuration name: a FAME1 ``simulator_circuit``
+    with its scan spec, and an untouched ``target_circuit`` for the
+    ASIC flow.  Keyed by the description."""
+    design = _describe(design)
+    output = _CIRCUIT_CACHE.get(design)
+    if output is None:
+        output = _CIRCUIT_CACHE[design] = StroberCompiler(
+            design.build_circuit).compile()
+    return output
 
 
 def get_replay_engine(design, freq_hz=None, use_cache=True, debug=False,
                       gl_backend=None):
-    """The (cached) gate-level replay engine for a named configuration.
+    """The (cached) gate-level replay engine for a design description
+    or configuration name, on the flow of the description's own ASIC
+    pipeline and grouping its power by the description's ``grouping``.
 
-    Keyed by ``(design, freq_hz, gl_backend)``: the frequency feeds
-    straight into power analysis and the gate-level evaluation backend
-    owns a native kernel, so neither may share a cache slot.
+    Keyed by ``(description, freq_hz, gl_backend)``: the frequency
+    feeds straight into power analysis and the gate-level evaluation
+    backend owns a native kernel, so neither may share a cache slot.
     ``gl_backend`` defaults to ``auto`` (the C kernel where a compiler
     exists; ``$REPRO_GL_BACKEND`` overrides).  ``use_cache=False``
     skips the on-disk artifact cache (the in-memory engine cache still
@@ -158,15 +149,18 @@ def get_replay_engine(design, freq_hz=None, use_cache=True, debug=False,
     the ASIC pipeline's passes.
     """
     from ..gatelevel.glcodegen import resolve_backend
+    design = _describe(design)
     gl_backend = resolve_backend(gl_backend)
     key = (design, freq_hz, gl_backend)
-    if key not in _ENGINE_CACHE:
+    engine = _ENGINE_CACHE.get(key)
+    if engine is None:
         target = get_circuits(design).target_circuit
-        flow = _soc_asic_flow(target, use_cache=use_cache, debug=debug)
-        _ENGINE_CACHE[key] = ReplayEngine(
-            target, flow=flow, grouping=soc_grouping, freq_hz=freq_hz,
+        flow = build_asic_flow(target, manager=design.asic_pipeline(),
+                               use_cache=use_cache, debug=debug)
+        engine = _ENGINE_CACHE[key] = ReplayEngine(
+            target, flow=flow, grouping=design.grouping, freq_hz=freq_hz,
             gl_backend=gl_backend)
-    return _ENGINE_CACHE[key]
+    return engine
 
 
 def run_strober(design, workload, sample_size=30, replay_length=128,
@@ -178,8 +172,11 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
                 target_rel_error=None, min_sample=None, max_sample=None):
     """The headline API: energy-evaluate ``workload`` on ``design``.
 
-    ``workload`` is a benchmark name from :data:`ALL_PROGRAMS` or a
-    literal assembly source string.
+    ``design`` is a design description (:mod:`repro.core.configs`) or
+    a configuration name, and resolves ``workload``: a SoC takes a
+    benchmark name from ``ALL_PROGRAMS`` or a literal assembly source,
+    a :class:`~repro.core.configs.Design` one of its workload names.
+    The run, its run key and history row carry the description's name.
 
     With no knobs, replay takes the fast path: ``batch_lanes=None``
     packs up to 64 snapshots into the bit lanes of one batched
@@ -263,8 +260,10 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
     from ..gatelevel.glcodegen import resolve_backend
     batch_lanes = 64 if batch_lanes is None else int(batch_lanes)
     gl_backend = resolve_backend(gl_backend)
-    workload_name = workload if workload in ALL_PROGRAMS else "(custom)"
-    run_key = compute_run_key(design, workload_name, sample_size,
+    design = _describe(design)
+    workload_name, source, source_crc = design.workload(workload,
+                                                        workload_kwargs)
+    run_key = compute_run_key(design.name, workload_name, sample_size,
                               replay_length, max_cycles, seed,
                               workload_kwargs)
     if tracer is None:
@@ -275,11 +274,12 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
     tracer.set_correlation(run_key=run_key)
     prev_tracer = set_tracer(tracer)
     try:
-        with tracer.span("strober.run", cat="flow", design=design,
+        with tracer.span("strober.run", cat="flow", design=design.name,
                          workload=workload_name, batch_lanes=batch_lanes,
                          workers=-1 if workers is None else workers):
             run = _run_strober(
-                design, workload, sample_size=sample_size,
+                design, workload_name, source, source_crc,
+                sample_size=sample_size,
                 replay_length=replay_length, max_cycles=max_cycles,
                 backend=backend, seed=seed, confidence=confidence,
                 workload_kwargs=workload_kwargs,
@@ -295,7 +295,7 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
         if trace is not None:
             export_chrome_trace(
                 trace, tracer, registry=get_registry(),
-                meta={"design": design, "workload": workload_name,
+                meta={"design": design.name, "workload": workload_name,
                       "workers": workers, "batch_lanes": batch_lanes,
                       "sample_size": sample_size,
                       "replay_length": replay_length,
@@ -308,35 +308,29 @@ def run_strober(design, workload, sample_size=30, replay_length=128,
     return run
 
 
-def _run_strober(design, workload, *, sample_size, replay_length,
-                 max_cycles, backend, seed, confidence, workload_kwargs,
-                 strict_replay, record_full_io, workers, journal,
-                 batch_lanes, gl_backend, debug, tracer,
-                 fault_plan=None, target_rel_error=None,
-                 min_sample=None, max_sample=None):
-    """The traced flow body; ``tracer`` is already installed."""
+def _run_strober(design, workload_name, source, source_crc, *,
+                 sample_size, replay_length, max_cycles, backend, seed,
+                 confidence, workload_kwargs, strict_replay,
+                 record_full_io, workers, journal, batch_lanes,
+                 gl_backend, debug, tracer, fault_plan=None,
+                 target_rel_error=None, min_sample=None,
+                 max_sample=None):
+    """The traced flow body over a description and its resolved
+    workload; ``tracer`` is already installed."""
     t0 = time.perf_counter()
-    with tracer.span("phase.elaborate", cat="phase", design=design):
-        config = get_config(design)
+    with tracer.span("phase.elaborate", cat="phase", design=design.name):
         circuits = get_circuits(design)
         if debug:   # the compile is cached: check what this call runs
             assert_well_formed(circuits.simulator_circuit)
-        if workload in ALL_PROGRAMS:
-            source = ALL_PROGRAMS[workload](**(workload_kwargs or {}))
-            workload_name = workload
-        else:
-            source = workload
-            workload_name = "(custom)"
 
     journal_file = None
     resume = None
     if journal is not None:
         from ..robust.journal import RunJournal, load_resume
         run_key = {
-            "design": design,
+            "design": design.name,
             "workload": workload_name,
-            "source_crc": zlib.crc32(source.encode())
-            if isinstance(source, str) else None,
+            "source_crc": source_crc,
             "sample_size": sample_size,
             "replay_length": replay_length,
             "max_cycles": max_cycles,
@@ -358,7 +352,7 @@ def _run_strober(design, workload, *, sample_size, replay_length,
             # pipeline fingerprints: a journal written under different
             # transform pipelines must not be resumed
             "pipelines": {"sim": circuits.fingerprint,
-                          "asic": _soc_pipeline().fingerprint()},
+                          "asic": design.asic_pipeline().fingerprint()},
         }
         resume = load_resume(journal, run_key)
 
@@ -371,11 +365,9 @@ def _run_strober(design, workload, *, sample_size, replay_length,
                                                  resume.snapshots)
                 rtl_backend = None      # no simulator ran
             else:
-                result = run_workload(
+                result = design.simulate(
                     circuits.simulator_circuit, source,
                     max_cycles=max_cycles,
-                    mem_latency=config.dram_latency,
-                    line_words=config.line_words,
                     backend=backend,
                     sample_size=sample_size,
                     replay_length=replay_length,
@@ -387,7 +379,7 @@ def _run_strober(design, workload, *, sample_size, replay_length,
         sim_seconds = sim_span.dur
         if not result.passed:
             raise RuntimeError(
-                f"workload {workload_name} failed on {design}: "
+                f"workload {workload_name} failed on {design.name}: "
                 f"exit={result.exit_code}")
 
         snapshots = list(result.snapshots)
@@ -415,13 +407,13 @@ def _run_strober(design, workload, *, sample_size, replay_length,
                         "cycles": result.cycles,
                         "instret": result.instret,
                         "exit_code": result.exit_code,
-                        "dram_counters": result.memory.counters,
+                        "dram_counters": result.dram_counters,
                         "n_snapshots": len(snapshots),
                     }))
                     journal_file.append_many(records)
 
         with tracer.span("phase.flow", cat="phase") as flow_span:
-            engine = get_replay_engine(design, freq_hz=config.freq_hz,
+            engine = get_replay_engine(design, freq_hz=design.freq_hz,
                                        debug=debug,
                                        gl_backend=gl_backend)
             flow_span.set(cache_hit=engine.flow.cache_hit)
@@ -488,16 +480,16 @@ def _run_strober(design, workload, *, sample_size, replay_length,
                 instructions=result.instret,
                 confidence=confidence,
                 workload=workload_name,
-                design=design,
-                dram_counters=result.memory.counters,
-                freq_hz=config.freq_hz,
+                design=design.name,
+                dram_counters=result.dram_counters,
+                freq_hz=design.freq_hz,
             )
         energy_seconds = energy_span.dur
     finally:
         if journal_file is not None:
             journal_file.close()
     return StroberRun(
-        design=design,
+        design=design.name,
         workload=workload_name,
         result=result,
         replays=replays,

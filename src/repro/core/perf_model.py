@@ -54,10 +54,6 @@ class PerfBreakdown:
         return max(self.t_fpga_syn_s + self.t_fpga_sim_s,
                    self.t_asic_s) + self.t_replay_s
 
-    @property
-    def t_overall_hours(self):
-        return self.t_overall_s / 3600.0
-
 
 def strober_time(total_cycles, sample_size, replay_length,
                  params=PAPER_PARAMS):

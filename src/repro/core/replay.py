@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..gatelevel import (
-    verify_equivalence, BatchedGateLevelSimulator,
-    build_schedule, pack_lane_words, MAX_LANES, SCHEDULE_VERSION,
-    PackedStimulus, StimulusMismatch, lane_ops,
+    BatchedGateLevelSimulator, build_schedule, pack_lane_words, MAX_LANES,
+    SCHEDULE_VERSION, PackedStimulus, StimulusMismatch, lane_ops,
     analyze_power, analyze_power_lanes, default_grouping, SynthesisPass,
     PlacementPass, FormalMatchPass,
 )
@@ -78,7 +77,6 @@ class AsicFlow:
     hints: object
     placement: object
     name_map: object
-    equivalence: object = None
     synthesis_seconds: float = 0.0
     fingerprint: str = ""
     cache_hit: bool = False
@@ -191,11 +189,12 @@ def asic_pipeline(refine_fn=None, cluster_fn=None, cluster_depth=2,
     ], name=name)
 
 
-def build_asic_flow(circuit, manager=None, kind="asicflow",
-                    use_cache=False, debug=False):
-    """Run (or load from cache) an ASIC pass pipeline over a circuit.
+def build_asic_flow(circuit, manager=None, use_cache=False, debug=False):
+    """Run (or load from cache) an ASIC pass pipeline over a circuit
+    (default: the generic :func:`asic_pipeline`).
 
-    The cache key composes the circuit's structural fingerprint with
+    The pipeline's name is the artifact kind it is cached under, and
+    the cache key composes the circuit's structural fingerprint with
     the pipeline fingerprint, so the same design synthesized under
     different pipelines (different refiners, floorplan groupings, or
     pass versions) occupies distinct cache slots.
@@ -203,7 +202,8 @@ def build_asic_flow(circuit, manager=None, kind="asicflow",
     from ..parallel.cache import get_cache, cache_enabled
     from ..hdl.ir import circuit_fingerprint
 
-    manager = manager or asic_pipeline(name=kind)
+    manager = manager or asic_pipeline()
+    kind = manager.name
     with get_tracer().span("asic.flow", cat="flow", kind=kind) as span:
         t0 = time.perf_counter()
         key = ""
@@ -232,29 +232,6 @@ def build_asic_flow(circuit, manager=None, kind="asicflow",
         return flow
 
 
-def run_asic_flow(circuit, verify=False, verify_cycles=24,
-                  use_cache=False, debug=False):
-    """The 'ASIC tool chain' half of the methodology (T_ASIC).
-
-    With ``use_cache=True`` the flow artifacts are looked up in (and
-    stored to) the content-addressed disk cache keyed by the circuit
-    fingerprint composed with the pass-pipeline fingerprint, so
-    repeated invocations skip synthesis, placement, and matching
-    entirely; ``verify`` co-simulation always runs live.  ``debug``
-    runs the structural IR verifier between passes.
-    """
-    flow = build_asic_flow(circuit, use_cache=use_cache, debug=debug)
-    if verify:
-        equivalence = verify_equivalence(circuit, flow.netlist,
-                                         n_cycles=verify_cycles)
-        if not equivalence.equivalent:
-            raise ReplayError(
-                f"gate-level netlist is not equivalent to the RTL: "
-                f"{equivalence.counterexample}")
-        flow.equivalence = equivalence
-    return flow
-
-
 def _port_nets(table, names, kind):
     missing = [name for name in names if name not in table]
     if missing:
@@ -277,7 +254,9 @@ class ReplayEngine:
 
     ``circuit`` must be the un-transformed RTL circuit — the gate-level
     netlist corresponds to the tapeout design, not the FPGA simulator.
-    Every replay runs in the bit lanes of a
+    ``flow`` is its :class:`AsicFlow`, by default the generic
+    pipeline's (:func:`build_asic_flow`, no disk cache).  Every replay
+    runs in the bit lanes of a
     :class:`~repro.gatelevel.BatchedGateLevelSimulator` on the engine's
     evaluation kernel: ``gl_backend`` (default ``auto``, the C kernel
     where a compiler exists) as resolved by
@@ -285,12 +264,11 @@ class ReplayEngine:
     """
 
     def __init__(self, circuit, flow=None, grouping=default_grouping,
-                 freq_hz=None, verify_equiv=False, port_names=None,
-                 gl_backend=None):
+                 freq_hz=None, port_names=None, gl_backend=None):
         if circuit is None and flow is None:
             raise ValueError("ReplayEngine needs a circuit or a flow")
         self.circuit = circuit
-        self.flow = flow or run_asic_flow(circuit, verify=verify_equiv)
+        self.flow = flow or build_asic_flow(circuit)
         self.grouping = grouping
         self.freq_hz = freq_hz
         # One levelized schedule (cached on disk next to the flow) and

@@ -106,12 +106,6 @@ class SimulationStats:
     def as_dict(self):
         return dict(self.__dict__)
 
-    def simulated_rate_hz(self, host_freq_hz):
-        """Modeled target rate given an FPGA host frequency."""
-        if self.host_cycles == 0:
-            return 0.0
-        return host_freq_hz * self.target_cycles / self.host_cycles
-
 
 class Fame1Simulator:
     """Run a FAME1-transformed circuit against host endpoints.
@@ -380,9 +374,6 @@ class Fame1Simulator:
         n = self._full_cycles
         return (self._trace_layout, self._full_inputs[:n],
                 self._full_outputs[:n])
-
-    def sampling_overhead_seconds(self):
-        return self.stats.snapshot_wall_seconds
 
     def modeled_sim_seconds(self):
         """Host wall time predicted by the Section IV-E model."""

@@ -158,9 +158,6 @@ class NameMap:
         self.retimed = state["retimed"]
         self._plans = {}
 
-    def loadable_points(self):
-        return [p for p in self.points if p.kind in ("dff", "merged")]
-
     def retimed_points(self):
         return [p for p in self.points if p.kind == "retimed"]
 

@@ -55,10 +55,6 @@ class TechParams:
     clock_wire_factor: float = 1.6   # clock tree wiring overhead multiplier
     default_freq_hz: float = 1.0e9   # paper evaluates the cores at 1 GHz
 
-    def toggle_energy_fj(self, cap_ff):
-        """Energy of one output toggle: ½·C·V² (fF × V² -> fJ)."""
-        return 0.5 * cap_ff * self.vdd * self.vdd
-
 
 TECH_45NM = TechParams()
 
@@ -94,9 +90,3 @@ class SramSpec:
 
 def cell(name):
     return CELLS[name]
-
-
-def total_cell_leakage_nw(counts):
-    """Leakage for a {cell_name: count} histogram."""
-    return sum(CELLS[name].leakage_nw * count
-               for name, count in counts.items())

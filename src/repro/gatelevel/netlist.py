@@ -79,11 +79,6 @@ class GateNetlist:
         self.gates.append(Gate(cell, tuple(inputs), out, origin))
         return out
 
-    def add_dff(self, d, init, name, origin=""):
-        q = self.new_net(name)
-        self.dffs.append(Dff(d, q, init, name, origin))
-        return q
-
     def cell_histogram(self):
         counts = {}
         for gate in self.gates:
@@ -122,9 +117,6 @@ class GateNetlist:
             memo = self._sram_index = {
                 macro.name: i for i, macro in enumerate(self.srams)}
         return memo
-
-    def dff_by_name(self, name):
-        return self.dffs[self.dff_index()[name]]
 
     # -- pickling ----------------------------------------------------------
     # Netlists cross process boundaries (replay worker pools) and live in

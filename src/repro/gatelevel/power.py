@@ -51,12 +51,6 @@ class PowerReport:
     def total_mw(self):
         return self.total_w * 1e3
 
-    def group_mw(self, group):
-        return self.by_group.get(group, 0.0) * 1e3
-
-    def scaled_breakdown_mw(self):
-        return {g: w * 1e3 for g, w in sorted(self.by_group.items())}
-
 
 def default_grouping(origin):
     """Map an RTL hierarchy path to a report group (first segment)."""

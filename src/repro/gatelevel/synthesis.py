@@ -203,13 +203,6 @@ class _Mapper:
             out.append(s)
         return out, carry
 
-    def negate_bits(self, bits, width, origin):
-        inv = [self.inv(bits[i] if i < len(bits) else CONST0, origin)
-               for i in range(width)]
-        out, _ = self.ripple_add(inv, [CONST0] * width, width, origin,
-                                 cin=CONST1)
-        return out
-
     def unsigned_lt(self, a_bits, b_bits, origin):
         """a < b via the borrow of a - b."""
         width = max(len(a_bits), len(b_bits))

@@ -75,29 +75,11 @@ class Circuit:
 
     # -- derived views -----------------------------------------------------
 
-    def input_by_name(self, name):
-        for node in self.inputs:
-            if node.name == name:
-                return node
-        raise KeyError(f"no input named {name!r}")
-
-    def output_driver(self, name):
-        for out_name, driver in self.outputs:
-            if out_name == name:
-                return driver
-        raise KeyError(f"no output named {name!r}")
-
     def reg_by_path(self, path):
         for reg in self.regs:
             if reg.path == path:
                 return reg
         raise KeyError(f"no register at path {path!r}")
-
-    def mem_by_path(self, path):
-        for mem in self.mems:
-            if mem.path == path:
-                return mem
-        raise KeyError(f"no memory at path {path!r}")
 
     def state_bits(self):
         """Total architectural state in bits (registers + memories)."""

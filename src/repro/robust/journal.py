@@ -194,13 +194,9 @@ class ResumeState:
     controls: list = field(default_factory=list)
 
 
-class _MemoryShim:
-    def __init__(self, counters):
-        self.counters = counters
-
-
 class JournaledWorkloadResult:
-    """``WorkloadResult`` stand-in reconstructed from a run journal."""
+    """Stand-in for a design's simulation result, reconstructed from
+    a run journal's SIM record."""
 
     resumed = True
 
@@ -209,7 +205,7 @@ class JournaledWorkloadResult:
         self.instret = sim["instret"]
         self.exit_code = sim["exit_code"]
         self.snapshots = snapshots
-        self.memory = _MemoryShim(sim["dram_counters"])
+        self.dram_counters = sim["dram_counters"]
 
     @property
     def passed(self):

@@ -15,10 +15,6 @@ from ..isa import encoding as enc
 XLEN = 32
 
 
-def sign_imm(node, width=XLEN):
-    return node.sext(width)
-
-
 def decode_fields(inst):
     """Extract the standard RISC-V fields from a 32-bit instruction."""
     return {
@@ -51,10 +47,6 @@ def imm_u(inst):
 def imm_j(inst):
     return cat(inst[31], inst[19:12], inst[20], inst[30:21],
                const(0, 1)).sext(XLEN)
-
-
-def is_opcode(fields, opcode):
-    return fields["opcode"].eq(opcode)
 
 
 def select_immediate(inst, fields):

@@ -211,6 +211,7 @@ class WorkloadResult:
         self.fame = fame
         self.htif = htif
         self.memory = memory
+        self.dram_counters = memory.counters
         self.stats = fame.stats
 
     @property

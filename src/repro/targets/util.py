@@ -68,11 +68,3 @@ def mod_sub(a, b, modulus):
     diff = (a.pad(width + 2) - b.pad(width + 2)).trunc(width + 2)
     fixed = (diff + modulus).trunc(width + 2)
     return mux(a.uge(b), diff.trunc(width), fixed.trunc(width))
-
-
-def count_set(valids, width):
-    """Population count of a list of 1-bit nodes."""
-    total = const(0, width)
-    for v in valids:
-        total = (total + v).trunc(width)
-    return total

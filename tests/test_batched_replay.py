@@ -13,8 +13,7 @@ import pytest
 
 from repro.core import run_strober
 from repro.core.replay import (
-    ReplayEngine, ReplayError, plan_replay_batches,
-    run_asic_flow,
+    ReplayEngine, ReplayError, build_asic_flow, plan_replay_batches,
 )
 from repro.gatelevel import (
     BatchedGateLevelSimulator, GateLevelSimulator, MAX_LANES,
@@ -196,7 +195,7 @@ class TestScheduleCache:
     def test_second_engine_reuses_levelization(self, tmp_path,
                                                monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        flow = run_asic_flow(elaborate(_SchedDesign()), use_cache=True)
+        flow = build_asic_flow(elaborate(_SchedDesign()), use_cache=True)
         assert flow.fingerprint
         ReplayEngine.from_flow(flow)          # builds + stores schedule
         reset_cache_stats()

@@ -308,13 +308,13 @@ class TestCacheCorruptionFlow:
             self, tmp_path, monkeypatch, mode):
         """A damaged asicflow cache entry must be detected (CRC frame),
         dropped, counted, and transparently rebuilt by the flow."""
-        from repro.core.replay import run_asic_flow, asic_pipeline
+        from repro.core.replay import build_asic_flow, asic_pipeline
         from repro.parallel import cache_stats, reset_cache_stats
         from repro.passes import compose_cache_key
         from repro.robust import corrupt_cache_entry
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         circuit = elaborate(_Pipeline())
-        cold = run_asic_flow(circuit, use_cache=True)
+        cold = build_asic_flow(circuit, use_cache=True)
         assert not cold.cache_hit
         fingerprint = compose_cache_key(circuit_fingerprint(circuit),
                                         asic_pipeline().fingerprint())
@@ -324,13 +324,13 @@ class TestCacheCorruptionFlow:
         corrupt_cache_entry(cache, "asicflow", fingerprint, mode=mode)
         reset_cache_stats()
         with pytest.warns(RuntimeWarning, match="corrupt cache entry"):
-            rebuilt = run_asic_flow(circuit, use_cache=True)
+            rebuilt = build_asic_flow(circuit, use_cache=True)
         assert not rebuilt.cache_hit
         assert cache_stats()["corrupt_dropped"] == 1
         assert rebuilt.netlist.stats() == cold.netlist.stats()
 
         # the rebuild wrote a fresh, valid entry
-        warm = run_asic_flow(circuit, use_cache=True)
+        warm = build_asic_flow(circuit, use_cache=True)
         assert warm.cache_hit
 
 

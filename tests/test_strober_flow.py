@@ -1,6 +1,7 @@
 """Integration tests for the full Strober methodology (Figures 2, 4, 5)."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -9,11 +10,13 @@ import pytest
 
 from repro.core import (
     run_strober, get_circuits, get_replay_engine, StroberCompiler,
-    clear_caches,
+    clear_caches, Design, ReplayEngine, estimate_energy,
     strober_time, uarch_sim_time, gate_sim_time, PAPER_PARAMS,
     soc_grouping,
 )
 from repro.core.configs import get_config
+from repro.fame import Endpoint, Fame1Simulator
+from repro.hdl import Module, elaborate
 from repro.isa.programs import ALL_PROGRAMS
 from repro.targets.soc import run_workload
 from repro.sampling import estimate_mean
@@ -182,6 +185,112 @@ class TestStroberCompiler:
             gc.collect()
             assert not soc._SIM_CACHE
             assert [ref() for ref in alive] == [None] * len(alive)
+
+
+class _Accumulator(Module):
+    def build(self):
+        valid = self.input("valid", 1)
+        a = self.input("a", 8)
+        b = self.input("b", 8)
+        acc = self.reg("acc", 16)
+        with self.when(valid):
+            acc <<= (acc + (a ^ b).pad(16)).trunc(16)
+        self.output("acc", 16, acc)
+
+
+class _Stream(Endpoint):
+    def __init__(self, seed):
+        self.seed = seed
+        self.reset()
+
+    def reset(self):
+        self._rng = random.Random(self.seed)
+
+    def tick(self, outputs):
+        rng = self._rng
+        return {"valid": int(rng.random() < 0.7),
+                "a": rng.getrandbits(8), "b": rng.getrandbits(8)}
+
+
+def _accumulator():
+    return Design("accumulator",
+                  lambda: elaborate(_Accumulator(), name="acc"),
+                  {"stream": lambda seed=7: [_Stream(seed)]})
+
+
+_KNOBS = dict(sample_size=24, replay_length=16, max_cycles=1200, seed=2)
+
+
+class TestCustomDesign:
+    """A design that is not a SoC runs through the one run_strober
+    entry, with everything that entry adds."""
+
+    def test_matches_the_hand_wired_flow(self):
+        design = _accumulator()
+        run = run_strober(design, "stream", **_KNOBS)
+        compiled = StroberCompiler(design.build_circuit).compile()
+        fame = Fame1Simulator(compiled.simulator_circuit, [_Stream(7)],
+                              sample_size=24, replay_length=16, seed=2)
+        fame.run(max_cycles=1200)
+        replays = ReplayEngine(compiled.target_circuit).replay_all(
+            fame.snapshots)
+        energy = estimate_energy(replays,
+                                 total_cycles=fame.stats.target_cycles,
+                                 replay_length=16, workload="stream",
+                                 design="accumulator")
+        assert run.energy == energy
+        assert list(run.energy.breakdown) == list(energy.breakdown)
+        assert run.design == run.energy.design == "accumulator"
+        assert run.energy.cpi == run.energy.epi_nj == float("inf")
+        assert all(r.mismatches == 0 for r in run.replays)
+
+    def test_journal_resumes_with_the_same_estimate(self, tmp_path):
+        from repro.robust.journal import TYPE_SIM, read_journal
+        design = _accumulator()
+        path = str(tmp_path / "run.journal")
+        fresh = run_strober(design, "stream", journal=path, **_KNOBS)
+        assert not fresh.timings["resumed_sim"]
+        sims = [obj for rtype, obj in read_journal(path)
+                if rtype == TYPE_SIM]
+        assert sims == [{"cycles": 1200, "instret": 0, "exit_code": 0,
+                         "dram_counters": None,
+                         "n_snapshots": len(fresh.snapshots)}]
+        resumed = run_strober(design, "stream", journal=path, **_KNOBS)
+        assert resumed.timings["resumed_sim"]
+        assert resumed.energy == fresh.energy
+
+    def test_target_rel_error_stops_early(self):
+        run = run_strober(_accumulator(), "stream", target_rel_error=0.5,
+                          **_KNOBS)
+        assert run.sampling["early_stop"], run.sampling
+        assert len(run.replays) < len(run.snapshots)
+
+    def test_two_workers_match_one(self):
+        design = _accumulator()
+        one = run_strober(design, "stream", batch_lanes=8, **_KNOBS)
+        two = run_strober(design, "stream", batch_lanes=8, workers=2,
+                          **_KNOBS)
+        assert two.health.workers == 2
+        assert two.health.completed_parallel == len(two.snapshots)
+        assert two.energy == one.energy
+
+    def test_unknown_workload_lists_the_known_names(self):
+        with pytest.raises(ValueError, match=r"known: \['stream'\]"):
+            run_strober(_accumulator(), "towers")
+
+    def test_clear_caches_releases_the_compiled_design(self):
+        import gc
+        import weakref
+        clear_caches()
+        design = _accumulator()
+        run = run_strober(design, "stream", sample_size=4,
+                          replay_length=16, max_cycles=200)
+        alive = [weakref.ref(design), weakref.ref(get_circuits(design)),
+                 weakref.ref(run.engine)]
+        del design, run
+        clear_caches()
+        gc.collect()
+        assert [ref() for ref in alive] == [None] * len(alive)
 
 
 class TestPerfModel:
