@@ -13,10 +13,12 @@
  *   gl_eval       settle combinational logic once;
  *   gl_run_cycles the whole-replay hot loop: per cycle, packed pokes,
  *                 forces (re-asserted before the first level and after
- *                 every level), settle, expected-output checks, the
- *                 vertical toggle-counter ripple add, SRAM write ports
- *                 and DFF commit.  Returns the number of committed
- *                 cycles (< n_cycles only on a strict-mode stop);
+ *                 every level), settle, expected-output checks, toggle
+ *                 counting (a half-adder into low counter planes, folded
+ *                 into the wide toggle planes every 15 cycles and before
+ *                 any return), SRAM write ports and DFF commit.  Returns
+ *                 the number of committed cycles (< n_cycles only on a
+ *                 strict-mode stop);
  *   gl_switching  reduce the toggle planes to every lane's switching
  *                 power per report group, without exporting per-net
  *                 toggle counts;
@@ -75,6 +77,8 @@ typedef struct {
   uint64_t *PLANES;
   int64_t planes_cap;
   int64_t *planes_used;
+  uint64_t *LOW;          /* low counter planes, zero between calls */
+  uint8_t *dirty;         /* one flag per block of BLOCK nets */
   uint64_t **stores;
   int64_t **lasts;
   int64_t *reads;
@@ -229,26 +233,114 @@ static void commit_dffs(const gl_prog *P, uint64_t *V, uint64_t *T) {
   for (int64_t i = 0; i < P->n_dff; i++) V[P->dff_q[i]] = T[i];
 }
 
-/* Fused XOR diff, prev update and vertical ripple-carry add into the
- * toggle-counter planes.  Walking planes at stride n is fine: the carry
- * usually dies after one or two planes. */
-static int64_t toggle_tick(uint64_t *V, uint64_t *PREV, uint64_t *PL,
-                           int64_t n, int64_t cap, int64_t used,
-                           uint64_t active) {
-  for (int64_t i = 0; i < n; i++) {
-    uint64_t cur = V[i];
-    uint64_t carry = (cur ^ PREV[i]) & active;
-    PREV[i] = cur;
-    int64_t p = 0;
-    while (carry && p < cap) {
-      uint64_t *pl = PL + (uint64_t)p * n + i;
-      uint64_t nc = *pl & carry;
-      *pl ^= carry;
-      carry = nc;
-      p++;
-    }
-    if (p > used) used = p;
+/* Toggle counting in two tiers.  Each cycle's lane-masked diff
+ * (V ^ PREV) is added into LOW_PLANES low counter planes with a
+ * branch-free half-adder chain; every FOLD_EVERY cycles (the most a
+ * LOW_PLANES-bit counter holds) the low planes are added into the wide
+ * plane-major planes (row p = counter bit p of every net, stride
+ * n_nets) and zeroed.  Nets go in blocks of BLOCK: a block whose nets
+ * equal PREV in every lane is skipped without a store, and the fold
+ * visits only blocks marked dirty.  The low planes are block-major,
+ * LOW[(b * LOW_PLANES + p) * BLOCK + k] = bit p of net 8b + k's count,
+ * in a per-simulator buffer that is all zero between calls. */
+#define BLOCK 8
+#define LOW_PLANES 4
+#define FOLD_EVERY ((1 << LOW_PLANES) - 1)
+
+/* fully unroll the fixed-count block loops, keeping them in registers */
+#define UNROLL _Pragma("GCC unroll 8")
+
+typedef uint64_t v2u __attribute__((vector_size(16)));
+
+static inline v2u ld2(const uint64_t *p) {
+  v2u x;
+  __builtin_memcpy(&x, p, sizeof x);
+  return x;
+}
+
+static inline void st2(uint64_t *p, v2u x) {
+  __builtin_memcpy(p, &x, sizeof x);
+}
+
+/* One block of BLOCK nets; returns 1 when any of them changed. */
+static inline int low_tick_block(const uint64_t *v, uint64_t *prev,
+                                 uint64_t *L, v2u active) {
+  v2u x[BLOCK / 2], any = {0, 0};
+  UNROLL for (int j = 0; j < BLOCK / 2; j++) {
+    x[j] = ld2(v + 2 * j) ^ ld2(prev + 2 * j);
+    any |= x[j];
   }
+  if (!(any[0] | any[1])) return 0;
+  UNROLL for (int j = 0; j < BLOCK / 2; j++) {
+    st2(prev + 2 * j, ld2(v + 2 * j));
+    v2u carry = x[j] & active;
+    UNROLL for (int p = 0; p < LOW_PLANES; p++) {
+      uint64_t *l = L + p * BLOCK + 2 * j;
+      v2u cur = ld2(l);
+      st2(l, cur ^ carry);
+      carry &= cur;
+    }
+  }
+  return 1;
+}
+
+static void low_tick(const uint64_t *V, uint64_t *PREV, uint64_t *LOW,
+                     uint8_t *dirty, int64_t n, uint64_t active) {
+  v2u act = {active, active};
+  int64_t blocks = (n + BLOCK - 1) / BLOCK, rest = n % BLOCK;
+  uint64_t v[BLOCK] = {0}, prev[BLOCK] = {0};
+  for (int64_t b = 0; b < blocks; b++) {
+    const uint64_t *vb = V + b * BLOCK;
+    uint64_t *pb = PREV + b * BLOCK;
+    int tail = rest && b == blocks - 1;
+    if (tail) {   /* the tail block, through zero-padded copies */
+      for (int64_t k = 0; k < rest; k++) { v[k] = vb[k]; prev[k] = pb[k]; }
+      vb = v;
+      pb = prev;
+    }
+    if (low_tick_block(vb, pb, LOW + b * (LOW_PLANES * BLOCK), act)) {
+      dirty[b] = 1;
+      if (tail)
+        for (int64_t k = 0; k < rest; k++) PREV[b * BLOCK + k] = prev[k];
+    }
+  }
+}
+
+/* Add every dirty block's low counters into the wide planes PL (stride
+ * n), zero them and clear the flags: per net a branch-free ripple add
+ * through wide planes 0..LOW_PLANES-1, then a carry out of those
+ * ripples on while it lasts.  Counts only grow, so ``used`` (the planes
+ * in use, returned) is the bit length of the largest count: the highest
+ * plane holding a set bit after an add, plus one.  PL has at least
+ * LOW_PLANES rows (CKernel.install grows the arena to that many). */
+static int64_t low_fold(uint64_t *PL, int64_t n, int64_t cap, int64_t used,
+                        uint64_t *LOW, uint8_t *dirty) {
+  int64_t blocks = (n + BLOCK - 1) / BLOCK;
+  uint64_t set[LOW_PLANES] = {0};
+  for (int64_t b = 0; b < blocks; b++) {
+    if (!dirty[b]) continue;
+    dirty[b] = 0;
+    uint64_t *L = LOW + b * (LOW_PLANES * BLOCK);
+    int64_t m = n - b * BLOCK < BLOCK ? n - b * BLOCK : BLOCK;
+    for (int64_t k = 0; k < m; k++) {
+      uint64_t *w = PL + b * BLOCK + k, carry = 0;
+      for (int p = 0; p < LOW_PLANES; p++) {
+        uint64_t a = L[p * BLOCK + k], cur = w[p * n], half = cur ^ a;
+        w[p * n] = half ^ carry;
+        set[p] |= half ^ carry;
+        carry = (cur & a) | (half & carry);
+        L[p * BLOCK + k] = 0;
+      }
+      for (int64_t p = LOW_PLANES; carry && p < cap; p++) {
+        uint64_t cur = w[p * n];
+        w[p * n] = cur ^ carry;
+        carry &= cur;
+        if (!carry && p + 1 > used) used = p + 1;
+      }
+    }
+  }
+  for (int p = LOW_PLANES; p > 0; p--)
+    if (set[p - 1]) return p > used ? p : used;
   return used;
 }
 
@@ -260,10 +352,22 @@ static double now_ns(void) {
 
 #define PHASE(k) t1 = now_ns(); R->phase_ns[k] += t1 - t0; t0 = t1;
 
+/* Fold the low planes (pending = cycles counted since the last fold)
+ * and charge the time to the toggle phase. */
+static int64_t fold_pending(const gl_prog *P, gl_state *S, gl_run *R,
+                            int64_t used, int64_t pending) {
+  if (!pending) return used;
+  double t0 = now_ns();
+  used = low_fold(S->PLANES, P->n_nets, S->planes_cap, used, S->LOW,
+                  S->dirty);
+  R->phase_ns[3] += now_ns() - t0;
+  return used;
+}
+
 int64_t gl_run_cycles(const gl_prog *P, gl_state *S, gl_run *R) {
   uint64_t *V = S->V;
   int64_t used = *S->planes_used;
-  int64_t poke_op = 0, check_op = 0;
+  int64_t poke_op = 0, check_op = 0, pending = 0;
   gl_forces F;
   double t0, t1;
   R->stop[0] = -1; R->stop[1] = -1; R->stop[2] = -1;
@@ -303,22 +407,27 @@ int64_t gl_run_cycles(const gl_prog *P, gl_state *S, gl_run *R) {
           R->mismatches[lane] += 1;
           if (R->strict) {
             R->stop[0] = t; R->stop[1] = check_op; R->stop[2] = lane;
-            *S->planes_used = used;
+            PHASE(2)
+            *S->planes_used = fold_pending(P, S, R, used, pending);
             return t;
           }
         }
       }
     }
     PHASE(2)
-    used = toggle_tick(V, S->PREV, S->PLANES, P->n_nets, S->planes_cap,
-                       used, S->active_mask);
+    low_tick(V, S->PREV, S->LOW, S->dirty, P->n_nets, S->active_mask);
+    if (++pending == FOLD_EVERY) {
+      used = low_fold(S->PLANES, P->n_nets, S->planes_cap, used, S->LOW,
+                      S->dirty);
+      pending = 0;
+    }
     PHASE(3)
     write_ports(P, S);
     PHASE(4)
     commit_dffs(P, V, S->dff_tmp);
     PHASE(5)
   }
-  *S->planes_used = used;
+  *S->planes_used = fold_pending(P, S, R, used, pending);
   return R->n_cycles;
 }
 

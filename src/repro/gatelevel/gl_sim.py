@@ -406,7 +406,9 @@ class BatchedGateLevelSimulator:
     * per-net toggle counts are kept per lane as bit-sliced *vertical
       counters*: plane ``i`` holds bit ``i`` of every lane's count, and
       each cycle's ``prev ^ cur`` diff word is ripple-carry added into
-      the planes.  :meth:`activity` extracts any lane's exact SAIF;
+      the planes (the native kernel adds it into low planes that it
+      folds in every 15 cycles and before it returns, to the same
+      counts).  :meth:`activity` extracts any lane's exact SAIF;
       with the native kernel,
       :func:`~repro.gatelevel.power.analyze_power_lanes` reduces the
       planes to every lane's power without extracting them.

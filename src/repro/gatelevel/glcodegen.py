@@ -18,7 +18,12 @@ into native code without generating any per-design code:
   read-address memos, access counters), and ``gl_run_cycles`` executes
   a whole replay batch — pokes, forces re-asserted after every level,
   checks, toggle planes, SRAM ports, DFF commit — as one foreign call
-  that releases the GIL.  Semantics match the interpreter bit for bit.
+  that releases the GIL.  Toggles are counted first in four low
+  counter planes (a per-simulator scratch buffer, skipping blocks of 8
+  nets that did not change) and folded into the arena every 15 cycles
+  and before the call returns, so the arena holds the same counts the
+  interpreter's ripple add leaves.  Semantics match the interpreter bit
+  for bit.
 * ``gl_switching`` then reduces the toggle planes to every lane's
   per-group switching power in one pass (:meth:`CKernel.switching`),
   the switching term of :func:`~repro.gatelevel.power.analyze_power`
@@ -66,6 +71,11 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _CELL_KINDS = {cell: i for i, cell in enumerate(
     ("INV", "BUF", "AND2", "OR2", "XOR2", "XNOR2", "NAND2", "NOR2",
      "MUX2"))}
+
+#: Toggle-counter block size and low-plane count; must match ``BLOCK``
+#: and ``LOW_PLANES`` in ``gl_kernel.c``.
+_TOGGLE_BLOCK = 8
+_LOW_PLANES = 4
 
 
 class GLCodegenError(Exception):
@@ -148,6 +158,8 @@ class _GlState(ctypes.Structure):
         ("PLANES", ctypes.c_void_p),
         ("planes_cap", ctypes.c_int64),
         ("planes_used", ctypes.c_void_p),
+        ("LOW", ctypes.c_void_p),
+        ("dirty", ctypes.c_void_p),
         ("stores", ctypes.c_void_p),
         ("lasts", ctypes.c_void_p),
         ("reads", ctypes.c_void_p),
@@ -299,6 +311,14 @@ class CKernel:
         # .so because one library serves many sims on many threads
         sim._gl_dff_tmp = np.zeros(
             max(len(sim.netlist.dffs), 1), dtype=np.uint64)
+        # per-simulator low toggle-counter planes and per-block dirty
+        # flags (blocks of 8 nets); the kernel leaves both zeroed
+        blocks = -(-sim.netlist.n_nets // _TOGGLE_BLOCK)
+        sim._gl_low = np.zeros(blocks * _LOW_PLANES * _TOGGLE_BLOCK,
+                               dtype=np.uint64)
+        sim._gl_dirty = np.zeros(blocks, dtype=np.uint8)
+        # a fold writes wide planes 0.._LOW_PLANES-1 unconditionally
+        sim._grow_toggle_arena(_LOW_PLANES)
 
     def eval(self, sim):
         stores, lasts = sim._gl_c_args
@@ -328,6 +348,8 @@ class CKernel:
             PLANES=arena.ctypes.data,
             planes_cap=arena.shape[0],
             planes_used=buf.ctypes.data,
+            LOW=sim._gl_low.ctypes.data,
+            dirty=sim._gl_dirty.ctypes.data,
             stores=ctypes.addressof(stores),
             lasts=ctypes.addressof(lasts),
             reads=sim.sram_reads.ctypes.data,

@@ -30,8 +30,8 @@ _CFLAGS = ("-O1", "-fPIC", "-shared")
 
 # The fixed part of every generated simulator: the cycle entry point and
 # the multi-cycle ``run_quiet`` loop and the state-access exports.  The
-# design-specific part before it defines N_IN/N_OUT, V/R/GIN, the MEM
-# tables, eval_all, commit_state and write_outputs.
+# design-specific part before it defines N_IN/N_OUT/N_REGS/N_MEMS,
+# V/R/GIN, the MEM tables, eval_all, commit_state and write_outputs.
 RUNTIME_C = """
 void cycle(const uint64_t* IN, uint64_t* OUT, int commit) {
   memcpy(GIN, IN, N_IN * sizeof(uint64_t));
@@ -60,7 +60,6 @@ uint64_t run_quiet(const uint64_t* IN, uint64_t* OUT, uint64_t n,
   return n;
 }
 
-void get_regs(uint64_t* out) { memcpy(out, R, sizeof(R)); }
 void set_regs(const uint64_t* in) { memcpy(R, in, sizeof(R)); }
 uint64_t reg_get(int64_t i) { return R[i]; }
 void reg_set(int64_t i, uint64_t value) { R[i] = value; }
@@ -81,6 +80,16 @@ void mem_read(int mem, uint64_t off, uint64_t n, void* out) {
     case 4: for (k = 0; k < n; k++) ((uint32_t*)out)[k] = (uint32_t)m[k]; break;
     default: memcpy(out, m, n * sizeof(uint64_t));
   }
+}
+
+/* The whole state in one call, into one caller buffer: the register
+   file at byte 0, then memory i at byte MEM_OFF[i] in its MEM_BYTES
+   word size. */
+void state_read(uint8_t* out) {
+  int64_t i;
+  memcpy(out, R, N_REGS * sizeof(uint64_t));
+  for (i = 0; i < N_MEMS; i++)
+    mem_read((int)i, 0, MEM_DEPTH[i], out + MEM_OFF[i]);
 }
 
 void mem_write(int mem, uint64_t off, uint64_t n, const void* in) {
@@ -246,6 +255,22 @@ def generate_c_source(circuit):
     parts.append("static const int MEM_BYTES[] = {"
                  + (", ".join(str(mem_dtype(mem.width).itemsize)
                               for mem in mem_index) or "0") + "};")
+    # state_read's buffer: the registers, then every memory at an
+    # 8-byte-aligned offset; state_views = (path, start, end, dtype)
+    state_views, state_bytes = [], 8 * len(circuit.regs)
+    for mem in mem_index:
+        dtype = mem_dtype(mem.width)
+        size = mem.depth * dtype.itemsize
+        state_views.append((mem.path, state_bytes, state_bytes + size, dtype))
+        state_bytes += -(-size // 8) * 8
+    parts.append(f"static const int64_t N_REGS = {len(circuit.regs)};")
+    parts.append(f"static const int64_t N_MEMS = {len(mem_index)};")
+    parts.append("static const uint64_t MEM_DEPTH[] = {"
+                 + (", ".join(str(mem.depth) for mem in mem_index) or "0")
+                 + "};")
+    parts.append("static const uint64_t MEM_OFF[] = {"
+                 + (", ".join(str(view[1]) for view in state_views) or "0")
+                 + "};")
 
     def chunk_ref(arg):
         return local[arg] if chunk.get(arg) == here else ref(arg)
@@ -292,6 +317,8 @@ def generate_c_source(circuit):
         "out_index": out_index,
         "reg_index": {reg.path: i for reg, i in reg_index.items()},
         "mem_index": {mem.path: i for mem, i in mem_index.items()},
+        "state_views": state_views,
+        "state_bytes": state_bytes,
     }
     return "\n".join(parts), layout
 
@@ -304,14 +331,12 @@ _EXPORTS = (
     ("cycle", [_U64P, _U64P, ctypes.c_int], None),
     ("run_quiet", [_U64P, _U64P, ctypes.c_uint64, ctypes.c_void_p,
                    ctypes.c_int64, ctypes.c_void_p], ctypes.c_uint64),
-    ("get_regs", [_U64P], None),
     ("set_regs", [_U64P], None),
     ("reg_get", [ctypes.c_int64], ctypes.c_uint64),
     ("reg_set", [ctypes.c_int64, ctypes.c_uint64], None),
     ("mem_get", [ctypes.c_int, ctypes.c_uint64], ctypes.c_uint64),
     ("mem_set", [ctypes.c_int, ctypes.c_uint64, ctypes.c_uint64], None),
-    ("mem_read", [ctypes.c_int, ctypes.c_uint64, ctypes.c_uint64,
-                  ctypes.c_void_p], None),
+    ("state_read", [ctypes.c_void_p], None),
     ("mem_write", [ctypes.c_int, ctypes.c_uint64, ctypes.c_uint64,
                    ctypes.c_void_p], None),
 )
@@ -348,7 +373,9 @@ def compile_circuit_c(circuit, use_cache=True):
 
 class CMemProxy:
     """One memory array living inside the C library: single words via
-    indexing, whole ranges via :meth:`read` / :meth:`write`."""
+    indexing, whole ranges via :meth:`write` (reads of the whole state
+    go through ``state_read``, see
+    :meth:`~repro.sim.rtl_sim.RTLSimulator.snapshot`)."""
 
     def __init__(self, lib, mem_id, depth, width):
         self._lib = lib
@@ -370,12 +397,6 @@ class CMemProxy:
             raise IndexError(f"memory address {addr} out of range")
         return addr
 
-    def read(self):
-        """The whole memory as a new array of :attr:`dtype` (one call)."""
-        out = np.empty(self._depth, dtype=self.dtype)
-        self._lib.mem_read(self._mem_id, 0, self._depth, out.ctypes.data)
-        return out
-
     def write(self, words, offset=0):
         """Store ``words`` (any array-like) from ``offset`` (one call)."""
         words = np.ascontiguousarray(words, dtype=self.dtype)
@@ -389,7 +410,7 @@ class CMemProxy:
 
 class CRegProxy:
     """The register file inside the C library: single registers via
-    indexing, the whole file via :meth:`bulk_get` / :meth:`bulk_set`."""
+    indexing, the whole file via :meth:`bulk_set` (and ``state_read``)."""
 
     def __init__(self, lib, n_regs):
         self._lib = lib
@@ -409,11 +430,6 @@ class CRegProxy:
         if not 0 <= idx < self._count:
             raise IndexError(f"register index {idx} out of range")
         return idx
-
-    def bulk_get(self):
-        """A new ``uint64`` vector of every register."""
-        self._lib.get_regs(self._buf.ctypes.data_as(_U64P))
-        return self._buf[:self._count].copy()
 
     def bulk_set(self, values):
         self._buf[:self._count] = values

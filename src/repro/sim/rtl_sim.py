@@ -67,17 +67,6 @@ class RTLSimulator:
         else:
             self._regs[:] = values.tolist()
 
-    def _get_regs(self):
-        if self.backend == "c":
-            return self._regs.bulk_get()
-        return np.array(self._regs, dtype=np.uint64)
-
-    def _read_mem(self, i):
-        if self.backend == "c":
-            return self._mems[i].read()
-        return np.array(self._mems[i],
-                        dtype=mem_dtype(self._mem_list[i].width))
-
     def _write_mem(self, i, words, offset=0):
         if self.backend == "c":
             self._mems[i].write(words, offset)
@@ -94,12 +83,20 @@ class RTLSimulator:
         self.cycle = 0
 
     def snapshot(self):
-        """Capture the complete architectural state (one bulk copy of the
-        register file and one per memory)."""
-        mems = {mem.path: self._read_mem(i)
-                for i, mem in enumerate(self._mem_list)}
-        return SimState(self._get_regs(), self.reg_order.fingerprint, mems,
-                        self.cycle)
+        """Capture the complete architectural state.  The C backend
+        copies the register file and every memory into one new buffer
+        in one call; the state's arrays are views of it."""
+        if self.backend == "c":
+            buf = np.empty(self._layout["state_bytes"], dtype=np.uint8)
+            self._lib.state_read(buf.ctypes.data)
+            regs = buf[:8 * len(self._reg_list)].view(np.uint64)
+            mems = {path: buf[lo:hi].view(dtype)
+                    for path, lo, hi, dtype in self._layout["state_views"]}
+        else:
+            regs = np.array(self._regs, dtype=np.uint64)
+            mems = {mem.path: np.array(words, dtype=mem_dtype(mem.width))
+                    for mem, words in zip(self._mem_list, self._mems)}
+        return SimState(regs, self.reg_order.fingerprint, mems, self.cycle)
 
     def load_snapshot(self, state):
         """Restore a state captured by :meth:`snapshot`."""

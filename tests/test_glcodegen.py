@@ -602,6 +602,135 @@ class TestRunCycles:
         assert (registry.value("glstep.eval_seconds") or 0) > 0
 
 
+def _poke_stim(netlist, per_cycle):
+    """``per_cycle`` ``(d, we)`` inputs as a PackedStimulus of pokes."""
+    inputs = np.array(per_cycle, dtype=np.uint64).transpose(2, 0, 1)
+    pokes, _, _ = lane_ops(inputs,
+                           [netlist.inputs["d"], netlist.inputs["we"]])
+    return PackedStimulus.from_flat(
+        len(per_cycle), {f"poke_{k}": v for k, v in pokes.items()})
+
+
+def _assert_same_toggles(ref, sim):
+    """:func:`_assert_identical` plus equal per-lane toggle counts."""
+    _assert_identical(ref, sim, sim.backend)
+    for lane in range(ref.lanes):
+        assert np.array_equal(sim.lane_toggles(lane),
+                              ref.lane_toggles(lane))
+
+
+#: Cycles between two folds of the kernel's low counter planes.
+FOLD_EVERY = (1 << glcodegen._LOW_PLANES) - 1
+
+
+@needs_cc
+class TestToggleCounterBoundaries:
+    """The C kernel counts toggles in low planes that it folds into the
+    wide planes every ``FOLD_EVERY`` cycles and before it returns; the
+    interpreter ripple-adds every cycle.  Call lengths, splits, strict
+    stops, partial lane masks, netlist tails, arena growth and quiet
+    runs around those folds must leave identical counts."""
+
+    def _pair(self, netlist, lanes):
+        schedule = build_schedule(netlist)
+        return [BatchedGateLevelSimulator(netlist, lanes=lanes,
+                                          schedule=schedule,
+                                          backend=backend)
+                for backend in ("interp", "c")]
+
+    @pytest.mark.parametrize("lanes", [5, MAX_LANES])
+    @pytest.mark.parametrize("n_cycles", [1, 6, 7, 8, 15, 16, 131])
+    def test_call_lengths(self, n_cycles, lanes):
+        netlist = _small_netlist()
+        stim = _poke_stim(netlist, _random_inputs(lanes, n_cycles, seed=1))
+        interp, sim = self._pair(netlist, lanes)
+        for s in (interp, sim):
+            s.run_cycles(stim=stim)
+        _assert_same_toggles(interp, sim)
+
+    @pytest.mark.parametrize("split", [(1, 1), (7, 9), (20, 17), (15, 15)])
+    def test_split_calls_equal_one_call(self, split):
+        a, b = split
+        netlist = _small_netlist()
+        per_cycle = _random_inputs(MAX_LANES, a + b, seed=2)
+        interp, whole = self._pair(netlist, MAX_LANES)
+        _, parts = self._pair(netlist, MAX_LANES)
+        for s in (interp, whole):
+            s.run_cycles(stim=_poke_stim(netlist, per_cycle))
+        parts.run_cycles(stim=_poke_stim(netlist, per_cycle[:a]))
+        parts.run_cycles(stim=_poke_stim(netlist, per_cycle[a:]))
+        _assert_same_toggles(interp, whole)
+        _assert_same_toggles(whole, parts)
+
+    def test_strict_stop_after_a_fold(self):
+        lanes = 5
+        stop = FOLD_EVERY + 3
+        netlist = _small_netlist()
+        schedule = build_schedule(netlist)
+        per_cycle = _random_inputs(lanes, stop + 10, seed=4)
+        _ref, expected = _reference_run(netlist, schedule, lanes,
+                                        per_cycle)
+        expected[stop] = [v ^ 1 if lane == 2 else v
+                          for lane, v in enumerate(expected[stop])]
+        stim = _whole_trace_stim(netlist, per_cycle, expected)
+        interp, sim = self._pair(netlist, lanes)
+        for s in (interp, sim):
+            with pytest.raises(StimulusMismatch) as excinfo:
+                s.run_cycles(stim=stim, strict=True)
+            assert (excinfo.value.cycle, s.cycles) == (stop, stop)
+        _assert_same_toggles(interp, sim)
+        # the stop leaves the low planes folded and zeroed
+        assert not sim._gl_low.any() and not sim._gl_dirty.any()
+
+    @pytest.mark.parametrize("extra_nets", [0, 5])
+    def test_netlist_tail(self, extra_nets):
+        # 91 nets leave a 3-net tail block; 96 leave none
+        netlist = _small_netlist()
+        netlist.new_nets(extra_nets)
+        assert (netlist.n_nets % 8 == 0) == (extra_nets == 5)
+        stim = _poke_stim(netlist, _random_inputs(MAX_LANES, 40, seed=5))
+        interp, sim = self._pair(netlist, MAX_LANES)
+        for s in (interp, sim):
+            s.run_cycles(stim=stim)
+        _assert_same_toggles(interp, sim)
+        # nets 88..90 (the tail block of 91 nets) do toggle
+        assert interp._toggle_arena[:interp._plane_count, 88:91].any()
+
+    def test_every_cycle_toggler_grows_the_arena(self):
+        # acc += 1 flips acc's low bit every cycle: 40 toggles need six
+        # planes, past the arena's initial four
+        netlist = _small_netlist()
+        stim = _poke_stim(netlist, [([1] * MAX_LANES, [0] * MAX_LANES)]
+                          * 40)
+        interp, sim = self._pair(netlist, MAX_LANES)
+        assert sim._toggle_arena.shape[0] == 4
+        for s in (interp, sim):
+            s.run_cycles(stim=stim)
+        _assert_same_toggles(interp, sim)
+        # the first commit shows in the second cycle's diff: 39 toggles
+        low_bit = netlist.outputs["acc"][0]
+        assert sim.lane_toggles(0)[low_bit] == 39
+        assert sim._plane_count == (39).bit_length() == 6
+        assert sim._toggle_arena.shape[0] >= 6
+
+    def test_quiet_run_adds_nothing(self):
+        netlist = _small_netlist()
+        interp, sim = self._pair(netlist, MAX_LANES)
+        busy = _poke_stim(netlist, _random_inputs(MAX_LANES, 9, seed=6))
+        quiet = _poke_stim(netlist, [([0] * MAX_LANES, [0] * MAX_LANES)]
+                           * 4)
+        for s in (interp, sim):
+            s.run_cycles(stim=busy)
+            s.run_cycles(stim=quiet)          # settle
+        count = sim._plane_count
+        settled = sim._toggle_arena[:count].copy()
+        for s in (interp, sim):
+            s.run_cycles(40)
+        _assert_same_toggles(interp, sim)
+        assert sim._plane_count == count
+        assert np.array_equal(sim._toggle_arena[:count], settled)
+
+
 class TestOneReplayPath:
     """Every replay goes through ``replay_batch``: the lane count and
     the backend change the speed, never a bit of the result."""

@@ -188,3 +188,5 @@ def test_chunk_boundaries_match_python(design, monkeypatch):
         want, got = py.snapshot(), cc.snapshot()
         assert np.array_equal(want.reg_values, got.reg_values), cycle
         assert _mem_lists(want) == _mem_lists(got), cycle
+        assert [(path, w.dtype) for path, w in want.mems.items()] == \
+            [(path, w.dtype) for path, w in got.mems.items()]
