@@ -22,8 +22,8 @@ import os
 import time
 
 from repro.core import (
-    get_circuits, get_replay_engine, strober_time, gate_sim_time,
-    uarch_sim_time, PAPER_PARAMS,
+    get_circuits, get_replay_engine, run_strober, strober_time,
+    gate_sim_time, uarch_sim_time, PAPER_PARAMS,
 )
 from repro.gatelevel import GateLevelSimulator
 from repro.isa import assemble, GoldenModel
@@ -321,6 +321,29 @@ def test_compiled_replay_speedup(batch_lanes, gl_backend):
         assert speedup["c"] >= 3.0
 
 
+def _replay_batch_phases(lanes, phase_names):
+    """The C kernel's ``glstep.*`` seconds over one real replay batch:
+    ``lanes`` ``rocket_mini``/``towers`` snapshots of 32 cycles, packed
+    by the engine's ``_pack_io`` (pokes and per-port checks, which the
+    idle run of :func:`test_native_replay_speedup` has none of)."""
+    from repro.obs import get_registry
+
+    run = run_strober("rocket_mini", "towers", sample_size=lanes + 8,
+                      replay_length=32, seed=0, gl_backend="c")
+    snapshots = run.snapshots[:lanes]
+    registry = get_registry()
+    before = {p: registry.value(f"glstep.{p}_seconds") or 0.0
+              for p in phase_names}
+    results = run.engine.replay_batch(snapshots)
+    assert not any(r.mismatches for r in results)
+    spent = {p: (registry.value(f"glstep.{p}_seconds") or 0.0) - before[p]
+             for p in phase_names}
+    cycles = results[0].cycles
+    return {"workload": "towers", "lanes": len(snapshots),
+            "cycles": cycles, "phase_seconds": spent,
+            "per_cycle_ms": sum(spent.values()) / max(cycles, 1) * 1000}
+
+
 def test_native_replay_speedup(batch_lanes):
     """Whole-cycle native stepping vs the per-eval hot loop it replaced.
 
@@ -332,7 +355,9 @@ def test_native_replay_speedup(batch_lanes):
     of one per eval.  This bench times both loops under every backend
     the host can build, verifies value arrays *and* toggle counts stay
     bit-identical, records the per-phase ``glstep.*`` breakdown of the
-    native C run, and writes ``results/BENCH_replay_native.json``.
+    native C run and of one C-kernel replay of a real ``towers`` batch
+    (stimulus and checks included), and writes
+    ``results/BENCH_replay_native.json``.
     """
     import numpy as np
     from repro.gatelevel import BatchedGateLevelSimulator, build_kernel
@@ -415,6 +440,11 @@ def test_native_replay_speedup(batch_lanes):
     for name, ratio in native_over_legacy.items():
         rows.append([f"{name}: native vs legacy", "",
                      f"{ratio:.2f}x"])
+    batch = _replay_batch_phases(lanes, phase_names) \
+        if "c" in kernels else None
+    if batch is not None:
+        rows.append([f"c towers batch ({batch['lanes']} lanes)",
+                     f"{batch['per_cycle_ms']:.3f} ms", ""])
     emit("replay_native",
          fmt_table(["loop", "per cycle", "speedup"], rows))
     save_json("BENCH_replay_native", {
@@ -428,6 +458,7 @@ def test_native_replay_speedup(batch_lanes):
             for (name, mode), dt in per_cycle.items()},
         "native_over_legacy": native_over_legacy,
         "native_phase_seconds": phases,
+        "c_replay_batch": batch,
         "have_cc": "c" in kernels,
         "cpu_count": os.cpu_count(),
     })

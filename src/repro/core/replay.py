@@ -239,16 +239,6 @@ def _port_nets(table, names, kind):
     return [table[name] for name in names]
 
 
-class _CheckMeta:
-    """``(cycle, output name)`` of each flat check op, on demand."""
-
-    def __init__(self, cycle, column, names):
-        self._cycle, self._column, self._names = cycle, column, names
-
-    def __getitem__(self, op):
-        return int(self._cycle[op]), self._names[int(self._column[op])]
-
-
 class ReplayEngine:
     """Gate-level replay of snapshots for one (plain, non-FAME) design.
 
@@ -369,32 +359,36 @@ class ReplayEngine:
                 nets.extend(seg)
                 vals.extend(seg.values())
         counts = np.array(counts, dtype=np.int64)
-        return PackedStimulus.from_flat(len(counts), {
-            "force_counts": counts,
-            "force_off": np.cumsum(counts) - counts,
-            "force_nets": np.array(nets, dtype=np.int64),
-            "force_masks": np.full(len(nets), active, dtype=np.uint64),
-            "force_vals": np.array(vals, dtype=np.uint64) & active,
-        })
+        return PackedStimulus(
+            len(counts), n, force_counts=counts,
+            force_off=np.cumsum(counts) - counts,
+            force_nets=np.array(nets, dtype=np.int64),
+            force_masks=np.full(len(nets), active, dtype=np.uint64),
+            force_vals=np.array(vals, dtype=np.uint64) & active)
 
     def _pack_io(self, input_order, inputs, output_order, outputs):
         """``(lanes, cycles, ports)`` input and output values in the
         name orders ``input_order`` / ``output_order`` as one
-        :class:`PackedStimulus`: pokes drive every lane on every input
+        :class:`PackedStimulus`: pokes drive every lane of every input
         port the order carries (a port it lacks stays undriven), checks
-        compare each lane's outputs against its own values."""
+        compare each lane's outputs, port by port, against its own
+        values."""
         netlist = self.flow.netlist
         index = input_order.index
         ports = [port for port in self._port_names if port in index]
-        pokes, _, _ = lane_ops(inputs[..., [index[port] for port in ports]],
-                               _port_nets(netlist.inputs, ports, "input"))
-        names = output_order.names
-        checks, cycle, column = lane_ops(
-            outputs, _port_nets(netlist.outputs, names, "output"))
-        flat = {f"poke_{k}": v for k, v in pokes.items()}
-        flat.update({f"check_{k}": v for k, v in checks.items()})
-        return PackedStimulus.from_flat(
-            inputs.shape[1], flat, _CheckMeta(cycle, column, names))
+        poke_nets = _port_nets(netlist.inputs, ports, "input")
+        names = tuple(output_order.names)
+        check_nets = _port_nets(netlist.outputs, names, "output")
+        widths = [len(nets) for nets in check_nets]
+        return PackedStimulus(
+            inputs.shape[1], inputs.shape[0],
+            poke_nets=[net for nets in poke_nets for net in nets],
+            poke_words=lane_ops(inputs[..., [index[port] for port in ports]],
+                                [len(nets) for nets in poke_nets]),
+            check_nets=[net for nets in check_nets for net in nets],
+            check_ports=np.cumsum([0, *widths]),
+            check_words=lane_ops(outputs, widths),
+            check_names=names)
 
     def replay_batch(self, snapshots, strict=True):
         """Replay up to :data:`MAX_LANES` snapshots bit-parallel.

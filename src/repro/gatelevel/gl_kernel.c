@@ -11,14 +11,15 @@
  * Four entry points:
  *
  *   gl_eval       settle combinational logic once;
- *   gl_run_cycles the whole-replay hot loop: per cycle, packed pokes,
- *                 forces (re-asserted before the first level and after
- *                 every level), settle, expected-output checks, toggle
- *                 counting (a half-adder into low counter planes, folded
- *                 into the wide toggle planes every 15 cycles and before
- *                 any return), SRAM write ports and DFF commit.  Returns
- *                 the number of committed cycles (< n_cycles only on a
- *                 strict-mode stop);
+ *   gl_run_cycles the whole-replay hot loop: per cycle, pokes (one word
+ *                 per input net), forces (re-asserted before the first
+ *                 level and after every level), settle, one check per
+ *                 output port, toggle counting (a half-adder into low
+ *                 counter planes, folded into the wide toggle planes
+ *                 every 15 cycles and before any return), SRAM write
+ *                 ports and DFF commit.  Returns the number of committed
+ *                 cycles (< n_cycles only on a strict-mode stop, which
+ *                 records the failing cycle, port and lane);
  *   gl_switching  reduce the toggle planes to every lane's switching
  *                 power per report group, without exporting per-net
  *                 toggle counts;
@@ -90,16 +91,16 @@ typedef struct {
 
 typedef struct {
   int64_t n_cycles;
-  const int64_t *poke_counts;
-  const uint64_t *poke_masks;
-  const int64_t *poke_off;
-  const int64_t *poke_cnt;
+  /* pokes: every active lane of net poke_nets[j] takes word
+   * poke_words[t * n_poke + j] before cycle t's eval */
+  int64_t n_poke;
   const int64_t *poke_nets;
   const uint64_t *poke_words;
-  const int64_t *check_counts;
-  const uint64_t *check_masks;
-  const int64_t *check_off;
-  const int64_t *check_cnt;
+  /* checks: after eval, output port p compares its nets
+   * check_nets[check_ports[p] .. check_ports[p + 1]) with row t of
+   * check_words (check_ports[n_ports] words per cycle) */
+  int64_t n_ports;
+  const int64_t *check_ports;
   const int64_t *check_nets;
   const uint64_t *check_words;
   const int64_t *force_counts;
@@ -367,20 +368,17 @@ static int64_t fold_pending(const gl_prog *P, gl_state *S, gl_run *R,
 int64_t gl_run_cycles(const gl_prog *P, gl_state *S, gl_run *R) {
   uint64_t *V = S->V;
   int64_t used = *S->planes_used;
-  int64_t poke_op = 0, check_op = 0, pending = 0;
+  int64_t pending = 0;
+  int64_t n_check = R->n_ports ? R->check_ports[R->n_ports] : 0;
   gl_forces F;
   double t0, t1;
   R->stop[0] = -1; R->stop[1] = -1; R->stop[2] = -1;
   for (int64_t t = 0; t < R->n_cycles; t++) {
     t0 = now_ns();
-    if (R->poke_counts) {
-      for (int64_t k = 0; k < R->poke_counts[t]; k++, poke_op++) {
-        uint64_t mask = R->poke_masks[poke_op];
-        const int64_t *nets = R->poke_nets + R->poke_off[poke_op];
-        const uint64_t *words = R->poke_words + R->poke_off[poke_op];
-        for (int64_t j = 0; j < R->poke_cnt[poke_op]; j++)
-          V[nets[j]] = (V[nets[j]] & ~mask) | (words[j] & mask);
-      }
+    for (int64_t j = 0; j < R->n_poke; j++) {
+      int64_t net = R->poke_nets[j];
+      V[net] = (V[net] & ~S->active_mask)
+               | R->poke_words[t * R->n_poke + j];
     }
     if (R->force_counts) {
       F.n = R->force_counts[t];
@@ -393,24 +391,21 @@ int64_t gl_run_cycles(const gl_prog *P, gl_state *S, gl_run *R) {
     PHASE(0)
     gl_eval(P, V, &F, S->stores, S->lasts, S->reads, S->lanes);
     PHASE(1)
-    if (R->check_counts) {
-      for (int64_t k = 0; k < R->check_counts[t]; k++, check_op++) {
-        const int64_t *nets = R->check_nets + R->check_off[check_op];
-        const uint64_t *words = R->check_words + R->check_off[check_op];
-        uint64_t diff = 0;
-        for (int64_t j = 0; j < R->check_cnt[check_op]; j++)
-          diff |= V[nets[j]] ^ words[j];
-        diff &= R->check_masks[check_op];
-        while (diff) {
-          int64_t lane = lowbit(diff);
-          diff &= diff - 1;
-          R->mismatches[lane] += 1;
-          if (R->strict) {
-            R->stop[0] = t; R->stop[1] = check_op; R->stop[2] = lane;
-            PHASE(2)
-            *S->planes_used = fold_pending(P, S, R, used, pending);
-            return t;
-          }
+    for (int64_t p = 0; p < R->n_ports; p++) {
+      uint64_t diff = 0;
+      for (int64_t j = R->check_ports[p]; j < R->check_ports[p + 1]; j++)
+        diff |= V[R->check_nets[j]]
+                ^ R->check_words[t * n_check + j];
+      diff &= S->active_mask;
+      while (diff) {
+        int64_t lane = lowbit(diff);
+        diff &= diff - 1;
+        R->mismatches[lane] += 1;
+        if (R->strict) {
+          R->stop[0] = t; R->stop[1] = p; R->stop[2] = lane;
+          PHASE(2)
+          *S->planes_used = fold_pending(P, S, R, used, pending);
+          return t;
         }
       }
     }

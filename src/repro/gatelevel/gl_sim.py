@@ -16,9 +16,10 @@ Logic cells are lane-oblivious bitwise ops, so one netlist evaluation
 advances every lane at once — the classic bit-parallel logic-simulation
 trick, applied here to snapshot replay.  State loads, forces, and SRAM
 ports are lane-masked; per-net x per-lane toggle counts are kept as
-bit-sliced vertical counters (one ``uint64`` plane per count bit,
-ripple-carry updated from the per-cycle XOR diff) so every lane still
-yields its own exact SAIF.  :class:`GateLevelSimulator` is its one-lane
+bit-sliced vertical counters (one ``uint64`` plane per count bit; the
+interpreter ripple-adds each cycle's XOR diff into them, the C kernel
+folds its low counter planes into them) so every lane still yields its
+own exact SAIF.  :class:`GateLevelSimulator` is its one-lane
 view with a lane-free API, for co-simulation and single-stimulus use.
 The levelized schedule (:class:`LevelizedSchedule`) is picklable so the
 artifact cache can persist it next to the ASIC flow.
@@ -29,14 +30,14 @@ word) and addresses at most 62: every lane's memory is one row of a
 a hand-built netlist with a wider macro instead of truncating it.
 
 A whole replay trace reaches :meth:`BatchedGateLevelSimulator
-.run_cycles` as one :class:`PackedStimulus`: flat numpy arrays of
-lane-masked pokes, output checks and per-cycle force segments, the
-layout the native kernel reads and the interpreter walks.  Replay
-builds them in bulk (:func:`lane_ops` for a batch's I/O, one op per
-cycle and port driving every lane; force segments for the retimed
-warm-up); the per-cycle ``poke``/``eval``/``peek``/
-``step`` methods remain for co-simulation and as the stepped reference
-that the whole-trace path is tested against.
+.run_cycles` as one :class:`PackedStimulus`, the arrays the native
+kernel and the interpreter both read: one net map for the batch's
+inputs and one for its outputs (split into ports), a ``(cycles,
+bits)`` word matrix for each, and per-cycle force segments.  Replay
+builds them in bulk (:func:`lane_ops` for a batch's I/O; force
+segments for the retimed warm-up); the per-cycle ``poke``/``eval``/
+``peek``/``step`` methods remain for co-simulation and as the stepped
+reference that the whole-trace path is tested against.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ class GateSimError(Exception):
 class StimulusMismatch(GateSimError):
     """A strict :meth:`BatchedGateLevelSimulator.run_cycles` check failed.
 
-    Raised at the first failing (cycle, check, lane) in ascending lane
-    order, with the simulator's combinational state settled for the
+    Raised at the first failing (cycle, output port, lane), ports in
+    output order and lanes ascending, with the simulator's combinational state settled for the
     failing cycle but activity not yet counted and state not yet
     committed — exactly where the interpreted per-cycle loop would have
     stopped, so callers can peek live values for diagnostics.
@@ -260,18 +261,18 @@ def pack_lane_bits(bits):
 _UNPACK_BYTES = 1 << 18
 
 
-def lane_ops(values, port_nets):
-    """Flat poke/check op arrays from per-lane port values.
+def lane_ops(values, widths):
+    """The ``(cycles, bits)`` lane-word matrix of per-lane port values.
 
     ``values`` is a ``(lanes, cycles, ports)`` unsigned array and
-    ``port_nets[p]`` lists port ``p``'s nets, LSB first.  One op per
-    (cycle, port) drives (or checks) every lane, in cycle-major,
-    port-minor order.  Returns the ``counts/masks/off/cnt/nets/words``
-    arrays of :attr:`PackedStimulus.flat` (unprefixed) plus each op's
-    cycle and port index.
+    ``widths[p]`` is port ``p``'s bit count.  Row ``t`` holds cycle
+    ``t``'s bits 0..width-1 of port 0, then of port 1, and so on; bit
+    ``lane`` of each word is that lane's bit — the ``poke_words`` /
+    ``check_words`` of a :class:`PackedStimulus` whose net map lists the
+    ports' nets in the same order.
     """
     lanes, n_cycles, n_ports = values.shape
-    widths = np.array([len(nets) for nets in port_nets], dtype=np.int64)
+    widths = np.asarray(widths, dtype=np.int64)
     top = int(widths.max()) if n_ports else 0
     # bits 0..top-1 of every value with lanes last, then packed across
     # lanes: words[cycle, port, bit].  A block of cycles at a time, so
@@ -286,26 +287,7 @@ def lane_ops(values, port_nets):
                              bitorder="little")[..., :top]
         words[c0:c0 + step] = pack_lane_bits(
             np.ascontiguousarray(bits.transpose(0, 1, 3, 2)))
-    cycle, port = np.divmod(np.arange(n_cycles * n_ports), max(1, n_ports))
-    cnt = widths[port]
-    all_nets = np.array([net for nets in port_nets for net in nets],
-                        dtype=np.int64)
-    return {
-        "counts": np.full(n_cycles, n_ports, dtype=np.int64),
-        "masks": np.full(len(port), (1 << lanes) - 1, dtype=np.uint64),
-        "off": np.cumsum(cnt) - cnt,
-        "cnt": cnt,
-        "nets": np.tile(all_nets, n_cycles),
-        # bits 0..width-1 of each (cycle, port), port-major
-        "words": words[:, np.arange(top) < widths[:, None]].reshape(-1),
-    }, cycle, port
-
-
-def _op_slices(flat, kind, op):
-    """Net indices and words of flat poke/check op ``op``."""
-    at = slice(flat[f"{kind}_off"][op],
-               flat[f"{kind}_off"][op] + flat[f"{kind}_cnt"][op])
-    return flat[f"{kind}_nets"][at], flat[f"{kind}_words"][at]
+    return words[:, np.arange(top) < widths[:, None]]
 
 
 def _plan_nets(sim, plan):
@@ -337,31 +319,21 @@ def _note_step_phases(seconds, cycles):
     registry.counter("glstep.calls").inc()
 
 
-def _no_ops(kind, n_cycles):
-    """Flat ``kind`` (poke or check) arrays holding no op."""
-    none = np.zeros(0, dtype=np.int64)
-    return {f"{kind}_counts": np.zeros(n_cycles, dtype=np.int64),
-            f"{kind}_masks": np.zeros(0, dtype=np.uint64),
-            f"{kind}_off": none, f"{kind}_cnt": none,
-            f"{kind}_nets": none,
-            f"{kind}_words": np.zeros(0, dtype=np.uint64)}
-
-
+@dataclass
 class PackedStimulus:
-    """A whole replay trace as the flat arrays that
-    :meth:`~BatchedGateLevelSimulator.run_cycles` reads.
+    """A whole replay trace as the arrays that
+    :meth:`~BatchedGateLevelSimulator.run_cycles` reads, on either
+    backend, for a simulator of exactly ``lanes`` lanes:
 
-    :attr:`flat` holds everything ``n_cycles`` consecutive cycles do, in
-    the layout of the C kernel's ``gl_run`` ABI; both backends read it:
-
-    * **pokes** — lane-masked input scatters applied before eval:
-      ``poke_counts`` ops per cycle, then per op its lane mask
-      (``poke_masks``) and its slice (``poke_off``, ``poke_cnt``) of
-      ``poke_nets``/``poke_words``;
-    * **checks** — expected-output comparisons right after eval, in
-      the same layout (``check_*``); mismatching lanes are counted (or
-      raise :class:`StimulusMismatch` in strict mode), and
-      ``check_meta[op]`` gives op ``op``'s ``(cycle, name)``;
+    * **pokes** — before eval, cycle ``t`` drives every lane of net
+      ``poke_nets[j]`` with word ``poke_words[t, j]`` (the batch's input
+      bits, in port order; a word sets no bit at or above ``lanes``);
+    * **checks** — right after eval, cycle ``t`` compares net
+      ``check_nets[j]`` with ``check_words[t, j]``; output port ``p``
+      owns bits ``check_ports[p]:check_ports[p + 1]`` and is named
+      ``check_names[p]``.  A lane that differs on any bit of a port
+      counts one mismatch for that port (or, in strict mode, raises
+      :class:`StimulusMismatch`);
     * **forces** — per-cycle force segments replacing the simulator's
       ambient forces: cycle ``t`` forces ``force_counts[t]`` nets from
       ``force_off[t]`` of ``force_nets``/``force_masks``/``force_vals``
@@ -369,22 +341,50 @@ class PackedStimulus:
       ``force_counts`` is ``None`` when the stimulus never forces, which
       leaves the ambient forces in effect.
 
-    :func:`lane_ops` builds poke and check arrays from per-lane port
-    values; :meth:`from_flat` builds a stimulus from any subset.
+    A kind left out holds nothing.  :func:`lane_ops` builds the word
+    matrices from per-lane port values.
     """
 
-    def __init__(self, n_cycles, flat, check_meta):
-        self.n_cycles = n_cycles
-        self.flat = flat
-        self.check_meta = check_meta
+    n_cycles: int
+    lanes: int
+    poke_nets: np.ndarray = ()
+    poke_words: np.ndarray = None
+    check_nets: np.ndarray = ()
+    check_ports: np.ndarray = (0,)
+    check_words: np.ndarray = None
+    check_names: tuple = ()
+    force_counts: np.ndarray = None
+    force_off: np.ndarray = None
+    force_nets: np.ndarray = None
+    force_masks: np.ndarray = None
+    force_vals: np.ndarray = None
 
-    @classmethod
-    def from_flat(cls, n_cycles, flat, check_meta=()):
-        """A stimulus from :attr:`flat` arrays, where a missing kind
-        holds no op (and missing forces leave the ambient ones)."""
-        return cls(n_cycles, {**_no_ops("poke", n_cycles),
-                              **_no_ops("check", n_cycles),
-                              "force_counts": None, **flat}, check_meta)
+    def __post_init__(self):
+        # the C kernel reads these buffers raw: fix their dtypes and
+        # check their shapes against the net maps here
+        def nets(x):
+            return np.ascontiguousarray(x, dtype=np.int64)
+
+        def words(x, n_bits):
+            x = np.ascontiguousarray(
+                np.zeros((self.n_cycles, 0)) if x is None else x,
+                dtype=np.uint64)
+            if x.shape != (self.n_cycles, n_bits):
+                raise GateSimError(
+                    f"stimulus words of shape {x.shape} for "
+                    f"{self.n_cycles} cycles of {n_bits} nets")
+            return x
+
+        self.poke_nets = nets(self.poke_nets)
+        self.poke_words = words(self.poke_words, len(self.poke_nets))
+        self.check_nets = nets(self.check_nets)
+        self.check_words = words(self.check_words, len(self.check_nets))
+        self.check_ports = nets(self.check_ports)
+        if (self.check_ports[-1] != len(self.check_nets)
+                or len(self.check_names) != len(self.check_ports) - 1):
+            raise GateSimError(
+                "check_ports must split check_nets into one named port "
+                "each")
 
 
 class BatchedGateLevelSimulator:
@@ -782,7 +782,8 @@ class BatchedGateLevelSimulator:
 
     def run_cycles(self, n=None, stim=None, strict=False):
         """Advance ``n`` cycles, optionally driven by a
-        :class:`PackedStimulus` (pokes before eval, checks after eval,
+        :class:`PackedStimulus` packed for this simulator's lane count
+        (pokes before eval, one check per output port after eval,
         per-cycle force segments).
 
         This is the whole-replay hot loop: with the C kernel the
@@ -791,12 +792,17 @@ class BatchedGateLevelSimulator:
         the GIL; the interpreted path runs the same per-cycle sequence
         in Python so all backends stay bit-identical by construction.
 
-        Returns the per-lane mismatch counts (int64, one per lane).  In
-        strict mode the first failing check raises
-        :class:`StimulusMismatch` instead, leaving the failing cycle
-        settled but uncommitted.
+        Returns the per-lane mismatch counts (int64, one per lane): a
+        lane counts one per (cycle, output port) that differs in any
+        bit.  In strict mode the first failing (cycle, port, lane), in
+        port then lane order, raises :class:`StimulusMismatch` instead,
+        leaving the failing cycle settled but uncommitted.
         """
         if stim is not None:
+            if stim.lanes != self.lanes:
+                raise GateSimError(
+                    f"stimulus packed for {stim.lanes} lanes on a "
+                    f"{self.lanes}-lane simulator")
             if n is None:
                 n = stim.n_cycles
             elif n > stim.n_cycles:
@@ -819,62 +825,60 @@ class BatchedGateLevelSimulator:
 
     def _run_cycles_py(self, n, stim, strict, mismatches):
         """The interpreted per-cycle loop behind :meth:`run_cycles` —
-        semantics identical to the native kernel, reading the same flat
+        semantics identical to the native kernel, reading the same
         stimulus arrays."""
         phases = [0.0] * 6
-        flat = stim.flat if stim is not None else None
-        if flat is not None:
-            poke_first = np.concatenate(([0], np.cumsum(flat["poke_counts"])))
-            check_first = np.concatenate(
-                ([0], np.cumsum(flat["check_counts"])))
-        seg_forces = flat is not None and flat["force_counts"] is not None
+        if stim is None:
+            stim = PackedStimulus(n, self.lanes)
+        active = self.active_mask
+        # reduceat segments start at the ports that own any bits
+        live = np.flatnonzero(np.diff(stim.check_ports))
+        starts = stim.check_ports[live]
+        seg_forces = stim.force_counts is not None
         saved = (self._force_nets, self._force_masks, self._force_vals)
+        values = self._values
         perf = time.perf_counter
         cycles_done = 0
         try:
             for t in range(n):
                 t0 = perf()
-                if flat is not None:
-                    values = self._values
-                    for op in range(poke_first[t], poke_first[t + 1]):
-                        nets, words = _op_slices(flat, "poke", op)
-                        mask = flat["poke_masks"][op]
-                        values[nets] = ((values[nets] & ~mask)
-                                        | (words & mask))
+                if len(stim.poke_nets):
+                    nets = stim.poke_nets
+                    values[nets] = (values[nets] & ~active) \
+                        | stim.poke_words[t]
                 if seg_forces:
-                    count = flat["force_counts"][t]
+                    count = stim.force_counts[t]
                     if count == 0:
                         self._force_nets = None
                         self._force_masks = None
                         self._force_vals = None
                     else:
-                        at = slice(flat["force_off"][t],
-                                   flat["force_off"][t] + count)
-                        self._force_nets = flat["force_nets"][at]
-                        self._force_masks = flat["force_masks"][at]
-                        self._force_vals = flat["force_vals"][at]
+                        at = slice(stim.force_off[t],
+                                   stim.force_off[t] + count)
+                        self._force_nets = stim.force_nets[at]
+                        self._force_masks = stim.force_masks[at]
+                        self._force_vals = stim.force_vals[at]
                 t1 = perf()
                 phases[0] += t1 - t0
                 self.eval()
-                values = self._values
                 t2 = perf()
                 phases[1] += t2 - t1
-                if flat is not None:
-                    for op in range(check_first[t], check_first[t + 1]):
-                        nets, exp = _op_slices(flat, "check", op)
-                        diff = int(np.bitwise_or.reduce(
-                            values[nets] ^ exp) & flat["check_masks"][op])
+                if len(live):
+                    port_diff = np.bitwise_or.reduceat(
+                        values[stim.check_nets] ^ stim.check_words[t],
+                        starts) & active
+                    for i in np.flatnonzero(port_diff):
+                        diff = int(port_diff[i])
                         while diff:
                             lane = (diff & -diff).bit_length() - 1
                             diff &= diff - 1
                             mismatches[lane] += 1
                             if strict:
                                 raise StimulusMismatch(
-                                    t, stim.check_meta[op][1], lane)
+                                    t, stim.check_names[live[i]], lane)
                 t3 = perf()
                 phases[2] += t3 - t2
-                self._count_toggles(
-                    (values ^ self._prev) & self.active_mask)
+                self._count_toggles((values ^ self._prev) & active)
                 np.copyto(self._prev, values)
                 t4 = perf()
                 phases[3] += t4 - t3

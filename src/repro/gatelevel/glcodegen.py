@@ -175,16 +175,11 @@ class _GlRun(ctypes.Structure):
 
     _fields_ = [
         ("n_cycles", ctypes.c_int64),
-        ("poke_counts", ctypes.c_void_p),
-        ("poke_masks", ctypes.c_void_p),
-        ("poke_off", ctypes.c_void_p),
-        ("poke_cnt", ctypes.c_void_p),
+        ("n_poke", ctypes.c_int64),
         ("poke_nets", ctypes.c_void_p),
         ("poke_words", ctypes.c_void_p),
-        ("check_counts", ctypes.c_void_p),
-        ("check_masks", ctypes.c_void_p),
-        ("check_off", ctypes.c_void_p),
-        ("check_cnt", ctypes.c_void_p),
+        ("n_ports", ctypes.c_int64),
+        ("check_ports", ctypes.c_void_p),
         ("check_nets", ctypes.c_void_p),
         ("check_words", ctypes.c_void_p),
         ("force_counts", ctypes.c_void_p),
@@ -198,11 +193,6 @@ class _GlRun(ctypes.Structure):
         ("stop", ctypes.c_void_p),
         ("phase_ns", ctypes.c_void_p),
     ]
-
-
-def _data_ptr(arr):
-    """Raw data pointer of a numpy array, or 0 for ``None``."""
-    return arr.ctypes.data if arr is not None else 0
 
 
 def _forces(sim):
@@ -333,7 +323,7 @@ class CKernel:
 
         Builds the ``gl_state`` view fresh per call (``_prev`` and the
         toggle arena may have been rebound since the last one), hands
-        the packed stimulus' flat arrays to ``gl_run_cycles``, then
+        the packed stimulus' arrays to ``gl_run_cycles``, then
         syncs the plane count and cycle counter back and raises
         :class:`~repro.gatelevel.gl_sim.StimulusMismatch` on a strict
         stop.
@@ -357,7 +347,6 @@ class CKernel:
             dff_tmp=sim._gl_dff_tmp.ctypes.data,
             lanes=sim.lanes,
             active_mask=int(sim.active_mask))
-        flat = stim.flat if stim is not None else None
         stop = np.full(3, -1, dtype=np.int64)
         phase_ns = np.zeros(6, dtype=np.float64)
         run = _GlRun(
@@ -366,19 +355,21 @@ class CKernel:
             mismatches=mismatches.ctypes.data,
             stop=stop.ctypes.data,
             phase_ns=phase_ns.ctypes.data)
-        if flat is not None:
-            for name in ("poke_counts", "poke_masks", "poke_off",
-                         "poke_cnt", "poke_nets", "poke_words",
-                         "check_counts", "check_masks", "check_off",
-                         "check_cnt", "check_nets", "check_words"):
-                setattr(run, name, _data_ptr(flat[name]))
-        if flat is not None and flat["force_counts"] is not None:
-            for name in ("force_counts", "force_off", "force_nets",
-                         "force_masks", "force_vals"):
-                setattr(run, name, _data_ptr(flat[name]))
+        if stim is not None:
+            run.n_poke = len(stim.poke_nets)
+            run.poke_nets = stim.poke_nets.ctypes.data
+            run.poke_words = stim.poke_words.ctypes.data
+            run.n_ports = len(stim.check_names)
+            run.check_ports = stim.check_ports.ctypes.data
+            run.check_nets = stim.check_nets.ctypes.data
+            run.check_words = stim.check_words.ctypes.data
+            if stim.force_counts is not None:
+                for name in ("force_counts", "force_off", "force_nets",
+                             "force_masks", "force_vals"):
+                    setattr(run, name, getattr(stim, name).ctypes.data)
         ambient = _forces(sim)
         run.ambient = ctypes.addressof(ambient)
-        # the flat dict, ambient struct and force arrays stay referenced
+        # the stimulus, ambient struct and force arrays stay referenced
         # by locals / the sim for the call, keeping pointers valid
         done = int(self._run(ctypes.addressof(sim._gl_prog),
                              ctypes.byref(state), ctypes.byref(run)))
@@ -386,8 +377,8 @@ class CKernel:
         sim.cycles += done
         _note_step_phases(phase_ns / 1e9, done)
         if done < n:
-            t, op, lane = (int(x) for x in stop)
-            raise StimulusMismatch(t, stim.check_meta[op][1], lane)
+            t, port, lane = (int(x) for x in stop)
+            raise StimulusMismatch(t, stim.check_names[port], lane)
         return done
 
     def switching(self, sim, net_cap, switch_slot, n_slots, io_slot,

@@ -54,9 +54,6 @@ def build_parser():
     parser.add_argument("--breaker-threshold", type=int, default=2,
                         help="worker crashes on one backend rung "
                              "before demotion (default 2)")
-    parser.add_argument("--breaker-cooldown-s", type=float, default=None,
-                        help="seconds before a demoted backend is "
-                             "probed again (default: sticky)")
     parser.add_argument("--trace-dir", default=None,
                         help="write one Chrome-trace JSON per job here")
     parser.add_argument("--metrics-port", type=int, default=None,
@@ -96,7 +93,6 @@ def main(argv=None):
         default_deadline_s=args.deadline_s,
         default_gl_backend=args.gl_backend,
         breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown_s,
         trace_dir=args.trace_dir,
         metrics_port=args.metrics_port,
     )

@@ -9,12 +9,13 @@ the breaker demotes that design one rung down the ladder::
     c  ->  interp
 
 and every later attempt for the same design is capped at the demoted
-rung.  Demoting *from* ``c`` additionally quarantines the cached C
-kernel (the host-wide ``glso`` shared object): a poisoned or
-ABI-drifted ``.so`` that segfaults every worker that loads it must be
-pulled out of circulation, not reloaded by the next attempt — and the
-quarantined file is kept (``<cache>/quarantine/``) for post-mortem
-inspection rather than deleted with the evidence.  The next ``c``
+rung for the daemon's lifetime.  Demoting *from* ``c`` additionally
+quarantines the cached C kernel (the host-wide ``glso`` shared
+object): a poisoned or ABI-drifted ``.so`` that segfaults every worker
+that loads it must be pulled out of circulation, not reloaded by the
+next attempt — and the quarantined file is kept
+(``<cache>/quarantine/``) for post-mortem inspection rather than
+deleted with the evidence.  The next ``c``
 request, for any design, rebuilds it.
 
 ``interp`` is the floor: it is pure Python over the levelized netlist,
@@ -33,8 +34,6 @@ import time
 LADDER = ("c", "interp")
 
 DEFAULT_THRESHOLD = 2       # crashes on one rung before demotion
-DEFAULT_COOLDOWN_S = None   # None = demotions are sticky for the
-                            # daemon's lifetime (no half-open probing)
 
 
 def _rung(backend):
@@ -48,44 +47,23 @@ def _rung(backend):
 class BackendBreaker:
     """Crash accounting and demotion state for one design."""
 
-    def __init__(self, design, threshold=DEFAULT_THRESHOLD,
-                 cooldown_s=DEFAULT_COOLDOWN_S):
+    def __init__(self, design, threshold=DEFAULT_THRESHOLD):
         self.design = design
         self.threshold = max(1, int(threshold))
-        self.cooldown_s = cooldown_s
         self.failures = [0] * len(LADDER)   # per-rung crash counts
         self.floor = 0                      # minimum rung allowed
         self.demotions = []                 # event dicts, oldest first
-        self._demoted_at = None
 
     def effective(self, requested):
         """The backend an attempt may actually use.
 
         The request is capped at the current floor; an ``auto``/None
         request passes through untouched while the floor is 0 so the
-        backend resolver still picks the best available.  With a
-        cooldown configured, a floor older than ``cooldown_s`` is
-        lifted one rung first (half-open probe) — a fresh crash will
-        re-demote it immediately.
+        backend resolver still picks the best available.
         """
-        self._maybe_probe()
         if self.floor == 0:
             return requested
         return LADDER[max(_rung(requested), self.floor)]
-
-    def _maybe_probe(self):
-        if (self.cooldown_s is None or self.floor == 0
-                or self._demoted_at is None):
-            return
-        if time.monotonic() - self._demoted_at < self.cooldown_s:
-            return
-        self.floor -= 1
-        self._demoted_at = time.monotonic() if self.floor else None
-        self.demotions.append({
-            "design": self.design, "kind": "probe",
-            "to": LADDER[self.floor] if self.floor else None,
-            "at": time.time(),
-        })
 
     def record_failure(self, backend, count=1, reason="worker-crash"):
         """Charge ``count`` crashes to the rung that was running.
@@ -102,7 +80,6 @@ class BackendBreaker:
             return None
         self.failures[rung] = 0
         self.floor = rung + 1
-        self._demoted_at = time.monotonic()
         event = {
             "design": self.design, "kind": "demotion",
             "from": LADDER[rung], "to": LADDER[self.floor],
@@ -125,10 +102,8 @@ class BackendBreaker:
 class BreakerBoard:
     """All designs' breakers, created on first touch, thread-safe."""
 
-    def __init__(self, threshold=DEFAULT_THRESHOLD,
-                 cooldown_s=DEFAULT_COOLDOWN_S):
+    def __init__(self, threshold=DEFAULT_THRESHOLD):
         self.threshold = threshold
-        self.cooldown_s = cooldown_s
         self._lock = threading.Lock()
         self._breakers = {}
 
@@ -137,8 +112,7 @@ class BreakerBoard:
             breaker = self._breakers.get(design)
             if breaker is None:
                 breaker = self._breakers[design] = BackendBreaker(
-                    design, threshold=self.threshold,
-                    cooldown_s=self.cooldown_s)
+                    design, threshold=self.threshold)
             return breaker
 
     def effective(self, design, requested):

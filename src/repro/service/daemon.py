@@ -105,7 +105,6 @@ class ServiceConfig:
     default_deadline_s: float = None
     default_gl_backend: str = None
     breaker_threshold: int = 2
-    breaker_cooldown_s: float = None
     trace_dir: str = None         # per-job Chrome traces when set
     metrics_port: int = None      # plain-HTTP /metrics scrape port
                                   # (0 = ephemeral; None = no listener —
@@ -172,9 +171,7 @@ class StroberService:
         self._queue = collections.deque()
         self._running = {}        # job id -> asyncio.Task
         self._clients = set()     # open connection-handler tasks
-        self.breakers = BreakerBoard(
-            threshold=config.breaker_threshold,
-            cooldown_s=config.breaker_cooldown_s)
+        self.breakers = BreakerBoard(threshold=config.breaker_threshold)
         self._journal = None
         self._next_job_number = 1
         self._wake = asyncio.Event()

@@ -463,12 +463,7 @@ def _whole_trace_stim(netlist, per_cycle, expected, force_window=None):
     checks by :func:`lane_ops`, flat force segments for
     ``force_window`` = (lo, hi, value) on cycles [lo, hi)."""
     cycles, lanes = len(per_cycle), len(per_cycle[0][0])
-    inputs = np.array(per_cycle, dtype=np.uint64).transpose(2, 0, 1)
-    pokes, _, _ = lane_ops(inputs, [netlist.inputs["d"], netlist.inputs["we"]])
-    outputs = np.array(expected, dtype=np.uint64).T[:, :, None]
-    checks, check_cycle, _ = lane_ops(outputs, [netlist.outputs["acc"]])
-    flat = {f"poke_{k}": v for k, v in pokes.items()}
-    flat.update({f"check_{k}": v for k, v in checks.items()})
+    forces = {}
     if force_window is not None:
         lo, hi, value = force_window
         nets = np.array(netlist.preserved_nets["probe"], dtype=np.int64)
@@ -476,14 +471,27 @@ def _whole_trace_stim(netlist, per_cycle, expected, force_window=None):
         vals = pack_lane_words([value] * lanes, len(nets)) & mask
         counts = np.array([len(nets) if lo <= t < hi else 0
                            for t in range(cycles)], dtype=np.int64)
-        flat.update(
+        forces = dict(
             force_counts=counts, force_off=np.cumsum(counts) - counts,
             force_nets=np.tile(nets, hi - lo),
             force_masks=np.full(len(nets) * (hi - lo), mask,
                                 dtype=np.uint64),
             force_vals=np.tile(vals, hi - lo))
-    return PackedStimulus.from_flat(
-        cycles, flat, [(int(t), "acc") for t in check_cycle])
+    acc = netlist.outputs["acc"]
+    outputs = np.array(expected, dtype=np.uint64).T[:, :, None]
+    return PackedStimulus(
+        cycles, lanes, **_poke_fields(netlist, per_cycle),
+        check_nets=acc, check_ports=[0, len(acc)],
+        check_words=lane_ops(outputs, [len(acc)]), check_names=("acc",),
+        **forces)
+
+
+def _poke_fields(netlist, per_cycle):
+    """The ``poke_*`` fields driving ``per_cycle`` ``(d, we)`` inputs."""
+    inputs = np.array(per_cycle, dtype=np.uint64).transpose(2, 0, 1)
+    d, we = netlist.inputs["d"], netlist.inputs["we"]
+    return dict(poke_nets=d + we,
+                poke_words=lane_ops(inputs, [len(d), len(we)]))
 
 
 def _reference_run(netlist, schedule, lanes, per_cycle,
@@ -602,13 +610,103 @@ class TestRunCycles:
         assert (registry.value("glstep.eval_seconds") or 0) > 0
 
 
+_PORTS = ("acc", "peek")
+
+
+def _two_port_trace(lanes, seed):
+    """The small netlist, its schedule, random inputs, and every lane's
+    settled ``acc`` and ``peek`` per cycle as ``(lanes, cycles, 2)``."""
+    netlist = _small_netlist()
+    schedule = build_schedule(netlist)
+    per_cycle = _random_inputs(lanes, seed=seed)
+    sim = BatchedGateLevelSimulator(netlist, lanes=lanes,
+                                    schedule=schedule)
+    outputs = np.zeros((lanes, len(per_cycle), len(_PORTS)),
+                       dtype=np.uint64)
+    for t, (d, we) in enumerate(per_cycle):
+        sim.poke_lanes("d", d)
+        sim.poke_lanes("we", we)
+        sim.eval()
+        for p, name in enumerate(_PORTS):
+            outputs[:, t, p] = [sim.peek(name, lane=lane)
+                                for lane in range(lanes)]
+        sim.step()
+    return netlist, schedule, per_cycle, outputs
+
+
+def _two_port_stim(netlist, per_cycle, outputs):
+    """Pokes of ``per_cycle`` and checks of both output ports."""
+    nets = [netlist.outputs[name] for name in _PORTS]
+    widths = [len(port_nets) for port_nets in nets]
+    return PackedStimulus(
+        len(per_cycle), outputs.shape[0],
+        **_poke_fields(netlist, per_cycle),
+        check_nets=nets[0] + nets[1], check_ports=np.cumsum([0, *widths]),
+        check_words=lane_ops(outputs, widths), check_names=_PORTS)
+
+
+class TestStimulusPorts:
+    """One check per output port: a lane counts one mismatch per
+    (cycle, port) however many of the port's bits differ, and a strict
+    stop names the first failing port in output order, then lane."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_port_counts_once_per_cycle_and_lane(self, backend):
+        lanes = 6
+        netlist, schedule, per_cycle, outputs = _two_port_trace(lanes, 5)
+        assert netlist.outputs.keys() >= set(_PORTS)
+        sim = BatchedGateLevelSimulator(netlist, lanes=lanes,
+                                        schedule=schedule, backend=backend)
+        clean = _two_port_stim(netlist, per_cycle, outputs)
+        assert not sim.run_cycles(stim=clean).any()
+        outputs[2, 7, 0] ^= 0b10110          # 3 bits of acc, lane 2
+        outputs[4, 9, 0] ^= 0b111 << 4       # acc, lane 4 ...
+        outputs[4, 9, 1] ^= 0b101001         # ... and peek, same cycle
+        sim = BatchedGateLevelSimulator(netlist, lanes=lanes,
+                                        schedule=schedule, backend=backend)
+        stim = _two_port_stim(netlist, per_cycle, outputs)
+        assert sim.run_cycles(stim=stim).tolist() == [0, 0, 1, 0, 2, 0]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_strict_stop_names_the_first_port(self, backend):
+        lanes = 4
+        netlist, schedule, per_cycle, outputs = _two_port_trace(lanes, 9)
+        outputs[0, 6, 1] ^= 1                # peek fails in lane 0,
+        outputs[3, 6, 0] ^= 1                # acc (first port) in lane 3
+        stim = _two_port_stim(netlist, per_cycle, outputs)
+        sim = BatchedGateLevelSimulator(netlist, lanes=lanes,
+                                        schedule=schedule, backend=backend)
+        with pytest.raises(StimulusMismatch) as excinfo:
+            sim.run_cycles(stim=stim, strict=True)
+        exc = excinfo.value
+        assert (exc.cycle, exc.name, exc.lane, sim.cycles) == \
+            (6, "acc", 3, 6)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stimulus_must_match_the_lane_count(self, backend):
+        netlist = _small_netlist()
+        schedule = build_schedule(netlist)
+        stim = _poke_stim(netlist, _random_inputs(5))
+        sim = BatchedGateLevelSimulator(netlist, lanes=8,
+                                        schedule=schedule, backend=backend)
+        with pytest.raises(GateSimError, match="5 lanes"):
+            sim.run_cycles(stim=stim)
+        assert sim.cycles == 0
+
+    def test_word_matrix_must_match_the_net_map(self):
+        netlist = _small_netlist()
+        fields = _poke_fields(netlist, _random_inputs(3, cycles=4))
+        with pytest.raises(GateSimError, match="shape"):
+            PackedStimulus(5, 3, **fields)
+        with pytest.raises(GateSimError, match="one named port"):
+            PackedStimulus(4, 3, check_nets=[1, 2], check_ports=[0, 2],
+                           check_words=np.zeros((4, 2), dtype=np.uint64))
+
+
 def _poke_stim(netlist, per_cycle):
     """``per_cycle`` ``(d, we)`` inputs as a PackedStimulus of pokes."""
-    inputs = np.array(per_cycle, dtype=np.uint64).transpose(2, 0, 1)
-    pokes, _, _ = lane_ops(inputs,
-                           [netlist.inputs["d"], netlist.inputs["we"]])
-    return PackedStimulus.from_flat(
-        len(per_cycle), {f"poke_{k}": v for k, v in pokes.items()})
+    return PackedStimulus(len(per_cycle), len(per_cycle[0][0]),
+                          **_poke_fields(netlist, per_cycle))
 
 
 def _assert_same_toggles(ref, sim):

@@ -167,14 +167,6 @@ class TestBreakerLadder:
         breaker.record_failure("auto")
         assert breaker.effective(None) == "interp"
 
-    def test_cooldown_probes_one_rung_back_up(self):
-        breaker = BackendBreaker("d", threshold=1, cooldown_s=0.0)
-        breaker.record_failure("c")
-        assert breaker.floor == 1
-        # cooldown elapsed: the next decision probes the better rung
-        assert breaker.effective("c") == "c"
-        assert breaker.floor == 0
-
     def test_as_dict_reports_floor_and_history(self):
         breaker = BackendBreaker("d", threshold=1)
         breaker.record_failure("c", reason="storm")

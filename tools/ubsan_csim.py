@@ -5,7 +5,8 @@ the generated RTL simulators (``cbackend._CFLAGS``, the ``csim``
 objects) and the gate-level replay kernel (``glcodegen._CFLAGS``, the
 ``glso`` object).  Undefined behaviour in either (a shift by 64 or
 more, an out-of-range index, say) then exits the process instead of
-giving a compiler-dependent value.  The flags go in by patching the
+giving a compiler-dependent value.  The batched-replay tests drive the
+sanitized kernel with real snapshot batches.  The flags go in by patching the
 modules here, not through a setting of the program.  The artifact cache
 is a private temp directory, removed when pytest returns, so no
 sanitized object is ever loaded by a normal run.  Test output is
@@ -21,7 +22,8 @@ import sys
 import tempfile
 
 TESTS = ["tests/test_sim_backends.py", "tests/test_fame_quiet.py",
-         "tests/test_glcodegen.py", "tests/test_power_lanes.py"]
+         "tests/test_glcodegen.py", "tests/test_power_lanes.py",
+         "tests/test_batched_replay.py"]
 SANITIZE = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
 
 
